@@ -24,8 +24,9 @@ for n, k in ((5, 2), (6, 3), (7, 3), (9, 4)):
     ladder = ", ".join(f"j={j}: ({lam}, {mult})" for j, lam, mult in spec.levels)
     print(f"  ({n},{k}):  {ladder}")
 print("\n(5,2) is the Petersen graph; at (6,3) the values 1 and -1 repeat,")
-print("which is why masses are computed from nested incidence spans rather")
-print("than from eigenvalue grouping.")
+print("which is why masses come from the Johnson-scheme idempotents (applied")
+print("to counts of edge pairs by intersection size) rather than from")
+print("eigenvalue grouping.")
 
 print()
 print("=" * 72)

@@ -58,20 +58,19 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     family = _read_family(args.family)
     spectrum = kneser_spectrum(family.n, family.k)
-    fields = {
-        "n": family.n, "k": family.k, "edges": family.edge_count,
-        "quadratic_form": quadratic_form(family),
-    }
+    fields = {"n": family.n, "k": family.k, "edges": family.edge_count}
     rows = [
         {"level": j, "eigenvalue": lam, "multiplicity": mult}
         for j, lam, mult in spectrum.levels
     ]
     if args.full:
         masses = eigen_mass_full(family)
+        fields["quadratic_form"] = masses.quad_form
         for row, mass in zip(rows, masses.masses):
             row.update(rational_fields("mass", mass))
         columns = ["level", "eigenvalue", "multiplicity", "mass", "mass_decimal"]
     else:
+        fields["quadratic_form"] = quadratic_form(family)
         f0, f1, residual = level_masses(family)
         fields.update(rational_fields("F0", f0))
         fields.update(rational_fields("F1", f1))

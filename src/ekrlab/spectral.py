@@ -1,23 +1,25 @@
 """Kneser-graph spectrum and exact eigenspace masses of a family.
 
 The disjointness graph on the k-subsets of [n] has adjacency eigenvalues
-(-1)^j * C(n-k-j, k-j) with multiplicity C(n,j) - C(n,j-1), j = 0..k.  The
-j-th eigenspace E_j is the orthogonal complement of E_0 + ... + E_{j-1}
-inside the span U_j of the incidence vectors of all j-subsets (the vector
-of a j-set S marks the k-sets containing S).  For a family with
-characteristic vector h, the mass F_j = ||P_{E_j} h||^2 is computed here in
-exact rational arithmetic:
+(-1)^j * C(n-k-j, k-j) with multiplicity m_j = C(n,j) - C(n,j-1), j = 0..k.
+The j-th eigenspace E_j is the orthogonal complement of E_0 + ... + E_{j-1}
+inside the span of the incidence vectors of all j-subsets (the vector of a
+j-set S marks the k-sets containing S).  For a family with characteristic
+vector h, the mass F_j = ||P_{E_j} h||^2 is computed here in exact
+rational arithmetic:
 
-* F_0 = e(H)^2 / C(n,k);
-* ||P_{U_d} h||^2 = b^T G^{-1} b where b is the d-subset degree vector and
-  G the Gram matrix of the incidence vectors, G[S,T] = C(n-|SuT|, k-|SuT|).
-  For d = 1 the Gram is a*I + b*J and is inverted in closed form; for
-  d >= 2 the solve collapses to intersection-size classes (G^{-1} is a
-  function of |S n T| because G lives in the Johnson-scheme algebra) and
-  the collapsed system is solved by fraction-free elimination;
-* masses at the top two levels follow from the two exact linear relations
-  sum_j F_j = e(H) and sum_j lambda_j F_j = h^T A h, whose 2x2 system is
-  nonsingular because the top two eigenvalues differ for n >= 2k.
+* :func:`level_masses` gives F_0 = e(H)^2 / C(n,k) and F_1 from the
+  closed-form inverse of the star Gram matrix a*I + b*J;
+* :func:`eigen_mass_full` gives every F_j by Delsarte's MacWilliams
+  transform on the Johnson scheme.  P_{E_j} = (1/C(n,k)) sum_i Q_j(i) A_i,
+  where A_i relates k-sets that meet in k-i points, so
+  F_j = (1/C(n,k)) sum_i Q_j(i) b_{k-i} with b_r the number of ordered
+  edge pairs meeting in r points.  Here Q_j(i) = m_j P_i(j) / v_i, with
+  valency v_i = C(k,i) C(n-k,i) and Eberlein polynomial
+  P_i(j) = sum_t (-1)^t C(j,t) C(k-j,i-t) C(n-k-j,i-t).
+  The b_r need no pair loop: the squared subset degrees
+  N_j = sum_{|U|=j} deg(U)^2 satisfy N_j = sum_r C(r,j) b_r, which
+  binomial inversion undoes; h^T A h = b_0.
 
 Floating point appears nowhere: the verdicts downstream hinge on exact
 sign comparisons at equality boundaries.
@@ -25,15 +27,13 @@ sign comparisons at equality boundaries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 
 from . import limits
-from ._linalg import solve_exact
 from .errors import DomainError, ResourceLimitError
-from .families import Family, binomial, degree_profile, vertex_degrees
+from .families import Family, binomial, vertex_degrees
 
 
 def _comb_nonneg(n: int, r: int) -> int:
@@ -114,49 +114,6 @@ def level_masses(family: Family) -> tuple[Fraction, Fraction, Fraction]:
     return f0, f1, residual
 
 
-@lru_cache(maxsize=None)
-def _gram_inverse_classes(n: int, k: int, d: int) -> tuple[Fraction, ...]:
-    """Class function gamma with G^{-1}[S,T] = gamma[|S n T|] at level d.
-
-    G belongs to the Johnson-scheme algebra on d-subsets, so its inverse is
-    again a function of the intersection size.  Fixing S0 = {1..d} and one
-    representative T_r per class r = |T n S0| collapses G x = e_{S0} to a
-    (d+1)-dimensional exact system.
-    """
-    def gram_entry(t: int) -> int:
-        union = 2 * d - t
-        return _comb_nonneg(n - union, k - union)
-
-    s0 = frozenset(range(1, d + 1))
-    rows = []
-    for r in range(d + 1):
-        rep = frozenset(range(1, r + 1)) | frozenset(range(d + 1, 2 * d - r + 1))
-        coeff = [Fraction(0)] * (d + 1)
-        for u in combinations(range(1, n + 1), d):
-            su = frozenset(u)
-            coeff[len(su & s0)] += gram_entry(len(su & rep))
-        rows.append(coeff)
-    rhs = [Fraction(1) if r == d else Fraction(0) for r in range(d + 1)]
-    return tuple(solve_exact(rows, rhs))
-
-
-def _subspace_norm_sq(family: Family, d: int) -> Fraction:
-    """||P_{U_d} h||^2 = b^T G^{-1} b over the d-subset degree vector b.
-
-    The inverse is a class function of |S n T|, so the quadratic form
-    collapses to integer sums per intersection class.
-    """
-    gamma = _gram_inverse_classes(family.n, family.k, d)
-    support = [(frozenset(s), c) for s, c in degree_profile(family, d).degrees.items()]
-    class_sums = [0] * (d + 1)
-    for i, (si, ci) in enumerate(support):
-        class_sums[d] += ci * ci
-        for j in range(i + 1, len(support)):
-            sj, cj = support[j]
-            class_sums[len(si & sj)] += 2 * ci * cj
-    return sum(g * q for g, q in zip(gamma, class_sums))
-
-
 @dataclass(frozen=True)
 class SpectralMass:
     """Masses F_0..F_k of a family's characteristic vector, all exact."""
@@ -174,57 +131,70 @@ class SpectralMass:
             raise ArithmeticError("eigenspace masses do not sum to the edge count")
 
 
+def _pair_intersection_counts(family: Family) -> list[int]:
+    """b_r = number of ordered edge pairs (e, f) with |e n f| = r, r = 0..k.
+
+    Each edge adds one to the degree of each of its 2^k vertex submasks;
+    sq[j] = N_j sums the squared degrees of the j-subsets and binomial
+    inversion turns N into b.
+    """
+    k = family.k
+    deg: Counter[int] = Counter()
+    for mask in family.vertex_masks():
+        subsets = [0]
+        while mask:
+            low = mask & -mask
+            subsets += [s | low for s in subsets]
+            mask ^= low
+        deg.update(subsets)
+    sq = [0] * (k + 1)
+    for subset, d in deg.items():
+        sq[subset.bit_count()] += d * d
+    return [
+        sum((-1) ** (j - r) * binomial(j, r) * sq[j] for j in range(r, k + 1))
+        for r in range(k + 1)
+    ]
+
+
+def _eberlein(n: int, k: int, i: int, j: int) -> int:
+    """P_i(j): eigenvalue on E_j of the relation |e n f| = k - i."""
+    return sum(
+        (-1) ** t * binomial(j, t) * binomial(k - j, i - t) * binomial(n - k - j, i - t)
+        for t in range(i + 1)
+    )
+
+
 def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
     """All eigenspace masses F_0..F_k of the family, exactly.
 
-    Levels 0 and 1 come from :func:`level_masses`, levels up to k-2 from
-    the collapsed Gram solves, and the top two levels from the exact mass
-    and quadratic-form identities.  Needs n >= 2k so that the k+1 level
-    decomposition exists; raises ResourceLimitError when a required Gram
-    dimension C(n, d) exceeds the solve limit.
+    Uses the Johnson-scheme closed form of the module docstring, at a cost
+    of e * 2^k subset-degree updates.  Needs n >= 2k so that the k+1 level
+    decomposition exists; raises ResourceLimitError when e * 2^k exceeds
+    the subset limit.
     """
     n, k = family.n, family.k
     if k < 1:
         raise DomainError(f"eigen_mass_full needs k >= 1, got k={k}")
     if n < 2 * k:
         raise DomainError(f"eigen_mass_full needs n >= 2k, got n={n}, k={k}")
-    cap = limits.resolve(limit, limits.EIGEN_SOLVE_LIMIT)
-    if binomial(n, k // 2) > cap:
-        raise ResourceLimitError(
-            f"Gram solve dimension C({n}, {k // 2}) = {binomial(n, k // 2)} exceeds limit {cap}"
-        )
     e = family.edge_count
-    quad = quadratic_form(family)
-    spectrum = kneser_spectrum(n, k)
-    lams = spectrum.eigenvalues()
-
-    if k == 1:
-        f0 = Fraction(e * e, binomial(n, 1))
-        masses = (f0, e - f0)
-    else:
-        f0, f1, _ = level_masses(family)
-        known = [f0, f1]
-        prev_norm = f0 + f1
-        for d in range(2, k - 1):
-            if binomial(n, d) > cap:
-                raise ResourceLimitError(
-                    f"Gram solve dimension C({n}, {d}) = {binomial(n, d)} exceeds limit {cap}"
-                )
-            norm = _subspace_norm_sq(family, d)
-            known.append(norm - prev_norm)
-            prev_norm = norm
-        if k == 2:
-            masses = (f0, f1, e - f0 - f1)
-        else:
-            # top two masses from sum F_j = e and sum lambda_j F_j = quad
-            rest_mass = e - sum(known)
-            rest_quad = Fraction(quad) - sum(l * f for l, f in zip(lams, known))
-            pair = solve_exact(
-                [[Fraction(1), Fraction(1)], [Fraction(lams[k - 1]), Fraction(lams[k])]],
-                [Fraction(rest_mass), rest_quad],
-            )
-            masses = tuple(known) + (pair[0], pair[1])
-
+    cap = limits.resolve(limit, limits.EIGEN_SUBSET_LIMIT)
+    if e << k > cap:
+        raise ResourceLimitError(
+            f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} exceed limit {cap}"
+        )
+    pairs = _pair_intersection_counts(family)
+    total = binomial(n, k)
+    masses = []
+    for j in range(k + 1):
+        mult = binomial(n, j) - binomial(n, j - 1)
+        inner = sum(
+            Fraction(_eberlein(n, k, i, j) * pairs[k - i], binomial(k, i) * binomial(n - k, i))
+            for i in range(k + 1)
+        )
+        masses.append(inner * mult / total)
+    quad = pairs[0]
+    lams = kneser_spectrum(n, k).eigenvalues()
     result = SpectralMass(n, k, tuple(masses), quad, Fraction(e))
     if sum(l * f for l, f in zip(lams, result.masses)) != quad:
         raise ArithmeticError("eigenspace masses violate the quadratic-form identity")

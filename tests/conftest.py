@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
 
 from ekrlab.families import Family, binomial
+
+# Child processes (CLI and demo runs) import the same checkout as the tests.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+    )
 
 
 def random_family(rng: random.Random, n: int, k: int, density: float = 0.5) -> Family:

@@ -154,6 +154,13 @@ def test_cli_scan_csv(capsys):
     assert len(lines) == 16  # header + 15 families
 
 
+def test_bad_limit_env_is_a_domain_error(tmp_path, monkeypatch, capsys):
+    star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
+    monkeypatch.setenv("EKRLAB_LIMIT", "abc")
+    assert dispatch(["spectrum", star_path, "--full"]) == 2
+    assert "EKRLAB_LIMIT" in capsys.readouterr().err
+
+
 def test_exit_code_1_on_contradiction(monkeypatch, capsys):
     # a falsification surfaces as exit 1; stage one since real inputs cannot
     from ekrlab import cli

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ekrlab.cli import dispatch
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, is_intersecting
 from ekrlab.constructions import complete, remark_family, star
+from ekrlab.io import serialize_family
 from ekrlab.spectral import (
     disjoint_pairs,
     eigen_mass_full,
@@ -17,7 +20,7 @@ from ekrlab.spectral import (
     quadratic_form,
 )
 
-from conftest import random_family
+from conftest import random_family, random_family_edge_count
 from oracles import (
     char_vector,
     eigenspace_masses_dense,
@@ -157,3 +160,72 @@ def test_resource_limit():
 def test_rejects_n_below_2k():
     with pytest.raises(DomainError):
         eigen_mass_full(Family.from_edges(5, 3, [(1, 2, 3)]))
+
+
+def check_mass_identities(fam, sm):
+    lams = kneser_spectrum(fam.n, fam.k).eigenvalues()
+    assert all(f >= 0 for f in sm.masses)
+    assert sum(sm.masses) == fam.edge_count
+    quad = quadratic_form(fam)
+    assert sm.quad_form == quad
+    assert sum(l * f for l, f in zip(lams, sm.masses)) == quad
+    f0, f1, residual = level_masses(fam)
+    assert (sm.masses[0], sm.masses[1], sum(sm.masses[2:])) == (f0, f1, residual)
+
+
+@pytest.mark.parametrize("n,k", [(5, 1), (9, 1), (6, 2), (7, 2), (8, 4), (9, 3)])
+def test_exact_masses_match_oracles(n, k):
+    rng = random.Random(31 * n + k)
+    lams = kneser_spectrum(n, k).eigenvalues()
+    families = [Family.empty(n, k), complete(n, k)]
+    families += [random_family(rng, n, k, density) for density in (0.1, 0.5, 0.9)]
+    for fam in families:
+        exact = np.array([float(f) for f in eigen_mass_full(fam).masses])
+        h = char_vector(n, k, set(fam.edge_tuples()))[None, :]
+        if len(set(lams)) == len(lams):
+            dense = eigenspace_masses_dense(n, k, h, lams)[0]
+        else:
+            dense = eigenspace_masses_incidence(n, k, h)[0]
+        assert np.abs(exact - dense).max() < 1e-9
+
+
+def test_empty_and_complete_masses():
+    for n, k in ((5, 1), (8, 4), (9, 3)):
+        assert eigen_mass_full(Family.empty(n, k)).masses == (0,) * (k + 1)
+        total = binomial(n, k)
+        full = eigen_mass_full(complete(n, k))
+        assert full.masses == (total,) + (0,) * k
+        assert full.quad_form == total * binomial(n - k, k)
+
+
+@st.composite
+def small_families(draw):
+    n, k = draw(st.sampled_from([(2, 1), (5, 1), (4, 2), (6, 2), (7, 3), (6, 3), (8, 3), (8, 4)]))
+    bits = draw(st.integers(min_value=0, max_value=(1 << binomial(n, k)) - 1))
+    return Family.from_ranks(n, k, bits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_families())
+def test_mass_identities_property(fam):
+    check_mass_identities(fam, eigen_mass_full(fam))
+
+
+def test_masses_at_24_6():
+    fam = random_family_edge_count(random.Random(573), 24, 6, 573)
+    assert fam.edge_count == 573
+    check_mass_identities(fam, eigen_mass_full(fam))
+
+
+def test_subset_update_limit(tmp_path, monkeypatch, capsys):
+    fam = star(7, 3, 1)  # 15 edges: 15 * 2^3 = 120 subset-degree updates
+    assert eigen_mass_full(fam, limit=120).masses == (Fraction(45, 7), Fraction(60, 7), 0, 0)
+    with pytest.raises(ResourceLimitError):
+        eigen_mass_full(fam, limit=119)
+    path = tmp_path / "star.json"
+    path.write_bytes(serialize_family(fam))
+    monkeypatch.setenv("EKRLAB_LIMIT", "119")
+    assert dispatch(["spectrum", str(path), "--full"]) == 3
+    monkeypatch.setenv("EKRLAB_LIMIT", "120")
+    assert dispatch(["spectrum", str(path), "--full"]) == 0
+    capsys.readouterr()
