@@ -1,10 +1,16 @@
-"""Exact fractional matchings and covers via rational simplex.
+"""Exact fractional matchings and covers from one rational simplex solve.
 
-The solver is a dense two-phase tableau simplex over ``Fraction`` entries
-with Bland's anti-cycling rule (entering: lowest eligible column index;
-leaving: lowest basic variable index among minimum-ratio rows), so it
-terminates on every input and returns exact optima.  Problem sizes here
-are desk scale; no sparsity tricks are attempted.
+The only program solved is the packing LP of a family: maximize the sum
+of edge weights x subject to a load of at most 1 on every vertex.  Its
+all-slack basis is feasible, so a one-phase dense tableau simplex over
+``Fraction`` entries suffices, with Bland's anti-cycling rule (entering:
+lowest eligible column index; leaving: lowest basic variable index among
+minimum-ratio rows), which terminates on every input.  The fractional
+cover is the LP dual: its vertex weights y are the final objective-row
+entries at the slack columns.  Every solve is checked by a primal–dual
+certificate (x a feasible matching, y a feasible cover, sum x = sum y),
+which by weak duality proves both optimal.  Problem sizes here are desk
+scale; no sparsity tricks are attempted.
 """
 
 from __future__ import annotations
@@ -13,10 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .errors import DomainError, ResourceLimitError
-from .families import Family
-
-LEQ, GEQ = "<=", ">="
+from .errors import ContradictionError, DomainError, ResourceLimitError
+from .families import Family, KSubset
 
 
 def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: int) -> None:
@@ -32,31 +36,34 @@ def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: in
         obj[:] = [x - factor * y for x, y in zip(obj, prow)]
 
 
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    costs: list[Fraction],
-    allowed: list[bool],
-) -> None:
-    """Maximize costs.x in place; Bland's rule guarantees termination."""
-    m = len(tableau)
-    width = len(tableau[0]) - 1
-    # objective row obj[j] = (c_B . B^-1 A_j) - c_j; nonnegative at optimum
-    obj = [-c for c in costs] + [Fraction(0)]
-    for i in range(m):
-        cb = costs[basis[i]]
-        if cb:
-            obj = [o + cb * t for o, t in zip(obj, tableau[i])]
+def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """Maximize sum(x) subject to sum of x_e over e containing v <= 1, x >= 0.
+
+    Columns are the edges in the given order, then one slack per vertex
+    1..n.  Returns the optimal x (one entry per edge) and the dual y (one
+    entry per vertex): obj[j] = y.A_j - c_j at the optimum, so y sits at
+    the slack columns.
+    """
+    e = len(edges)
+    width = e + n
+    zero, one = Fraction(0), Fraction(1)
+    tableau = []
+    for v in range(1, n + 1):
+        line = [one if v in edge else zero for edge in edges] + [zero] * n + [one]
+        line[e + v - 1] = one
+        tableau.append(line)
+    basis = list(range(e, width))
+    obj = [-one] * e + [zero] * (n + 1)
     while True:
-        entering = next((j for j in range(width) if allowed[j] and obj[j] < 0), -1)
+        entering = next((j for j in range(width) if obj[j] < 0), -1)
         if entering < 0:
-            return
+            break
         leaving = -1
         best_ratio: Fraction | None = None
-        for i in range(m):
-            coef = tableau[i][entering]
+        for i, line in enumerate(tableau):
+            coef = line[entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
+                ratio = line[-1] / coef
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -65,81 +72,14 @@ def _run_simplex(
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
-            raise ArithmeticError("LP unbounded; matching/cover programs are always bounded")
+            raise ContradictionError("packing LP unbounded, but every x_e is at most 1")
         _pivot(tableau, obj, leaving, entering)
         basis[leaving] = entering
-
-
-def solve_lp_max(
-    objective: list[Fraction],
-    rows: list[tuple[list[Fraction], str, Fraction]],
-) -> tuple[Fraction, list[Fraction]]:
-    """Maximize objective.x subject to rows of (coeffs, '<='|'>=', rhs), x >= 0.
-
-    Two-phase: artificial variables cover '>=' rows (after normalizing all
-    right-hand sides to be nonnegative); a positive phase-1 optimum means
-    infeasible, which the callers' programs never are.
-    """
-    num_x = len(objective)
-    norm_rows = []
-    for coeffs, sense, rhs in rows:
-        if len(coeffs) != num_x:
-            raise DomainError("row width does not match objective length")
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            sense = LEQ if sense == GEQ else GEQ
-        norm_rows.append((coeffs, sense, rhs))
-
-    m = len(norm_rows)
-    num_slack = m
-    art_rows = [i for i, (_, sense, _) in enumerate(norm_rows) if sense == GEQ]
-    num_art = len(art_rows)
-    width = num_x + num_slack + num_art
-
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_col = {row: num_x + num_slack + pos for pos, row in enumerate(art_rows)}
-    for i, (coeffs, sense, rhs) in enumerate(norm_rows):
-        line = [Fraction(c) for c in coeffs] + [Fraction(0)] * (num_slack + num_art) + [Fraction(rhs)]
-        line[num_x + i] = Fraction(1) if sense == LEQ else Fraction(-1)
-        if sense == GEQ:
-            line[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        else:
-            basis.append(num_x + i)
-        tableau.append(line)
-
-    allowed = [True] * width
-    if num_art:
-        phase1 = [Fraction(0)] * width
-        for c in art_col.values():
-            phase1[c] = Fraction(-1)
-        _run_simplex(tableau, basis, phase1, allowed)
-        if any(tableau[i][-1] != 0 for i in range(m) if basis[i] >= num_x + num_slack):
-            raise ArithmeticError("LP infeasible; matching/cover programs are always feasible")
-        # drive leftover zero-level artificials out of the basis
-        dummy = [Fraction(0)] * (width + 1)
-        for i in range(m):
-            if basis[i] >= num_x + num_slack:
-                swap = next(
-                    (j for j in range(num_x + num_slack) if tableau[i][j] != 0), None
-                )
-                if swap is not None:
-                    _pivot(tableau, dummy, i, swap)
-                    basis[i] = swap
-        for c in art_col.values():
-            allowed[c] = False
-
-    costs = [Fraction(x) for x in objective] + [Fraction(0)] * (num_slack + num_art)
-    _run_simplex(tableau, basis, costs, allowed)
-
-    x = [Fraction(0)] * num_x
+    x = [zero] * e
     for i, b in enumerate(basis):
-        if b < num_x:
+        if b < e:
             x[b] = tableau[i][-1]
-    value = sum(c * v for c, v in zip(objective, x))
-    return value, x
+    return x, obj[e:width]
 
 
 @dataclass(frozen=True)
@@ -156,20 +96,20 @@ def _validate_matching_weights(family: Family, weights: dict[int, Fraction]) -> 
     for rank, edge in zip(family.edge_ranks(), family.edge_tuples()):
         w = weights.get(rank, Fraction(0))
         if not 0 <= w <= 1:
-            raise DomainError(f"matching weight {w} outside [0, 1]")
+            raise ContradictionError(f"matching weight {w} outside [0, 1]")
         for v in edge:
             load[v] = load.get(v, Fraction(0)) + w
     if any(total > 1 for total in load.values()):
-        raise DomainError("fractional matching overloads a vertex")
+        raise ContradictionError("fractional matching overloads a vertex")
 
 
 def _validate_cover_weights(family: Family, weights: dict[int, Fraction]) -> None:
     for v, w in weights.items():
         if not 0 <= w <= 1:
-            raise DomainError(f"cover weight {w} at vertex {v} outside [0, 1]")
+            raise ContradictionError(f"cover weight {w} at vertex {v} outside [0, 1]")
     for edge in family.edge_tuples():
         if sum(weights.get(v, Fraction(0)) for v in edge) < 1:
-            raise DomainError(f"edge {edge} is not covered")
+            raise ContradictionError(f"edge {edge} is not covered")
 
 
 def _check_lp_size(family: Family, limit: int | None) -> None:
@@ -180,46 +120,47 @@ def _check_lp_size(family: Family, limit: int | None) -> None:
         raise DomainError("fractional programs need k >= 1")
 
 
+def _certified_pair(
+    family: Family, limit: int | None
+) -> tuple[FractionalSolution, FractionalSolution]:
+    """Solve the packing LP once; return the matching and the cover it certifies."""
+    _check_lp_size(family, limit)
+    x, y = _solve_packing(family.edge_tuples(), family.n)
+    matching = FractionalSolution(
+        "matching", dict(zip(family.edge_ranks(), x)), sum(x, Fraction(0))
+    )
+    cover = FractionalSolution(
+        "cover", {v: y[v - 1] for v in range(1, family.n + 1)}, sum(y, Fraction(0))
+    )
+    _validate_matching_weights(family, matching.weights)
+    _validate_cover_weights(family, cover.weights)
+    if matching.objective != cover.objective:
+        raise ContradictionError(
+            f"duality gap: matching {matching.objective} != cover {cover.objective}"
+        )
+    return matching, cover
+
+
 def fractional_matching(family: Family, limit: int | None = None) -> FractionalSolution:
     """Maximum fractional matching: max sum w(e), per-vertex load <= 1."""
-    _check_lp_size(family, limit)
-    ranks = list(family.edge_ranks())
-    if not ranks:
-        return FractionalSolution("matching", {}, Fraction(0))
-    edges = family.edge_tuples()
-    incident: dict[int, list[int]] = {}
-    for col, edge in enumerate(edges):
-        for v in edge:
-            incident.setdefault(v, []).append(col)
-    rows = [
-        ([Fraction(1) if col in set(cols) else Fraction(0) for col in range(len(edges))], LEQ, Fraction(1))
-        for cols in (incident[v] for v in sorted(incident))
-    ]
-    value, x = solve_lp_max([Fraction(1)] * len(edges), rows)
-    weights = {rank: w for rank, w in zip(ranks, x)}
-    _validate_matching_weights(family, weights)
-    return FractionalSolution("matching", weights, value)
+    return _certified_pair(family, limit)[0]
 
 
 def fractional_cover(family: Family, limit: int | None = None) -> FractionalSolution:
-    """Minimum fractional cover: min sum f(v), per-edge load >= 1."""
-    _check_lp_size(family, limit)
-    if family.edge_count == 0:
-        return FractionalSolution("cover", {v: Fraction(0) for v in range(1, family.n + 1)}, Fraction(0))
-    rows = []
-    for edge in family.edge_tuples():
-        coeffs = [Fraction(0)] * family.n
-        for v in edge:
-            coeffs[v - 1] = Fraction(1)
-        rows.append((coeffs, GEQ, Fraction(1)))
-    value, x = solve_lp_max([Fraction(-1)] * family.n, rows)
-    weights = {v: x[v - 1] for v in range(1, family.n + 1)}
-    _validate_cover_weights(family, weights)
-    return FractionalSolution("cover", weights, -value)
+    """Minimum fractional cover: min sum f(v), per-edge load >= 1.
+
+    Read off the dual of the matching solve; vertices on no edge weigh 0.
+    """
+    return _certified_pair(family, limit)[1]
 
 
 def verify_duality(family: Family, limit: int | None = None) -> bool:
-    """Solve both programs independently and test exact equality of optima."""
-    nu = fractional_matching(family, limit=limit)
-    tau = fractional_cover(family, limit=limit)
-    return nu.objective == tau.objective
+    """Check nu* = tau* by a primal–dual certificate from one solve.
+
+    The solve yields a fractional matching x and a fractional cover y; the
+    certificate holds when x is feasible, y is feasible and sum x = sum y.
+    By weak duality that proves both optimal, so nu* = tau*.  Returns True;
+    a failed certificate raises ContradictionError.
+    """
+    _certified_pair(family, limit)
+    return True

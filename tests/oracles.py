@@ -115,3 +115,16 @@ def brute_maximal_intersecting(n: int, k: int) -> list[frozenset]:
         if not any(other != bits and other & bits == bits for other in good):
             maximal.append(frozenset(ksets[i] for i in range(size) if bits >> i & 1))
     return maximal
+
+
+def fractional_matching_value(n: int, edges: list[tuple[int, ...]]) -> float:
+    """Fractional matching number by scipy's floating-point LP solver."""
+    from scipy.optimize import linprog
+
+    if not edges:
+        return 0.0
+    incidence = np.array([[1.0 if v in e else 0.0 for e in edges] for v in range(1, n + 1)])
+    result = linprog(-np.ones(len(edges)), A_ub=incidence, b_ub=np.ones(n),
+                     bounds=(0, None), method="highs")
+    assert result.status == 0, result.message
+    return -result.fun

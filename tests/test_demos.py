@@ -8,10 +8,8 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
-# 04_matchings_and_lp.py is left out: it takes about ten seconds, nearly
-# all of it in the rational LP.
 QUICK = ["01_constructions_tour.py", "02_spectral_masses.py",
-         "03_certificates.py", "05_search_scans.py"]
+         "03_certificates.py", "04_matchings_and_lp.py", "05_search_scans.py"]
 
 
 @pytest.mark.parametrize("name", QUICK)

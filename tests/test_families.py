@@ -180,3 +180,16 @@ def test_family_validation():
         Family.from_edges(6, 3, [(1, 1, 2)])
     # unsorted input is normalized, not rejected
     assert Family.from_edges(6, 3, [(3, 1, 2)]).edge_tuples() == [(1, 2, 3)]
+
+
+def test_edge_ranks_sparse_and_empty():
+    assert list(Family.empty(30, 10).edge_ranks()) == []
+    total = binomial(30, 10)
+    rng = random.Random(3010)
+    ranks = set(rng.sample(range(total), 40)) | {0, 7, 8, 63, 64, total - 1}
+    bits = 0
+    for r in ranks:
+        bits |= 1 << r
+    listed = Family.from_ranks(30, 10, bits).edge_ranks()
+    assert iter(listed) is listed  # still a generator
+    assert list(listed) == sorted(ranks)

@@ -4,13 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ekrlab.errors import DomainError, ResourceLimitError
-from ekrlab.families import Family
+from ekrlab import lp
+from ekrlab.cli import dispatch
+from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
+from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, erdos_extremal, fano, star
-from ekrlab.lp import fractional_cover, fractional_matching, solve_lp_max, verify_duality
+from ekrlab.io import serialize_family
+from ekrlab.lp import fractional_cover, fractional_matching, verify_duality
 
 from conftest import random_family_edge_count
+from oracles import fractional_matching_value
 
 
 def test_fano_sandwich():
@@ -93,12 +98,46 @@ def test_lp_rejects_k0():
         fractional_matching(complete(5, 0))
 
 
-def test_solve_lp_max_simple():
-    # max x + y s.t. x + y <= 1, x - y >= 0
-    value, x = solve_lp_max(
-        [Fraction(1), Fraction(1)],
-        [([Fraction(1), Fraction(1)], "<=", Fraction(1)),
-         ([Fraction(1), Fraction(-1)], ">=", Fraction(0))],
-    )
-    assert value == 1
-    assert x[0] + x[1] == 1 and x[0] >= x[1]
+@st.composite
+def small_families(draw):
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=k, max_value=10))
+    ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=25))
+    return Family.from_ranks(n, k, sum(1 << r for r in ranks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families())
+def test_lp_pair_property(fam):
+    pytest.importorskip("scipy")
+    nu = fractional_matching(fam)
+    tau = fractional_cover(fam)
+    load = {v: Fraction(0) for v in range(1, fam.n + 1)}
+    for rank, edge in zip(fam.edge_ranks(), fam.edge_tuples()):
+        assert 0 <= nu.weights[rank] <= 1
+        assert sum(tau.weights[v] for v in edge) >= 1
+        for v in edge:
+            load[v] += nu.weights[rank]
+    assert all(x <= 1 for x in load.values())
+    assert all(0 <= w <= 1 for w in tau.weights.values())
+    assert nu.objective == tau.objective
+    assert abs(float(nu.objective) - fractional_matching_value(fam.n, fam.edge_tuples())) < 1e-9
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(-1, 3)])
+def test_failed_certificate_is_a_contradiction(delta, tmp_path, monkeypatch, capsys):
+    # an overweight cover leaves a duality gap; an underweight one misses edges
+    solve = lp._solve_packing
+
+    def perturbed(edges, n):
+        x, y = solve(edges, n)
+        return x, [y[0] + delta] + y[1:]
+
+    monkeypatch.setattr(lp, "_solve_packing", perturbed)
+    with pytest.raises(ContradictionError):
+        fractional_cover(fano())
+    path = tmp_path / "fano.json"
+    path.write_bytes(serialize_family(fano()))
+    assert dispatch(["matching", str(path), "--cover"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contradiction:") and "Traceback" not in err
