@@ -19,7 +19,8 @@ Every inequality involving a square root of a rational is decided by sign
 analysis plus squaring, never by floating point: the extremal families sit
 exactly on the boundary.  The only float surface in this module is the
 regular simplex frame, which exists to test the geometry lemma driving the
-witness step.
+witness step; numpy is imported inside its helpers only, so importing the
+library does not load it.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .families import (
@@ -40,6 +39,9 @@ from .families import (
     vertex_degrees,
 )
 from .spectral import level_masses
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FRAME_TOL = 1e-12
 
@@ -52,6 +54,7 @@ class SimplexFrame:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         n = self.n
         if n < 2:
             raise DomainError(f"simplex frame needs n >= 2, got {n}")
@@ -67,6 +70,7 @@ class SimplexFrame:
 
     @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence[float]]) -> "SimplexFrame":
+        import numpy as np
         arr = np.asarray(vectors, dtype=float)
         return cls(arr.shape[0], arr)
 
@@ -74,6 +78,7 @@ class SimplexFrame:
 def canonical_simplex_frame(n: int) -> SimplexFrame:
     """Deterministic frame: centered standard basis vectors of R^n, expressed
     in the orthonormal hyperplane basis produced by QR of e_i - e_n columns."""
+    import numpy as np
     if n < 2:
         raise DomainError(f"simplex frame needs n >= 2, got {n}")
     basis = np.zeros((n, n - 1))
@@ -90,6 +95,7 @@ def simplex_min_index(v: Sequence[float], frame: SimplexFrame) -> tuple[int, flo
 
     The minimum is guaranteed to be at most -||v|| / (n-1).
     """
+    import numpy as np
     vec = np.asarray(v, dtype=float)
     if vec.shape != (frame.n - 1,):
         raise DomainError(f"vector dimension {vec.shape} != ({frame.n - 1},)")

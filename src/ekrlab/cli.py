@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (and all certified inequalities hold), 1 a verdict
 failed or a scan found a counterexample, 2 usage or domain error, 3 a
-resource limit was exceeded.
+resource limit was exceeded or memory ran out.
 """
 
 from __future__ import annotations
@@ -316,6 +316,9 @@ def dispatch(argv: list[str]) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
     except ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)

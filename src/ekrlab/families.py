@@ -9,6 +9,7 @@ tuples of vertices, and all counting is exact (Python big ints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -45,6 +46,21 @@ def validate_ksubset(elements: Iterable[int], n: int | None = None) -> KSubset:
     if n is not None and s and s[-1] > n:
         raise DomainError(f"vertex {s[-1]} outside ground set [1, {n}]")
     return s
+
+
+def iter_bits(x: int) -> Iterator[int]:
+    """Set bit positions of a nonnegative int, ascending.
+
+    Scans the int once, a byte at a time, so listing the b set bits of a
+    W-bit int costs O(W/8 + b) rather than O(b * W/64) for clearing bits
+    of the whole int once per bit.
+    """
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    for index, byte in enumerate(data):
+        while byte:
+            low = byte & -byte
+            yield 8 * index + low.bit_length() - 1
+            byte ^= low
 
 
 def rank_colex(s: KSubset) -> int:
@@ -126,26 +142,26 @@ class Family:
         return iter(self.edge_tuples())
 
     def edge_ranks(self) -> Iterator[int]:
-        """Set bit positions of the edge bitset, ascending.
+        """Set bit positions of the edge bitset, ascending."""
+        return iter_bits(self.edges)
 
-        Scans the bitset once, a byte at a time, so listing e edges costs
-        O(C(n,k)/8 + e) rather than O(e * C(n,k)/64) for clearing bits of
-        the whole int once per edge.
+    @cached_property
+    def _decoded(self) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
+        """(edge tuples, vertex masks) in colex-rank order, decoded once.
+
+        Kept in the instance dict, not in a field, so equality and hashing
+        still see only (n, k, edges, edge_count).
         """
-        data = self.edges.to_bytes((self.edges.bit_length() + 7) // 8, "little")
-        for index, byte in enumerate(data):
-            while byte:
-                low = byte & -byte
-                yield 8 * index + low.bit_length() - 1
-                byte ^= low
+        tuples = tuple(unrank_colex(r, self.k, self.n) for r in self.edge_ranks())
+        return tuples, tuple(_vertex_mask(e) for e in tuples)
 
     def edge_tuples(self) -> list[KSubset]:
-        """Edges as vertex tuples, in colex-rank order."""
-        return [unrank_colex(r, self.k, self.n) for r in self.edge_ranks()]
+        """Edges as vertex tuples, in colex-rank order (a fresh list)."""
+        return list(self._decoded[0])
 
     def vertex_masks(self) -> list[int]:
         """Each edge as an n-bit vertex mask (bit v-1 set iff v in edge)."""
-        return [_vertex_mask(e) for e in self.edge_tuples()]
+        return list(self._decoded[1])
 
     def has_edge(self, elements: Iterable[int]) -> bool:
         s = validate_ksubset(elements, self.n)

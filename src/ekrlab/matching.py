@@ -19,6 +19,7 @@ behind it; it raises ContradictionError and tests treat it as failure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, KSubset, binomial, min_degree, vertex_degrees
+from .families import Family, KSubset, binomial, iter_bits, min_degree, vertex_degrees
 from .lp import FractionalSolution, fractional_matching
 
 
@@ -57,14 +58,8 @@ def _greedy_cover_bound(masks: Sequence[int]) -> int:
     remaining = list(masks)
     size = 0
     while remaining:
-        counts: dict[int, int] = {}
-        for m in remaining:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low] = counts.get(low, 0) + 1
-                mm ^= low
-        best = max(sorted(counts), key=lambda b: counts[b])
+        counts = Counter(v for m in remaining for v in iter_bits(m))
+        best = 1 << max(sorted(counts), key=lambda v: counts[v])
         remaining = [m for m in remaining if not m & best]
         size += 1
     return size
@@ -112,14 +107,8 @@ def matching_number(
         if not avail or len(current) + bound(avail) <= len(best):
             return False
         # branch vertex: minimum positive degree, lowest id on ties
-        counts: dict[int, int] = {}
-        for m in avail:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low] = counts.get(low, 0) + 1
-                mm ^= low
-        vbit = min((b for b in counts), key=lambda b: (counts[b], b))
+        counts = Counter(v for m in avail for v in iter_bits(m))
+        vbit = 1 << min(counts, key=lambda v: (counts[v], v))
         through = [i for i, m in enumerate(avail) if m & vbit]
         for i in through:
             current.append(avail[i])

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, unrank_colex
+from .families import Family, binomial, iter_bits
 from .matching import matching_number
 
 from .constructions import erdos_extremal
@@ -48,25 +48,25 @@ class ScanReport:
 
 
 @lru_cache(maxsize=None)
-def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
-    """(k-set tuples, meet-adjacency bitsets, disjointness bitsets) by rank."""
+def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """(k-set tuples, vertex masks, meet-adjacency bitsets, disjointness
+    bitsets), each indexed by colex rank.
+
+    The k-sets and their masks are the decoded complete family on [n].
+    """
     count = binomial(n, k)
-    ksets = tuple(unrank_colex(r, k, n) for r in range(count))
-    vmask = []
-    for e in ksets:
-        m = 0
-        for v in e:
-            m |= 1 << (v - 1)
-        vmask.append(m)
+    full = (1 << count) - 1
+    complete = Family.from_ranks(n, k, full)
+    ksets = tuple(complete.edge_tuples())
+    vmask = tuple(complete.vertex_masks())
     meet = [0] * count
     for i in range(count):
         for j in range(i + 1, count):
             if vmask[i] & vmask[j]:
                 meet[i] |= 1 << j
                 meet[j] |= 1 << i
-    full = (1 << count) - 1
     disjoint = tuple(full & ~meet[r] & ~(1 << r) for r in range(count))
-    return ksets, tuple(meet), disjoint
+    return ksets, vmask, tuple(meet), disjoint
 
 
 def _check_enum_size(n: int, k: int, limit: int | None) -> int:
@@ -88,20 +88,14 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
     before the generator is returned.
     """
     count = _check_enum_size(n, k, limit)
-    _, meet, _ = _kneser_tables(n, k)
-
-    def bits_of(x: int):
-        while x:
-            low = x & -x
-            yield low.bit_length() - 1
-            x ^= low
+    _, _, meet, _ = _kneser_tables(n, k)
 
     def bron_kerbosch(r: int, p: int, x: int):
         if not p and not x:
             yield r
             return
-        pivot = max(bits_of(p | x), key=lambda u: ((p & meet[u]).bit_count(), -u))
-        for v in bits_of(p & ~meet[pivot]):
+        pivot = max(iter_bits(p | x), key=lambda u: ((p & meet[u]).bit_count(), -u))
+        for v in iter_bits(p & ~meet[pivot]):
             yield from bron_kerbosch(r | (1 << v), p & meet[v], x & meet[v])
             p &= ~(1 << v)
             x |= 1 << v
@@ -113,33 +107,25 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
     return emit()
 
 
-def _family_stats(bits: int, ksets: tuple, n: int) -> tuple[int, int, int]:
+def _family_stats(bits: int, ksets: tuple, masks: tuple, n: int) -> tuple[int, int, int]:
     """(edge count, delta_1, common-vertex mask) from the rank bitset."""
     deg = [0] * n
     common = (1 << n) - 1
     count = 0
-    x = bits
-    while x:
-        low = x & -x
-        rank = low.bit_length() - 1
-        x ^= low
+    for rank in iter_bits(bits):
         count += 1
-        mask = 0
         for v in ksets[rank]:
             deg[v - 1] += 1
-            mask |= 1 << (v - 1)
-        common &= mask
+        common &= masks[rank]
     return count, min(deg), common
 
 
 def greedy_complete(family: Family) -> Family:
     """Extend a pairwise-intersecting family to a maximal one, in rank order."""
     count = _check_enum_size(family.n, family.k, None)
-    _, meet, _ = _kneser_tables(family.n, family.k)
+    _, _, meet, _ = _kneser_tables(family.n, family.k)
     bits = family.edges
-    for r in range(count):
-        if bits >> r & 1:
-            continue
+    for r in iter_bits(((1 << count) - 1) & ~bits):
         if bits & ~meet[r] == 0:
             bits |= 1 << r
     return Family.from_ranks(family.n, family.k, bits)
@@ -155,7 +141,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     _check_enum_size(n, k, limit)
-    ksets, _, _ = _kneser_tables(n, k)
+    ksets, masks, _, _ = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
@@ -167,7 +153,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     violations = []
     records = []
     for fam in maximal_intersecting(n, k, limit=limit):
-        e, delta, common = _family_stats(fam.edges, ksets, n)
+        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
         is_star = e == star_size and common != 0
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
         if is_star:
@@ -213,7 +199,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     _check_enum_size(n, k, limit)
-    ksets, _, disjoint = _kneser_tables(n, k)
+    ksets, masks, _, disjoint = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
@@ -222,16 +208,13 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     stars: list[int] = []  # common-vertex id for full stars, else 0
     forb: list[int] = []
     for fam in maximal_intersecting(n, k, limit=limit):
-        e, delta, common = _family_stats(fam.edges, ksets, n)
+        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
         ebits.append(fam.edges)
         deltas.append(delta)
         stars.append(common.bit_length() if (e == star_size and common) else 0)
         mask = 0
-        x = fam.edges
-        while x:
-            low = x & -x
-            mask |= disjoint[low.bit_length() - 1]
-            x ^= low
+        for r in iter_bits(fam.edges):
+            mask |= disjoint[r]
         forb.append(mask)
 
     m = len(ebits)
@@ -290,7 +273,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     )
 
 
-def _nu_below(bits: int, new_rank: int, s: int, masks: dict[int, int], n: int, k: int) -> bool:
+def _nu_below(bits: int, new_rank: int, s: int, masks: tuple, n: int, k: int) -> bool:
     """True iff adding new_rank keeps every matching below size s.
 
     Since the current family has no s-matching, one could only appear
@@ -300,14 +283,7 @@ def _nu_below(bits: int, new_rank: int, s: int, masks: dict[int, int], n: int, k
     if s <= 1:
         return False
     new_mask = masks[new_rank]
-    away = []
-    x = bits
-    while x:
-        low = x & -x
-        r = low.bit_length() - 1
-        x ^= low
-        if not masks[r] & new_mask:
-            away.append(r)
+    away = [r for r in iter_bits(bits) if not masks[r] & new_mask]
     if not away:
         return True
     sub = Family.from_ranks(n, k, sum(1 << r for r in away))
@@ -328,14 +304,8 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     if k * s > n:
         raise DomainError(f"need s <= n/k, got s={s}, n/k={n}/{k}")
-    count = _check_enum_size(n, k, None)
-    ksets, _, _ = _kneser_tables(n, k)
-    masks = {}
-    for r in range(count):
-        mask = 0
-        for v in ksets[r]:
-            mask |= 1 << (v - 1)
-        masks[r] = mask
+    full = (1 << _check_enum_size(n, k, None)) - 1
+    ksets, masks, _, _ = _kneser_tables(n, k)
 
     threshold = binomial(n - 1, k - 1) - binomial(n - s, k - 1)
     assert_mode = n > k * s
@@ -344,22 +314,16 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
 
     def delta1(bits: int) -> int:
         deg = [0] * n
-        x = bits
-        while x:
-            low = x & -x
-            for v in ksets[low.bit_length() - 1]:
+        for r in iter_bits(bits):
+            for v in ksets[r]:
                 deg[v - 1] += 1
-            x ^= low
         return min(deg)
 
     def perturb(bits: int) -> int:
         out = bits
-        x = bits
-        while x:
-            low = x & -x
+        for r in iter_bits(bits):
             if rng.random() < 0.2:
-                out &= ~low
-            x ^= low
+                out &= ~(1 << r)
         return out
 
     current = base
@@ -378,13 +342,13 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         add_move = rng.random() < 0.5
         candidate = None
         if add_move:
-            absent = [r for r in range(count) if not current >> r & 1]
+            absent = list(iter_bits(full ^ current))
             if absent:
                 r = absent[rng.randrange(len(absent))]
                 if _nu_below(current, r, s, masks, n, k):
                     candidate = current | (1 << r)
         else:
-            present = [r for r in range(count) if current >> r & 1]
+            present = list(iter_bits(current))
             if present:
                 r = present[rng.randrange(len(present))]
                 candidate = current & ~(1 << r)

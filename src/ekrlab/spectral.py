@@ -140,12 +140,11 @@ def _pair_intersection_counts(family: Family) -> list[int]:
     """
     k = family.k
     deg: Counter[int] = Counter()
-    for mask in family.vertex_masks():
+    for edge in family.edge_tuples():
         subsets = [0]
-        while mask:
-            low = mask & -mask
-            subsets += [s | low for s in subsets]
-            mask ^= low
+        for v in edge:
+            bit = 1 << (v - 1)
+            subsets += [s | bit for s in subsets]
         deg.update(subsets)
     sq = [0] * (k + 1)
     for subset, d in deg.items():

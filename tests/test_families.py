@@ -4,7 +4,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import ekrlab.families
+from ekrlab.certificates import ekr_certificate
 from ekrlab.errors import DomainError
 from ekrlab.families import (
     Family,
@@ -13,6 +16,7 @@ from ekrlab.families import (
     degree,
     degree_profile,
     is_intersecting,
+    iter_bits,
     link,
     min_degree,
     rank_colex,
@@ -20,9 +24,10 @@ from ekrlab.families import (
     vertex_degrees,
 )
 from ekrlab.constructions import complete, remark_family, star
+from ekrlab.lp import fractional_cover
 from ekrlab.spectral import disjoint_pairs
 
-from conftest import random_family
+from conftest import random_family, random_family_edge_count
 from oracles import pascal_binomial
 
 
@@ -193,3 +198,81 @@ def test_edge_ranks_sparse_and_empty():
     listed = Family.from_ranks(30, 10, bits).edge_ranks()
     assert iter(listed) is listed  # still a generator
     assert list(listed) == sorted(ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 300))
+@example(0)
+@example(1)
+@example(0xFF)
+@example(1 << 64 | 1 << 8 | 1 << 7)
+def test_iter_bits_matches_bit_tests(x):
+    assert list(iter_bits(x)) == [i for i in range(x.bit_length()) if x >> i & 1]
+
+
+@st.composite
+def ranked_ksets(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=n))
+    r = draw(st.integers(min_value=0, max_value=binomial(n, k) - 1))
+    return n, k, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranked_ksets())
+def test_rank_unrank_round_trip_property(nkr):
+    n, k, r = nkr
+    s = unrank_colex(r, k, n)
+    assert len(s) == k
+    assert all(1 <= a < b <= n for a, b in zip(s, s[1:]))
+    assert not s or 1 <= s[0] and s[-1] <= n
+    assert rank_colex(s) == r
+
+
+def test_decoded_lists_are_fresh_copies():
+    fam = Family.from_edges(7, 3, [(1, 2, 3), (2, 4, 6), (3, 5, 7)])
+    tuples, masks = fam.edge_tuples(), fam.vertex_masks()
+    fam.edge_tuples().append((4, 5, 6))
+    fam.edge_tuples().clear()
+    fam.vertex_masks()[0] = 0
+    fam.vertex_masks().pop()
+    assert fam.edge_tuples() == tuples == [(1, 2, 3), (2, 4, 6), (3, 5, 7)]
+    assert fam.vertex_masks() == masks == [0b111, 0b101010, 0b1010100]
+
+
+def test_decode_cache_leaves_equality_and_hash_alone():
+    decoded = random_family(random.Random(135), 13, 5, density=0.1)
+    decoded.edge_tuples()
+    fresh = Family.from_ranks(13, 5, decoded.edges)
+    assert decoded == fresh
+    assert hash(decoded) == hash(fresh)
+    assert {decoded: 1}[fresh] == 1
+
+
+def _count_unranks(monkeypatch) -> list[int]:
+    calls = [0]
+    original = ekrlab.families.unrank_colex
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(ekrlab.families, "unrank_colex", counting)
+    return calls
+
+
+def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
+    rng = random.Random(1305)
+    whole = star(13, 5, 1).edge_tuples()
+    edges = rng.sample(whole, len(whole) * 9 // 10)
+    fam = Family.from_edges(13, 5, edges)
+    calls = _count_unranks(monkeypatch)
+    ekr_certificate(fam)
+    assert calls[0] == fam.edge_count == 445
+
+
+def test_fractional_cover_decodes_each_edge_once(monkeypatch):
+    fam = random_family_edge_count(random.Random(93), 9, 3, 24)
+    calls = _count_unranks(monkeypatch)
+    fractional_cover(fam)
+    assert calls[0] == fam.edge_count == 24

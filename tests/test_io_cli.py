@@ -161,6 +161,15 @@ def test_bad_limit_env_is_a_domain_error(tmp_path, monkeypatch, capsys):
     assert "EKRLAB_LIMIT" in capsys.readouterr().err
 
 
+def test_out_of_memory_input_exits_3(tmp_path, capsys):
+    # the one edge {31..60} has colex rank C(60,30) - 1, so its bitset
+    # cannot be allocated; the shift fails at once
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 60, "k": 30, "edges": [list(range(31, 61))]}))
+    assert dispatch(["spectrum", str(path)]) == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
 def test_exit_code_1_on_contradiction(monkeypatch, capsys):
     # a falsification surfaces as exit 1; stage one since real inputs cannot
     from ekrlab import cli
@@ -188,3 +197,11 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "7/3" in result.stdout
+
+def test_import_does_not_load_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ekrlab; assert 'numpy' not in sys.modules, 'numpy loaded'"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
