@@ -22,7 +22,6 @@ from .certificates import (
     star_frame_checks,
 )
 from .constructions import (
-    ConstructionSpec,
     build_construction,
     complete,
     erdos_extremal,

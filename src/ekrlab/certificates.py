@@ -77,7 +77,11 @@ class SimplexFrame:
 
 def canonical_simplex_frame(n: int) -> SimplexFrame:
     """Deterministic frame: centered standard basis vectors of R^n, expressed
-    in the orthonormal hyperplane basis produced by QR of e_i - e_n columns."""
+    in the orthonormal hyperplane basis produced by QR of e_i - e_n columns.
+
+    The float frame helpers need numpy, which the ``ekrlab[frame]`` extra
+    installs; nothing else in the library imports it.
+    """
     import numpy as np
     if n < 2:
         raise DomainError(f"simplex frame needs n >= 2, got {n}")
@@ -171,11 +175,15 @@ def simplex_witness(family: Family) -> WitnessReport:
     n, k = family.n, family.k
     if k < 2 or n < k:
         raise DomainError(f"simplex_witness needs n >= k >= 2, got n={n}, k={k}")
-    deg = vertex_degrees(family)
-    shift = Fraction(k * family.edge_count, n)
+    _, f1, _ = level_masses(family)
+    return _witness(n, k, family.edge_count, vertex_degrees(family), f1)
+
+
+def _witness(n: int, k: int, e: int, deg: list[int], f1: Fraction) -> WitnessReport:
+    """The witness comparison from the vertex degrees and F_1 of a family."""
+    shift = Fraction(k * e, n)
     lhs = min(d - shift for d in deg)
     vertex = 1 + min(range(n), key=lambda i: deg[i])
-    _, f1, _ = level_masses(family)
     rhs_sq = Fraction(binomial(n, k) * k * (n - k), n * n * (n - 1) * (n - 1)) * f1
     holds, equality = _leq_neg_sqrt(lhs, rhs_sq)
     return WitnessReport(vertex=vertex, lhs=lhs, rhs_squared=rhs_sq, holds=holds, equality=equality)
@@ -233,7 +241,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     lower_rhs = Fraction(n - 1, nk) * e * (e - threshold)
     eq4_holds = f1 >= lower_rhs
 
-    witness = simplex_witness(family)
+    witness = _witness(n, k, e, deg, f1)
 
     if delta1 >= binomial(n - 2, k - 2):
         upper_rhs: Fraction | None = (e - threshold) ** 2 * Fraction((n - 1) ** 2 * k, (n - k) * nk)

@@ -38,14 +38,6 @@ def _write(data: bytes, out: str | None) -> None:
             handle.write(data)
 
 
-def _fmt(args: argparse.Namespace) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    return "text"
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     family = build_construction(
         args.kind, n=args.n, k=args.k, s=args.s, i=args.i,
@@ -77,7 +69,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         fields.update(rational_fields("residual", residual))
         columns = ["level", "eigenvalue", "multiplicity"]
     report = {"kind": "spectrum", "fields": fields, "columns": columns, "rows": rows}
-    _write(emit_report(report, _fmt(args)), args.out)
+    _write(emit_report(report, args.fmt), args.out)
     return 0
 
 
@@ -134,7 +126,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         }
         failed = not witness.holds
         report = {"kind": "witness-certificate", "fields": fields}
-    _write(emit_report(report, _fmt(args)), args.out)
+    _write(emit_report(report, args.fmt), args.out)
     return 1 if failed else 0
 
 
@@ -178,7 +170,7 @@ def cmd_matching(args: argparse.Namespace) -> int:
             "witness": " ".join("{" + ",".join(map(str, e)) + "}" for e in witness.edges),
         }
         report = {"kind": "matching", "fields": fields}
-    _write(emit_report(report, _fmt(args)), args.out)
+    _write(emit_report(report, args.fmt), args.out)
     return 0
 
 
@@ -219,13 +211,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "columns": columns,
         "rows": rows,
     }
-    if _fmt(args) == "json":
+    if args.fmt == "json":
         payload["violations"] = [
             {key: str(value) if key == "edges" else value for key, value in v.items()}
             for v in report.violations
         ]
-    _write(emit_report(payload, _fmt(args)), args.out)
+    _write(emit_report(payload, args.fmt), args.out)
     return 1 if report.violations else 0
+
+
+def _output_options() -> argparse.ArgumentParser:
+    """Parent parser for the report commands: one format flag, and --out."""
+    options = argparse.ArgumentParser(add_help=False)
+    fmt = options.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="fmt", action="store_const", const="json")
+    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv")
+    options.add_argument("--out", default=None)
+    options.set_defaults(fmt="text")
+    return options
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "k-uniform intersecting families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = [_output_options()]
 
     p = sub.add_parser("construct", help="emit a named family as JSON")
     p.add_argument("kind", choices=KINDS)
@@ -247,60 +251,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and eigenspace masses")
+    p = sub.add_parser("spectrum", parents=output, help="eigenvalues and eigenspace masses")
     p.add_argument("family")
     p.add_argument("--full", action="store_true", help="solve all masses F_0..F_k")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("certify", help="evaluate an inequality-chain certificate")
     csub = p.add_subparsers(dest="certificate", required=True)
     for name in ("ekr", "witness"):
-        cp = csub.add_parser(name)
+        cp = csub.add_parser(name, parents=output)
         cp.add_argument("family")
-        cp.add_argument("--json", action="store_true")
-        cp.add_argument("--csv", action="store_true")
-        cp.add_argument("--out", default=None)
         cp.set_defaults(func=cmd_certify)
-    cp = csub.add_parser("cross")
+    cp = csub.add_parser("cross", parents=output)
     cp.add_argument("left")
     cp.add_argument("right")
-    cp.add_argument("--json", action="store_true")
-    cp.add_argument("--csv", action="store_true")
-    cp.add_argument("--out", default=None)
     cp.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("matching", help="exact and fractional matchings")
+    p = sub.add_parser("matching", parents=output, help="exact and fractional matchings")
     p.add_argument("family")
-    p.add_argument("--fractional", action="store_true")
-    p.add_argument("--cover", action="store_true")
-    p.add_argument("--construct-degree", type=int, default=None, metavar="S")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--out", default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--fractional", action="store_true")
+    mode.add_argument("--cover", action="store_true")
+    mode.add_argument("--construct-degree", type=int, default=None, metavar="S")
     p.set_defaults(func=cmd_matching)
 
     p = sub.add_parser("scan", help="exhaustive and heuristic extremal scans")
     ssub = p.add_subparsers(dest="scan", required=True)
     for name in ("ekr", "cross"):
-        sp = ssub.add_parser(name)
+        sp = ssub.add_parser(name, parents=output)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--csv", action="store_true")
-        sp.add_argument("--out", default=None)
         sp.set_defaults(func=cmd_scan)
-    sp = ssub.add_parser("conjecture")
+    sp = ssub.add_parser("conjecture", parents=output)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--budget", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--csv", action="store_true")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_scan)
 
     return parser

@@ -9,7 +9,6 @@ Isomorphic variants are obtained by relabeling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
@@ -116,25 +115,6 @@ def fano() -> Family:
     every edge), which makes it the standard LP fixture here.
     """
     return Family.from_edges(7, 3, FANO_EDGES)
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """A named construction plus its parameters, as used by the CLI."""
-
-    kind: str
-    n: int | None = None
-    k: int | None = None
-    s: int | None = None
-    i: int | None = None
-    center: int = 1
-    seed: int = 0
-
-    def build(self) -> Family:
-        return build_construction(
-            self.kind, n=self.n, k=self.k, s=self.s, i=self.i,
-            center=self.center, seed=self.seed,
-        )
 
 
 KINDS = ("star", "erdos-extremal", "hilton-milner", "remark", "random-halved", "complete", "fano")

@@ -6,20 +6,24 @@ The j-th eigenspace E_j is the orthogonal complement of E_0 + ... + E_{j-1}
 inside the span of the incidence vectors of all j-subsets (the vector of a
 j-set S marks the k-sets containing S).  For a family with characteristic
 vector h, the mass F_j = ||P_{E_j} h||^2 is computed here in exact
-rational arithmetic:
+rational arithmetic from the squared subset degrees
 
-* :func:`level_masses` gives F_0 = e(H)^2 / C(n,k) and F_1 from the
-  closed-form inverse of the star Gram matrix a*I + b*J;
-* :func:`eigen_mass_full` gives every F_j by Delsarte's MacWilliams
-  transform on the Johnson scheme.  P_{E_j} = (1/C(n,k)) sum_i Q_j(i) A_i,
-  where A_i relates k-sets that meet in k-i points, so
-  F_j = (1/C(n,k)) sum_i Q_j(i) b_{k-i} with b_r the number of ordered
-  edge pairs meeting in r points.  Here Q_j(i) = m_j P_i(j) / v_i, with
-  valency v_i = C(k,i) C(n-k,i) and Eberlein polynomial
-  P_i(j) = sum_t (-1)^t C(j,t) C(k-j,i-t) C(n-k-j,i-t).
-  The b_r need no pair loop: the squared subset degrees
-  N_j = sum_{|U|=j} deg(U)^2 satisfy N_j = sum_r C(r,j) b_r, which
-  binomial inversion undoes; h^T A h = b_0.
+  N_t = sum_{|U|=t} deg(U)^2 = ||W_t h||^2,
+
+where W_t is the inclusion matrix of t-subsets against k-subsets.  By
+Wilson (1990), W_t^T W_t acts on E_j as the scalar
+C(k-j, t-j) C(n-t-j, k-t) for j <= t and as 0 for j > t, so
+
+  N_t = sum_{j<=t} C(k-j, t-j) C(n-t-j, k-t) F_j
+
+is lower triangular in F with diagonal C(n-2t, k-t), and forward
+substitution gives F_0..F_t from N_0..N_t:
+
+* :func:`level_masses` uses N_0 = e^2 and N_1 = sum_v deg(v)^2 for F_0
+  and F_1;
+* :func:`eigen_mass_full` gets N_0..N_k from the 2^k subsets of each edge
+  and returns every F_j; by inclusion-exclusion h^T A h = sum_t (-1)^t N_t
+  counts the ordered disjoint edge pairs.
 
 Floating point appears nowhere: the verdicts downstream hinge on exact
 sign comparisons at equality boundaries.
@@ -84,32 +88,33 @@ def quadratic_form(family: Family) -> int:
     return 2 * disjoint_pairs(family)
 
 
-def _star_span_norm_sq(family: Family) -> Fraction:
-    """||P_{U_1} h||^2 via the closed-form inverse of the star Gram a*I + b*J."""
-    n, k = family.n, family.k
-    a = binomial(n - 1, k - 1) - binomial(n - 2, k - 2)
-    b = binomial(n - 2, k - 2)
-    if a == 0:
-        raise DomainError(f"star Gram degenerate at n = k = {n}")
-    deg = vertex_degrees(family)
-    sum_sq = sum(d * d for d in deg)
-    total = sum(deg)
-    # (a*I + b*J)^-1 = (1/a) * (I - b/(a + n*b) * J)
-    return Fraction(sum_sq, a) - Fraction(b * total * total, a * (a + n * b))
+def _masses(n: int, k: int, sums: list[int]) -> list[Fraction]:
+    """F_0..F_t from the squared subset degrees N_0..N_t, by forward substitution.
+
+    The diagonal C(n-2t, k-t) is positive whenever n >= k + t.
+    """
+    masses: list[Fraction] = []
+    for t, n_t in enumerate(sums):
+        below = sum(
+            binomial(k - j, t - j) * binomial(n - t - j, k - t) * f for j, f in enumerate(masses)
+        )
+        masses.append(Fraction(n_t - below, binomial(n - 2 * t, k - t)))
+    return masses
 
 
 def level_masses(family: Family) -> tuple[Fraction, Fraction, Fraction]:
     """(F_0, F_1, residual): mass on E_0, on E_1, and on everything above.
 
-    F_0 = e^2 / C(n,k); F_1 is the squared norm of h's projection onto the
-    star span minus F_0; the residual e - F_0 - F_1 is nonnegative.
+    F_0 = e^2 / C(n,k); F_1 comes from the vertex degrees by the recurrence
+    of the module docstring; the residual e - F_0 - F_1 is nonnegative.
     """
     n, k = family.n, family.k
     if k < 1:
         raise DomainError(f"level_masses needs k >= 1, got k={k}")
+    if n == k:
+        raise DomainError(f"level_masses needs n > k: E_1 is empty at n = k = {n}")
     e = family.edge_count
-    f0 = Fraction(e * e, binomial(n, k))
-    f1 = _star_span_norm_sq(family) - f0
+    f0, f1 = _masses(n, k, [e * e, sum(d * d for d in vertex_degrees(family))])
     residual = e - f0 - f1
     return f0, f1, residual
 
@@ -131,14 +136,11 @@ class SpectralMass:
             raise ArithmeticError("eigenspace masses do not sum to the edge count")
 
 
-def _pair_intersection_counts(family: Family) -> list[int]:
-    """b_r = number of ordered edge pairs (e, f) with |e n f| = r, r = 0..k.
+def _subset_degree_sums(family: Family) -> list[int]:
+    """N_t = sum of deg(U)^2 over the t-subsets U of [n], t = 0..k.
 
-    Each edge adds one to the degree of each of its 2^k vertex submasks;
-    sq[j] = N_j sums the squared degrees of the j-subsets and binomial
-    inversion turns N into b.
+    Each edge adds one to the degree of each of its 2^k vertex submasks.
     """
-    k = family.k
     deg: Counter[int] = Counter()
     for edge in family.edge_tuples():
         subsets = [0]
@@ -146,27 +148,16 @@ def _pair_intersection_counts(family: Family) -> list[int]:
             bit = 1 << (v - 1)
             subsets += [s | bit for s in subsets]
         deg.update(subsets)
-    sq = [0] * (k + 1)
+    sums = [0] * (family.k + 1)
     for subset, d in deg.items():
-        sq[subset.bit_count()] += d * d
-    return [
-        sum((-1) ** (j - r) * binomial(j, r) * sq[j] for j in range(r, k + 1))
-        for r in range(k + 1)
-    ]
-
-
-def _eberlein(n: int, k: int, i: int, j: int) -> int:
-    """P_i(j): eigenvalue on E_j of the relation |e n f| = k - i."""
-    return sum(
-        (-1) ** t * binomial(j, t) * binomial(k - j, i - t) * binomial(n - k - j, i - t)
-        for t in range(i + 1)
-    )
+        sums[subset.bit_count()] += d * d
+    return sums
 
 
 def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
     """All eigenspace masses F_0..F_k of the family, exactly.
 
-    Uses the Johnson-scheme closed form of the module docstring, at a cost
+    Uses the triangular recurrence of the module docstring, at a cost
     of e * 2^k subset-degree updates.  Needs n >= 2k so that the k+1 level
     decomposition exists; raises ResourceLimitError when e * 2^k exceeds
     the subset limit.
@@ -182,17 +173,9 @@ def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
         raise ResourceLimitError(
             f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} exceed limit {cap}"
         )
-    pairs = _pair_intersection_counts(family)
-    total = binomial(n, k)
-    masses = []
-    for j in range(k + 1):
-        mult = binomial(n, j) - binomial(n, j - 1)
-        inner = sum(
-            Fraction(_eberlein(n, k, i, j) * pairs[k - i], binomial(k, i) * binomial(n - k, i))
-            for i in range(k + 1)
-        )
-        masses.append(inner * mult / total)
-    quad = pairs[0]
+    sums = _subset_degree_sums(family)
+    masses = _masses(n, k, sums)
+    quad = sum((-1) ** t * n_t for t, n_t in enumerate(sums))
     lams = kneser_spectrum(n, k).eigenvalues()
     result = SpectralMass(n, k, tuple(masses), quad, Fraction(e))
     if sum(l * f for l, f in zip(lams, result.masses)) != quad:

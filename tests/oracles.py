@@ -95,6 +95,15 @@ def eigenspace_masses_incidence(n: int, k: int, char_vectors: np.ndarray) -> np.
     return np.array(out).T
 
 
+def star_span_mass(n: int, k: int, char_vectors: np.ndarray) -> np.ndarray:
+    """F_0 + F_1 per family: the squared norm of the least-squares projection
+    of each characteristic vector onto the span of the n star vectors."""
+    ksets = list(combinations(range(1, n + 1), k))
+    stars = np.array([[1.0 if v in e else 0.0 for v in range(1, n + 1)] for e in ksets])
+    coef, *_ = np.linalg.lstsq(stars, char_vectors.T, rcond=None)
+    return ((stars @ coef) ** 2).sum(axis=0)
+
+
 def char_vector(n: int, k: int, edges: set[tuple[int, ...]]) -> np.ndarray:
     ksets = list(combinations(range(1, n + 1), k))
     return np.array([1.0 if e in edges else 0.0 for e in ksets])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ekrlab import certificates
 from ekrlab.certificates import (
     Dichotomy,
     SimplexFrame,
@@ -130,6 +131,20 @@ def test_ekr_certificate_star_9_4():
     assert cert.eq4_holds and cert.eq6_holds and cert.witness.holds
     assert cert.dichotomy is Dichotomy.AT_LEAST_STAR_COUNT
     assert cert.is_star
+
+
+def test_ekr_certificate_evaluates_level_masses_once(monkeypatch):
+    calls = []
+    original = certificates.level_masses
+
+    def counting(family):
+        calls.append(family)
+        return original(family)
+
+    monkeypatch.setattr(certificates, "level_masses", counting)
+    cert = ekr_certificate(hilton_milner(11, 4))
+    assert len(calls) == 1
+    assert cert.witness.holds
 
 
 def test_ekr_certificate_rejects_remark():

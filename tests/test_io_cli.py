@@ -128,6 +128,35 @@ def test_cli_matching_modes(tmp_path, capsys):
     assert payload["rows"] == [{"vertex": 1, "weight": "1", "weight_decimal": 1.0}]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--fractional", "--cover"],
+    ["--fractional", "--construct-degree", "2"],
+    ["--cover", "--construct-degree", "2"],
+])
+def test_cli_conflicting_matching_modes_are_usage_errors(tmp_path, capsys, flags):
+    star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["matching", star_path, *flags])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "{f}"],
+    ["certify", "ekr", "{f}"],
+    ["matching", "{f}"],
+    ["certify", "cross", "{f}", "{f}"],
+    ["scan", "conjecture", "--n", "7", "--k", "3", "--s", "2"],
+])
+def test_cli_json_and_csv_together_are_a_usage_error(tmp_path, capsys, command):
+    star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
+    argv = [arg.format(f=star_path) for arg in command]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + ["--json", "--csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_construct_degree(tmp_path, capsys):
     out = str(tmp_path / "c.json")
     dispatch(["construct", "complete", "--n", "12", "--k", "2", "--out", out])

@@ -26,6 +26,7 @@ from oracles import (
     eigenspace_masses_dense,
     eigenspace_masses_incidence,
     kneser_adjacency,
+    star_span_mass,
 )
 
 
@@ -81,6 +82,21 @@ def test_level_masses_fixtures():
 def test_level_masses_rejects_n_equal_k():
     with pytest.raises(DomainError):
         level_masses(complete(3, 3))
+
+
+@pytest.mark.parametrize("n,k", [(5, 3), (6, 4), (7, 4), (7, 5)])
+def test_level_masses_below_n_2k_match_star_span_oracle(n, k):
+    rng = random.Random(41 * n + k)
+    families = [Family.empty(n, k), complete(n, k)]
+    families += [random_family(rng, n, k, density) for density in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for fam in families:
+        f0, f1, residual = level_masses(fam)
+        e = fam.edge_count
+        assert f0 == Fraction(e * e, binomial(n, k))
+        assert f1 >= 0 and residual >= 0
+        assert f0 + f1 + residual == e
+        h = char_vector(n, k, set(fam.edge_tuples()))[None, :]
+        assert abs(float(f0 + f1) - star_span_mass(n, k, h)[0]) < 1e-9
 
 
 def test_eigen_mass_full_fixtures():
