@@ -15,6 +15,7 @@ from ekrlab import (
     find_matching_by_degree,
     fractional_cover,
     fractional_matching,
+    fractional_pair,
     matching_number,
     min_degree,
     reduce_cover,
@@ -33,8 +34,8 @@ for name, fam in (
     ("erdos_extremal(12,3,3,1)", erdos_extremal(12, 3, 3, 1)),
 ):
     nu, witness = matching_number(fam)
-    nu_star = fractional_matching(fam).objective
-    tau_star = fractional_cover(fam).objective
+    matching, cover = fractional_pair(fam)
+    nu_star, tau_star = matching.objective, cover.objective
     print(f"  {name:<26} nu = {nu}   nu* = {nu_star}   tau* = {tau_star}   "
           f"duality: {'ok' if nu_star == tau_star else 'FAIL'}")
 

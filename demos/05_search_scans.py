@@ -50,6 +50,9 @@ for n, k in ((5, 2), (7, 3)):
           f"{rep.best['max_product']} <= {rep.best['bound']}; "
           f"maximizers all same-center star pairs: "
           f"{rep.best['maximizers_all_same_center_stars']}")
+# The scan does not assume this: it checks F^perp = F for every maximal
+# family (F^perp = the k-sets meeting every edge of F) and that no family
+# repeats, which together rule out every off-diagonal pair in O(m).
 print("  (two distinct maximal families are never cross-intersecting: their")
 print("   union would stay intersecting, contradicting maximality)")
 

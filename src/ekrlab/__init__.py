@@ -54,7 +54,7 @@ from .families import (
     vertex_degrees,
 )
 from .io import emit_report, format_rational, parse_family, rational_decimal, serialize_family
-from .lp import FractionalSolution, fractional_cover, fractional_matching, verify_duality
+from .lp import FractionalSolution, fractional_cover, fractional_matching, fractional_pair, verify_duality
 from .matching import (
     Matching,
     ThresholdReport,

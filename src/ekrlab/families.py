@@ -155,6 +155,15 @@ class Family:
         tuples = tuple(unrank_colex(r, self.k, self.n) for r in self.edge_ranks())
         return tuples, tuple(_vertex_mask(e) for e in tuples)
 
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        """Degree of every vertex 1..n, counted once from the decoded edges."""
+        deg = [0] * self.n
+        for e in self._decoded[0]:
+            for v in e:
+                deg[v - 1] += 1
+        return tuple(deg)
+
     def edge_tuples(self) -> list[KSubset]:
         """Edges as vertex tuples, in colex-rank order (a fresh list)."""
         return list(self._decoded[0])
@@ -250,12 +259,8 @@ def degree_profile(family: Family, d: int) -> DegreeProfile:
 
 
 def vertex_degrees(family: Family) -> list[int]:
-    """Degree of every vertex 1..n, as a list indexed by v-1."""
-    deg = [0] * family.n
-    for e in family.edge_tuples():
-        for v in e:
-            deg[v - 1] += 1
-    return deg
+    """Degree of every vertex 1..n, as a fresh list indexed by v-1."""
+    return list(family._degrees)
 
 
 def min_degree(family: Family, d: int) -> int:

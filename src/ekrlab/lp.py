@@ -120,10 +120,11 @@ def _check_lp_size(family: Family, limit: int | None) -> None:
         raise DomainError("fractional programs need k >= 1")
 
 
-def _certified_pair(
-    family: Family, limit: int | None
+def fractional_pair(
+    family: Family, limit: int | None = None
 ) -> tuple[FractionalSolution, FractionalSolution]:
-    """Solve the packing LP once; return the matching and the cover it certifies."""
+    """(maximum fractional matching, minimum fractional cover) from one
+    packing LP solve, returned only once their primal–dual certificate holds."""
     _check_lp_size(family, limit)
     x, y = _solve_packing(family.edge_tuples(), family.n)
     matching = FractionalSolution(
@@ -143,7 +144,7 @@ def _certified_pair(
 
 def fractional_matching(family: Family, limit: int | None = None) -> FractionalSolution:
     """Maximum fractional matching: max sum w(e), per-vertex load <= 1."""
-    return _certified_pair(family, limit)[0]
+    return fractional_pair(family, limit)[0]
 
 
 def fractional_cover(family: Family, limit: int | None = None) -> FractionalSolution:
@@ -151,7 +152,7 @@ def fractional_cover(family: Family, limit: int | None = None) -> FractionalSolu
 
     Read off the dual of the matching solve; vertices on no edge weigh 0.
     """
-    return _certified_pair(family, limit)[1]
+    return fractional_pair(family, limit)[1]
 
 
 def verify_duality(family: Family, limit: int | None = None) -> bool:
@@ -162,5 +163,5 @@ def verify_duality(family: Family, limit: int | None = None) -> bool:
     By weak duality that proves both optimal, so nu* = tau*.  Returns True;
     a failed certificate raises ContradictionError.
     """
-    _certified_pair(family, limit)
+    fractional_pair(family, limit)
     return True

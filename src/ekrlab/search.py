@@ -84,27 +84,36 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
 
     Bron-Kerbosch over the meet graph; the pivot maximizes the candidate
     coverage (lowest rank on ties), and candidates are visited in rank
-    order, so the emission order is deterministic.  Size gating happens
+    order, so the emission order is deterministic.  The recursion runs on
+    an explicit stack of [r, p, x, candidates] frames.  Size gating happens
     before the generator is returned.
     """
     count = _check_enum_size(n, k, limit)
     _, _, meet, _ = _kneser_tables(n, k)
 
-    def bron_kerbosch(r: int, p: int, x: int):
-        if not p and not x:
-            yield r
-            return
-        pivot = max(iter_bits(p | x), key=lambda u: ((p & meet[u]).bit_count(), -u))
-        for v in iter_bits(p & ~meet[pivot]):
-            yield from bron_kerbosch(r | (1 << v), p & meet[v], x & meet[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+    def bron_kerbosch():
+        frames = []
+        r, p, x = 0, (1 << count) - 1, 0
+        while True:
+            if p:
+                best = -1
+                for u in iter_bits(p | x):
+                    cover = (p & meet[u]).bit_count()
+                    if cover > best:
+                        best, pivot = cover, u
+                frames.append([r, p, x, iter_bits(p & ~meet[pivot])])
+            elif not x:
+                yield Family.from_ranks(n, k, r)
+            while frames and (v := next(frames[-1][3], None)) is None:
+                frames.pop()
+            if not frames:
+                return
+            frame = frames[-1]
+            r, p, x, _ = frame
+            frame[1], frame[2] = p & ~(1 << v), x | 1 << v  # v leaves p for x
+            r, p, x = r | 1 << v, p & meet[v], x & meet[v]
 
-    def emit():
-        for clique in bron_kerbosch(0, (1 << count) - 1, 0):
-            yield Family.from_ranks(n, k, clique)
-
-    return emit()
+    return bron_kerbosch()
 
 
 def _family_stats(bits: int, ksets: tuple, masks: tuple, n: int) -> tuple[int, int, int]:
@@ -145,14 +154,13 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
-    examined = 0
     stars_seen = 0
     max_delta = -1
     at_max: list[int] = []
     nonstar_max = -1
     violations = []
     records = []
-    for fam in maximal_intersecting(n, k, limit=limit):
+    for examined, fam in enumerate(maximal_intersecting(n, k, limit=limit)):
         e, delta, common = _family_stats(fam.edges, ksets, masks, n)
         is_star = e == star_size and common != 0
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
@@ -169,7 +177,6 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
             violations.append(
                 {"delta1": delta, "edges": fam.edge_tuples(), "reason": "non-star at or above C(n-2,k-2)"}
             )
-        examined += 1
 
     best = {
         "max_delta1": max_delta,
@@ -182,7 +189,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     return ScanReport(
         kind="ekr-degree-scan",
         parameters={"n": n, "k": k},
-        families_examined=examined,
+        families_examined=len(records),
         best=best,
         violations=tuple(violations),
         records=tuple(records),
@@ -190,85 +197,69 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
 
 
 def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
-    """Check the degree product bound over all cross-intersecting ordered pairs.
+    """Check the degree product bound over cross-intersecting ordered pairs of
+    maximal intersecting families.
 
-    Counts pairs that fail to be cross-intersecting separately, tracks the
-    maximum product of minimum degrees over the rest, and records every
-    maximizing pair.
+    With F^perp the k-sets meeting every edge of F, each of the m families
+    is certified to satisfy F^perp = F (the OR of its edges' disjointness
+    bitsets is exactly its complement) and to differ from all the others.
+    Then F_j within F_i^perp forces j = i, so the cross-intersecting ordered
+    pairs are exactly the m diagonal ones, and the degree products and
+    maximizers come from them; a failed certificate raises
+    ContradictionError.  Notes: ``ordered_pairs_total`` = m^2,
+    ``ordered_pairs_cross`` = m, ``ordered_pairs_skipped`` = m^2 - m.
     """
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    _check_enum_size(n, k, limit)
+    full = (1 << _check_enum_size(n, k, limit)) - 1
     ksets, masks, _, disjoint = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
-    ebits: list[int] = []
+    seen: set[int] = set()
     deltas: list[int] = []
-    stars: list[int] = []  # common-vertex id for full stars, else 0
-    forb: list[int] = []
-    for fam in maximal_intersecting(n, k, limit=limit):
-        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
-        ebits.append(fam.edges)
-        deltas.append(delta)
-        stars.append(common.bit_length() if (e == star_size and common) else 0)
-        mask = 0
+    centers: list[int] = []  # common vertex of a full star, else 0
+    for i, fam in enumerate(maximal_intersecting(n, k, limit=limit)):
+        forb = 0
         for r in iter_bits(fam.edges):
-            mask |= disjoint[r]
-        forb.append(mask)
+            forb |= disjoint[r]
+        if forb != full & ~fam.edges:
+            raise ContradictionError(f"maximal family {i} is not self-dual: F^perp != F")
+        if fam.edges in seen:
+            raise ContradictionError(f"maximal family {i} repeats an earlier one")
+        seen.add(fam.edges)
+        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
+        deltas.append(delta)
+        centers.append(common.bit_length() if (e == star_size and common) else 0)
 
-    m = len(ebits)
-    cross_unordered = 0
-    cross_diagonal = 0
-    max_product = -1
-    maximizers: list[tuple[int, int]] = []
-    violations = []
-    for i in range(m):
-        fi = forb[i]
-        di = deltas[i]
-        for j in range(i, m):
-            if ebits[j] & fi:
-                continue
-            if i == j:
-                cross_diagonal += 1
-            cross_unordered += 1
-            product = di * deltas[j]
-            if product > max_product:
-                max_product = product
-                maximizers = [(i, j)]
-            elif product == max_product and len(maximizers) < 1000:
-                maximizers.append((i, j))
-            if product > bound:
-                violations.append(
-                    {"product": product, "left_delta1": di, "right_delta1": deltas[j],
-                     "left_index": i, "right_index": j}
-                )
-
-    ordered_cross = 2 * cross_unordered - cross_diagonal
-    ordered_total = m * m
+    m = len(deltas)
+    max_product = max((d * d for d in deltas), default=-1)
+    maximizers = [i for i, d in enumerate(deltas) if d * d == max_product][:1000]
     best = {
         "max_product": max_product,
         "bound": bound,
         "maximizers": tuple(
-            {"left_index": i, "right_index": j,
-             "left_star_center": stars[i], "right_star_center": stars[j]}
-            for i, j in maximizers
+            {"left_index": i, "right_index": i,
+             "left_star_center": centers[i], "right_star_center": centers[i]}
+            for i in maximizers
         ),
-        "maximizers_all_same_center_stars": all(
-            stars[i] != 0 and stars[i] == stars[j] for i, j in maximizers
-        ),
+        "maximizers_all_same_center_stars": all(centers[i] != 0 for i in maximizers),
     }
+    violations = tuple(
+        {"product": d * d, "left_delta1": d, "right_delta1": d, "left_index": i, "right_index": i}
+        for i, d in enumerate(deltas) if d * d > bound
+    )
     notes = {
-        "ordered_pairs_total": ordered_total,
-        "ordered_pairs_cross": ordered_cross,
-        "ordered_pairs_skipped": ordered_total - ordered_cross,
+        "ordered_pairs_total": m * m,
+        "ordered_pairs_cross": m,
+        "ordered_pairs_skipped": m * m - m,
     }
     return ScanReport(
         kind="cross-pair-scan",
         parameters={"n": n, "k": k},
         families_examined=m,
         best=best,
-        violations=tuple(violations),
+        violations=violations,
         notes=notes,
     )
 
@@ -313,11 +304,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     base = erdos_extremal(n, k, s, 1).edges
 
     def delta1(bits: int) -> int:
-        deg = [0] * n
-        for r in iter_bits(bits):
-            for v in ksets[r]:
-                deg[v - 1] += 1
-        return min(deg)
+        return _family_stats(bits, ksets, masks, n)[1]
 
     def perturb(bits: int) -> int:
         out = bits

@@ -137,3 +137,71 @@ def fractional_matching_value(n: int, edges: list[tuple[int, ...]]) -> float:
                      bounds=(0, None), method="highs")
     assert result.status == 0, result.message
     return -result.fun
+
+
+def quadratic_cross_pair_scan(n: int, k: int, families: list[list[tuple[int, ...]]]) -> dict:
+    """The cross-pair scan by testing every ordered pair of families.
+
+    ``families`` lists edge tuples in emission order.  A pair (i, j) is
+    cross-intersecting iff no edge of F_j is disjoint from an edge of F_i,
+    decided on bitsets over the lexicographic k-sets.  Returns the report
+    fields families_examined, best, violations and notes.
+    """
+    ksets = list(combinations(range(1, n + 1), k))
+    index = {e: i for i, e in enumerate(ksets)}
+    sets = [set(e) for e in ksets]
+    disjoint = [sum(1 << j for j, t in enumerate(sets) if not s & t) for s in sets]
+    star_size = pascal_binomial(n - 1, k - 1)
+    bound = pascal_binomial(n - 2, k - 2) ** 2
+    ebits, forb, deltas, stars = [], [], [], []
+    for edges in families:
+        ebits.append(sum(1 << index[e] for e in edges))
+        mask = 0
+        for e in edges:
+            mask |= disjoint[index[e]]
+        forb.append(mask)
+        deltas.append(min(sum(1 for e in edges if v in e) for v in range(1, n + 1)))
+        common = set(range(1, n + 1)).intersection(*edges) if edges else set()
+        stars.append(max(common) if len(edges) == star_size and common else 0)
+
+    m = len(ebits)
+    cross_unordered = cross_diagonal = 0
+    max_product = -1
+    maximizers: list[tuple[int, int]] = []
+    violations = []
+    for i in range(m):
+        for j in range(i, m):
+            if ebits[j] & forb[i]:
+                continue
+            cross_diagonal += i == j
+            cross_unordered += 1
+            product = deltas[i] * deltas[j]
+            if product > max_product:
+                max_product = product
+                maximizers = [(i, j)]
+            elif product == max_product and len(maximizers) < 1000:
+                maximizers.append((i, j))
+            if product > bound:
+                violations.append(
+                    {"product": product, "left_delta1": deltas[i], "right_delta1": deltas[j],
+                     "left_index": i, "right_index": j}
+                )
+    ordered_cross = 2 * cross_unordered - cross_diagonal
+    best = {
+        "max_product": max_product,
+        "bound": bound,
+        "maximizers": tuple(
+            {"left_index": i, "right_index": j,
+             "left_star_center": stars[i], "right_star_center": stars[j]}
+            for i, j in maximizers
+        ),
+        "maximizers_all_same_center_stars": all(
+            stars[i] != 0 and stars[i] == stars[j] for i, j in maximizers
+        ),
+    }
+    notes = {
+        "ordered_pairs_total": m * m,
+        "ordered_pairs_cross": ordered_cross,
+        "ordered_pairs_skipped": m * m - ordered_cross,
+    }
+    return {"families_examined": m, "best": best, "violations": tuple(violations), "notes": notes}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ekrlab.families
-from ekrlab.certificates import ekr_certificate
+from ekrlab.certificates import cross_certificate, ekr_certificate, simplex_witness
 from ekrlab.errors import DomainError
 from ekrlab.families import (
     Family,
@@ -23,7 +23,7 @@ from ekrlab.families import (
     unrank_colex,
     vertex_degrees,
 )
-from ekrlab.constructions import complete, remark_family, star
+from ekrlab.constructions import complete, hilton_milner, remark_family, star
 from ekrlab.lp import fractional_cover
 from ekrlab.spectral import disjoint_pairs
 
@@ -276,3 +276,31 @@ def test_fractional_cover_decodes_each_edge_once(monkeypatch):
     calls = _count_unranks(monkeypatch)
     fractional_cover(fam)
     assert calls[0] == fam.edge_count == 24
+
+
+def test_vertex_degrees_are_fresh_copies():
+    fam = star(7, 3, 2)
+    vertex_degrees(fam)[1] = 0
+    assert vertex_degrees(fam) == [5, 15, 5, 5, 5, 5, 5]
+
+
+def test_certificates_count_degrees_once_per_family(monkeypatch):
+    # one degree pass per family, however many steps read the degrees
+    calls = [0]
+    cached = Family.__dict__["_degrees"]
+    original = cached.func
+
+    def counting(family):
+        calls[0] += 1
+        return original(family)
+
+    left, right, single, witness = (hilton_milner(11, 4) for _ in range(4))
+    monkeypatch.setattr(cached, "func", counting)
+    cross_certificate(left, right)
+    assert calls[0] == 2
+    ekr_certificate(single)
+    assert calls[0] == 3
+    simplex_witness(witness)
+    assert calls[0] == 4
+    cross_certificate(left, right)
+    assert calls[0] == 4

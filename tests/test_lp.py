@@ -12,7 +12,7 @@ from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, erdos_extremal, fano, star
 from ekrlab.io import serialize_family
-from ekrlab.lp import fractional_cover, fractional_matching, verify_duality
+from ekrlab.lp import fractional_cover, fractional_matching, fractional_pair, verify_duality
 
 from conftest import random_family_edge_count
 from oracles import fractional_matching_value
@@ -141,3 +141,25 @@ def test_failed_certificate_is_a_contradiction(delta, tmp_path, monkeypatch, cap
     assert dispatch(["matching", str(path), "--cover"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("contradiction:") and "Traceback" not in err
+
+
+def test_fractional_pair_equals_separate_calls():
+    rng = random.Random(404)
+    for _ in range(20):
+        n, k = rng.choice([(7, 2), (8, 3), (9, 3), (10, 4)])
+        fam = random_family_edge_count(rng, n, k, rng.randrange(0, 20))
+        assert fractional_pair(fam) == (fractional_matching(fam), fractional_cover(fam))
+
+
+def test_fractional_pair_solves_once(monkeypatch):
+    calls = [0]
+    solve = lp._solve_packing
+
+    def counting(edges, n):
+        calls[0] += 1
+        return solve(edges, n)
+
+    monkeypatch.setattr(lp, "_solve_packing", counting)
+    matching, cover = fractional_pair(erdos_extremal(12, 3, 3, 1))
+    assert calls[0] == 1
+    assert matching.objective == cover.objective == 2

@@ -1,15 +1,20 @@
 """Enumeration correctness, scan verdicts, local-search determinism."""
 
+import hashlib
+import inspect
 import os
 import random
 
 import pytest
 
-from ekrlab.errors import DomainError, ResourceLimitError
+from ekrlab import search
+from ekrlab.cli import dispatch
+from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, is_intersecting, min_degree
 from ekrlab.constructions import star
 from ekrlab.matching import matching_number
 from ekrlab.search import (
+    ScanReport,
     conjecture_scan,
     cross_pair_scan,
     ekr_degree_scan,
@@ -18,7 +23,7 @@ from ekrlab.search import (
 )
 
 from conftest import random_family_edge_count
-from oracles import brute_maximal_intersecting
+from oracles import brute_maximal_intersecting, quadratic_cross_pair_scan
 
 
 def is_maximal_intersecting(fam: Family) -> bool:
@@ -54,10 +59,29 @@ def test_maximal_intersecting_emits_each_once():
         assert is_maximal_intersecting(f)
 
 
+@pytest.mark.parametrize("n,k,count,digest", [
+    (7, 3, 6127, "18b4c79967f7ebfaba6bca7a0f7302b8d23a4221e8035bd15db87865e79ad4d9"),
+    (8, 3, 23936, "0f4908578ae4f18ec0bbe514010f26b716f0b45908e9aaf5b99fcc04f04afe0a"),
+])
+def test_emission_order_is_pinned(n, k, count, digest):
+    # scan indices and records follow the emission order, so it must not move
+    h = hashlib.sha256()
+    emitted = 0
+    for fam in maximal_intersecting(n, k):
+        h.update(f"{fam.edges}\n".encode())
+        emitted += 1
+    assert (emitted, h.hexdigest()) == (count, digest)
+
+
 def test_enumeration_limit():
     with pytest.raises(ResourceLimitError):
         maximal_intersecting(9, 4)  # C(9,4) = 126 > 64
-    first = next(maximal_intersecting(9, 4, limit=200))  # explicit limit lifts the gate
+    families = maximal_intersecting(9, 4, limit=200)  # explicit limit lifts the gate
+    # the gate ran at call time; the search itself waits for next(), and
+    # full enumeration at (9,4) runs for minutes, so one family comes lazily
+    assert inspect.getgeneratorstate(families) == inspect.GEN_CREATED
+    first = next(families)
+    assert inspect.getgeneratorstate(families) == inspect.GEN_SUSPENDED
     assert is_intersecting(first)
 
 
@@ -89,6 +113,35 @@ def test_cross_pair_scan_5_2():
     assert report.best["maximizers_all_same_center_stars"]
     assert not report.violations
     assert report.notes["ordered_pairs_total"] == 225
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3)])
+def test_cross_pair_scan_matches_quadratic_oracle(n, k):
+    families = [fam.edge_tuples() for fam in maximal_intersecting(n, k)]
+    expected = ScanReport(kind="cross-pair-scan", parameters={"n": n, "k": k},
+                          **quadratic_cross_pair_scan(n, k, families))
+    assert cross_pair_scan(n, k) == expected
+
+
+@pytest.mark.parametrize("fault,message", [("non-maximal", "not self-dual"),
+                                           ("duplicate", "repeats an earlier one")])
+def test_cross_pair_scan_checks_its_certificate(fault, message, monkeypatch, capsys):
+    real = search.maximal_intersecting
+
+    def faulty(n, k, limit=None):
+        families = list(real(n, k, limit=limit))
+        if fault == "non-maximal":
+            families[3] = families[3].without_rank(next(families[3].edge_ranks()))
+        else:
+            families.append(families[3])
+        return iter(families)
+
+    monkeypatch.setattr(search, "maximal_intersecting", faulty)
+    with pytest.raises(ContradictionError, match=message):
+        cross_pair_scan(5, 2)
+    assert dispatch(["scan", "cross", "--n", "5", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contradiction:") and "Traceback" not in err
 
 
 def test_greedy_complete_monotone():
