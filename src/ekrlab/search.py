@@ -295,6 +295,8 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         raise DomainError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     if k * s > n:
         raise DomainError(f"need s <= n/k, got s={s}, n/k={n}/{k}")
+    if budget < 0:
+        raise DomainError(f"need budget >= 0, got {budget}")
     full = (1 << _check_enum_size(n, k, None)) - 1
     ksets, masks, _, _ = _kneser_tables(n, k)
 

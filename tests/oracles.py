@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: Pascal recursion for binomials,
 exhaustive recursion for matchings, dense floating-point linear algebra
-for eigenspace masses, and full powerset filtering for maximal families.
+for eigenspace masses, full powerset filtering for maximal families, and
+a ``Fraction`` tableau simplex for the packing LP.
 None of it shares code with the library paths it checks.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +139,65 @@ def fractional_matching_value(n: int, edges: list[tuple[int, ...]]) -> float:
                      bounds=(0, None), method="highs")
     assert result.status == 0, result.message
     return -result.fun
+
+
+def _fraction_pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: int) -> None:
+    piv = tableau[row][col]
+    prow = [x / piv for x in tableau[row]]
+    tableau[row] = prow
+    for r, line in enumerate(tableau):
+        if r != row and line[col]:
+            factor = line[col]
+            tableau[r] = [x - factor * y for x, y in zip(line, prow)]
+    if obj[col]:
+        factor = obj[col]
+        obj[:] = [x - factor * y for x, y in zip(obj, prow)]
+
+
+def fraction_packing(edges: list[tuple[int, ...]], n: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The packing LP max sum(x), vertex loads <= 1, by a ``Fraction`` tableau.
+
+    Same columns, all-slack start and Bland's rule as ``lp._solve_packing``,
+    but every entry is a reduced ``Fraction``.  Returns the optimal x (one
+    entry per edge) and the dual y (one entry per vertex), read off the
+    objective row at the slack columns.
+    """
+    e = len(edges)
+    width = e + n
+    zero, one = Fraction(0), Fraction(1)
+    tableau = []
+    for v in range(1, n + 1):
+        line = [one if v in edge else zero for edge in edges] + [zero] * n + [one]
+        line[e + v - 1] = one
+        tableau.append(line)
+    basis = list(range(e, width))
+    obj = [-one] * e + [zero] * (n + 1)
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), -1)
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio: Fraction | None = None
+        for i, line in enumerate(tableau):
+            coef = line[entering]
+            if coef > 0:
+                ratio = line[-1] / coef
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise AssertionError("packing LP unbounded, but every x_e is at most 1")
+        _fraction_pivot(tableau, obj, leaving, entering)
+        basis[leaving] = entering
+    x = [zero] * e
+    for i, b in enumerate(basis):
+        if b < e:
+            x[b] = tableau[i][-1]
+    return x, obj[e:width]
 
 
 def quadratic_cross_pair_scan(n: int, k: int, families: list[list[tuple[int, ...]]]) -> dict:

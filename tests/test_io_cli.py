@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab.cli import dispatch
 from ekrlab.errors import FormatError
+from ekrlab.families import Family, binomial
 from ekrlab.io import (
     emit_report,
     format_rational,
@@ -92,6 +94,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert dispatch(["scan", "ekr", "--n", "9", "--k", "4"]) == 3  # C(9,4) > 64
     assert dispatch(["scan", "ekr", "--n", "5", "--k", "2"]) == 0
     capsys.readouterr()
+
+
+def test_cli_rejects_negative_conjecture_budget(capsys):
+    argv = ["scan", "conjecture", "--n", "9", "--k", "2", "--s", "3", "--budget"]
+    assert dispatch(argv + ["-5"]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert dispatch(argv + ["0"]) == 0
+    capsys.readouterr()
+
+
+@st.composite
+def any_families(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    k = draw(st.integers(min_value=0, max_value=min(n, 4)))
+    ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=20))
+    return Family.from_ranks(n, k, sum(1 << r for r in ranks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_families())
+def test_parse_serialize_round_trip_property(fam):
+    data = serialize_family(fam)
+    back = parse_family(data)
+    assert back == fam
+    assert serialize_family(back) == data
 
 
 def test_cli_spectrum_json(tmp_path, capsys):

@@ -15,7 +15,7 @@ from ekrlab.io import serialize_family
 from ekrlab.lp import fractional_cover, fractional_matching, fractional_pair, verify_duality
 
 from conftest import random_family_edge_count
-from oracles import fractional_matching_value
+from oracles import fraction_packing, fractional_matching_value
 
 
 def test_fano_sandwich():
@@ -163,3 +163,71 @@ def test_fractional_pair_solves_once(monkeypatch):
     matching, cover = fractional_pair(erdos_extremal(12, 3, 3, 1))
     assert calls[0] == 1
     assert matching.objective == cover.objective == 2
+
+
+@pytest.fixture(scope="module")
+def criterion7_sample():
+    """The 200 seeded families of acceptance criterion 7 (seed 777)."""
+    rng = random.Random(777)
+    sample = []
+    while len(sample) < 200:
+        n = rng.randrange(4, 13)
+        k = rng.choice([2, 3])
+        sample.append(random_family_edge_count(rng, n, k, rng.randrange(0, 41)))
+    return sample
+
+
+# (family, pivots by Bland's rule from the all-slack basis)
+PINNED_LPS = {
+    "fano": (fano, 7),
+    "erdos_extremal(12,3,3,1)": (lambda: erdos_extremal(12, 3, 3, 1), 14),
+    "complete(10,3)": (lambda: complete(10, 3), 67),
+    "complete(9,4)": (lambda: complete(9, 4), 74),
+}
+
+
+def count_pivots(monkeypatch, families):
+    calls = [0]
+    pivot = lp._pivot
+
+    def counting(*args):
+        calls[0] += 1
+        pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    for fam in families:
+        fractional_pair(fam)
+    return calls[0]
+
+
+def assert_same_as_fraction_tableau(fam):
+    edges = fam.edge_tuples()
+    x, y = lp._solve_packing(edges, fam.n)
+    assert (x, y) == fraction_packing(edges, fam.n)
+    assert all(type(w) is Fraction for w in x + y)
+
+
+@pytest.mark.parametrize("name", PINNED_LPS)
+def test_pinned_pivot_counts(name, monkeypatch):
+    build, pivots = PINNED_LPS[name]
+    assert count_pivots(monkeypatch, [build()]) == pivots
+
+
+def test_criterion7_sample_pivot_count(criterion7_sample, monkeypatch):
+    assert count_pivots(monkeypatch, criterion7_sample) == 2807
+
+
+@pytest.mark.parametrize("name", PINNED_LPS)
+def test_integer_tableau_matches_fraction_tableau(name):
+    assert_same_as_fraction_tableau(PINNED_LPS[name][0]())
+
+
+def test_integer_tableau_matches_fraction_tableau_criterion7(criterion7_sample):
+    for fam in criterion7_sample:
+        assert_same_as_fraction_tableau(fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families())
+def test_integer_tableau_matches_fraction_tableau_property(fam):
+    assert_same_as_fraction_tableau(fam)

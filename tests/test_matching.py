@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab.errors import ContradictionError, DomainError
 from ekrlab.families import Family, binomial, min_degree, vertex_degrees
@@ -49,6 +50,23 @@ def test_matching_number_vs_brute_oracle():
         assert nu == brute_matching_number(fam.edge_tuples())
         assert len(witness) == nu
         assert_valid_matching(fam, witness)
+
+
+@st.composite
+def matching_families(draw):
+    k = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=k, max_value=10))
+    ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=14))
+    return Family.from_ranks(n, k, sum(1 << r for r in ranks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matching_families())
+def test_matching_number_matches_brute_force_property(fam):
+    nu, witness = matching_number(fam)
+    assert nu == brute_matching_number(fam.edge_tuples())
+    assert len(witness) == nu
+    assert_valid_matching(fam, witness)
 
 
 def test_matching_number_at_least_short_circuit():

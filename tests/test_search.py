@@ -208,3 +208,9 @@ def test_conjecture_scan_boundary_report_only():
 def test_conjecture_scan_rejects_s_above_nk():
     with pytest.raises(DomainError):
         conjecture_scan(6, 3, 3, budget=10, seed=0)
+
+
+def test_conjecture_scan_rejects_negative_budget():
+    with pytest.raises(DomainError):
+        conjecture_scan(9, 2, 3, budget=-5, seed=0)
+    assert conjecture_scan(9, 2, 3, budget=0, seed=0).families_examined == 0
