@@ -4,9 +4,10 @@
 Run: python demos/03_certificates.py
 """
 
+from fractions import Fraction
+
 from ekrlab import (
     Family,
-    canonical_simplex_frame,
     cross_certificate,
     ekr_certificate,
     hilton_milner,
@@ -26,12 +27,14 @@ for n, k in ((7, 3), (9, 4), (11, 5)):
           f"= -|u|^2/(n-1): {'ok' if rep.simplex_identity_holds else 'FAIL'}")
 
 print()
-print("The geometry driving the witness step: any vector has inner product")
-print("at most -|v|/(n-1) with some vector of a unit simplex frame.")
-frame = canonical_simplex_frame(4)
-for v in ([1.0, 0.0, 0.0], [0.3, -0.2, 0.9]):
-    idx, value = simplex_min_index(v, frame)
-    print(f"  v = {v}: min at frame vector {idx}, value {value:+.6f}")
+print("The geometry driving the witness step: in the sum-zero hyperplane")
+print("of Q^n the frame e_i - 1/n is a regular simplex, so every v with")
+print("sum 0 has min_i v_i <= -|v|/sqrt(n(n-1)), decided by exact squaring.")
+for v in ([3, -1, -1, -1], [Fraction(3, 10), Fraction(-1, 5), Fraction(9, 10), -1]):
+    w = simplex_min_index(v)
+    shown = ", ".join(str(x) for x in v)
+    print(f"  v = ({shown}): min at index {w.vertex}, value {w.lhs}, "
+          f"bound^2 = {w.rhs_squared}, equality = {w.equality}")
 
 print()
 print("=" * 72)

@@ -11,9 +11,7 @@ from .certificates import (
     CrossCertificate,
     Dichotomy,
     EkrCertificate,
-    SimplexFrame,
     WitnessReport,
-    canonical_simplex_frame,
     cross_certificate,
     ekr_certificate,
     simplex_min_index,

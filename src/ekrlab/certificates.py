@@ -17,10 +17,9 @@ the product bound delta_1(B) * delta_1(C) <= C(n-2,k-2)^2.
 
 Every inequality involving a square root of a rational is decided by sign
 analysis plus squaring, never by floating point: the extremal families sit
-exactly on the boundary.  The only float surface in this module is the
-regular simplex frame, which exists to test the geometry lemma driving the
-witness step; numpy is imported inside its helpers only, so importing the
-library does not load it.
+exactly on the boundary.  That includes the one geometric step of the
+witness inequality, the simplex lemma, which is decided in the sum-zero
+hyperplane of Q^n (:func:`simplex_min_index`).
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .errors import DomainError
+from .errors import ContradictionError, DomainError
 from .families import (
     Family,
     are_cross_intersecting,
@@ -39,73 +38,6 @@ from .families import (
     vertex_degrees,
 )
 from .spectral import level_masses
-
-if TYPE_CHECKING:
-    import numpy as np
-
-FRAME_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexFrame:
-    """n unit vectors in R^{n-1} with pairwise inner products -1/(n-1)."""
-
-    n: int
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        n = self.n
-        if n < 2:
-            raise DomainError(f"simplex frame needs n >= 2, got {n}")
-        if self.vectors.shape != (n, n - 1):
-            raise DomainError(f"frame shape {self.vectors.shape} != ({n}, {n - 1})")
-        gram = self.vectors @ self.vectors.T
-        target = np.full((n, n), -1.0 / (n - 1))
-        np.fill_diagonal(target, 1.0)
-        if not np.allclose(gram, target, atol=FRAME_TOL, rtol=0.0):
-            raise DomainError("vectors do not form a unit regular simplex frame")
-        if not np.allclose(self.vectors.sum(axis=0), 0.0, atol=n * FRAME_TOL):
-            raise DomainError("frame vectors do not sum to zero")
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[Sequence[float]]) -> "SimplexFrame":
-        import numpy as np
-        arr = np.asarray(vectors, dtype=float)
-        return cls(arr.shape[0], arr)
-
-
-def canonical_simplex_frame(n: int) -> SimplexFrame:
-    """Deterministic frame: centered standard basis vectors of R^n, expressed
-    in the orthonormal hyperplane basis produced by QR of e_i - e_n columns.
-
-    The float frame helpers need numpy, which the ``ekrlab[frame]`` extra
-    installs; nothing else in the library imports it.
-    """
-    import numpy as np
-    if n < 2:
-        raise DomainError(f"simplex frame needs n >= 2, got {n}")
-    basis = np.zeros((n, n - 1))
-    basis[:-1, :] = np.eye(n - 1)
-    basis[-1, :] = -1.0
-    q, _ = np.linalg.qr(basis)
-    centered = np.eye(n) - np.full((n, n), 1.0 / n)
-    vectors = centered @ q / np.sqrt((n - 1) / n)
-    return SimplexFrame(n, vectors)
-
-
-def simplex_min_index(v: Sequence[float], frame: SimplexFrame) -> tuple[int, float]:
-    """(1-based index, value) minimizing <v, u_i>; lowest index wins ties.
-
-    The minimum is guaranteed to be at most -||v|| / (n-1).
-    """
-    import numpy as np
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (frame.n - 1,):
-        raise DomainError(f"vector dimension {vec.shape} != ({frame.n - 1},)")
-    products = frame.vectors @ vec
-    idx = int(np.argmin(products))
-    return idx + 1, float(products[idx])
 
 
 @dataclass(frozen=True)
@@ -155,7 +87,7 @@ def _leq_neg_sqrt(lhs: Fraction, rhs_sq: Fraction) -> tuple[bool, bool]:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """min_i (deg(i) - k e / n) against the simplex-geometry lower envelope."""
+    """min_i v_i against the simplex-lemma bound -sqrt(rhs_squared)."""
 
     vertex: int
     lhs: Fraction
@@ -164,29 +96,52 @@ class WitnessReport:
     equality: bool
 
 
+def simplex_min_index(v: Sequence[Fraction | int]) -> WitnessReport:
+    """The simplex lemma min_i v_i <= -||v|| / sqrt(n(n-1)), decided exactly.
+
+    v is a rational vector in the sum-zero hyperplane of Q^n, n >= 2.
+    There u_i = e_i - 1/n is a regular simplex frame (|u_i|^2 = (n-1)/n,
+    <u_i,u_j> = -1/n), so <v, u_i/|u_i|> = v_i sqrt(n/(n-1)) and the lemma
+    min_i <v, u_i/|u_i|> <= -||v||/(n-1) takes the form above.  Reports the
+    1-based argmin (lowest index on ties), lhs = min_i v_i and
+    rhs_squared = ||v||^2 / (n(n-1)); equality marks the extremal vectors.
+    """
+    v = [Fraction(x) for x in v]
+    n = len(v)
+    if n < 2:
+        raise DomainError(f"simplex lemma needs n >= 2, got n={n}")
+    if sum(v) != 0:
+        raise DomainError("simplex lemma needs a vector with coordinate sum 0")
+    lhs = min(v)
+    rhs_sq = sum(x * x for x in v) / (n * (n - 1))
+    holds, equality = _leq_neg_sqrt(lhs, rhs_sq)
+    return WitnessReport(vertex=1 + v.index(lhs), lhs=lhs, rhs_squared=rhs_sq,
+                         holds=holds, equality=equality)
+
+
 def simplex_witness(family: Family) -> WitnessReport:
     """Certify min_i (deg(i) - ke/n) <= -(1/(n-1)) sqrt(C(n,k) k(n-k)/n^2 * F_1).
 
-    Holds for every family, intersecting or not: the left side is the
-    smallest inner product of the degree-deviation vector with the star
-    residual frame, and the frame is a scaled regular simplex.  Decided by
-    exact square comparison; equality marks the extremal configurations.
+    Holds for every family, intersecting or not: it is the simplex lemma on
+    the degree-deviation vector v = deg - ke/n, whose squared norm is
+    C(n-2,k-1) F_1 because v is the image of the E_1 component of the
+    characteristic vector under the vertex-incidence map.
     """
     n, k = family.n, family.k
     if k < 2 or n < k:
         raise DomainError(f"simplex_witness needs n >= k >= 2, got n={n}, k={k}")
     _, f1, _ = level_masses(family)
-    return _witness(n, k, family.edge_count, vertex_degrees(family), f1)
+    return _degree_witness(family, f1)
 
 
-def _witness(n: int, k: int, e: int, deg: list[int], f1: Fraction) -> WitnessReport:
-    """The witness comparison from the vertex degrees and F_1 of a family."""
-    shift = Fraction(k * e, n)
-    lhs = min(d - shift for d in deg)
-    vertex = 1 + min(range(n), key=lambda i: deg[i])
-    rhs_sq = Fraction(binomial(n, k) * k * (n - k), n * n * (n - 1) * (n - 1)) * f1
-    holds, equality = _leq_neg_sqrt(lhs, rhs_sq)
-    return WitnessReport(vertex=vertex, lhs=lhs, rhs_squared=rhs_sq, holds=holds, equality=equality)
+def _degree_witness(family: Family, f1: Fraction) -> WitnessReport:
+    """The simplex lemma on deg - ke/n, checked against F_1 of the family."""
+    n, k = family.n, family.k
+    shift = Fraction(k * family.edge_count, n)
+    report = simplex_min_index([d - shift for d in vertex_degrees(family)])
+    if report.rhs_squared * (n * (n - 1)) ** 2 != binomial(n, k) * k * (n - k) * f1:
+        raise ContradictionError("degree deviation norm disagrees with the mass F_1")
+    return report
 
 
 class Dichotomy(enum.Enum):
@@ -241,7 +196,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     lower_rhs = Fraction(n - 1, nk) * e * (e - threshold)
     eq4_holds = f1 >= lower_rhs
 
-    witness = _witness(n, k, e, deg, f1)
+    witness = _degree_witness(family, f1)
 
     if delta1 >= binomial(n - 2, k - 2):
         upper_rhs: Fraction | None = (e - threshold) ** 2 * Fraction((n - 1) ** 2 * k, (n - k) * nk)

@@ -18,8 +18,10 @@ class ResourceLimitError(EkrLabError, RuntimeError):
 
 
 class ContradictionError(EkrLabError, RuntimeError):
-    """A complete search exhausted where theory guarantees a witness.
+    """A search or an exact self-check found what theory rules out.
 
-    Raising this means either the input violated an unchecked hypothesis
-    or the implementation is wrong; tests treat it as a failure.
+    A complete search exhausted where theory guarantees a witness, or a
+    computed result failed an identity it must satisfy.  Raising this means
+    either the input violated an unchecked hypothesis or the implementation
+    is wrong; tests treat it as a failure.
     """

@@ -14,7 +14,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from . import limits
+from .errors import DomainError, ResourceLimitError
 
 # An edge / k-subset is a strictly increasing tuple of 1-based vertex ids.
 KSubset = tuple[int, ...]
@@ -118,6 +119,12 @@ class Family:
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Family":
+        """The family of the given edges; C(n,k) is gated before any bit is set."""
+        if n >= 0 and binomial(n, k) > limits.FAMILY_KSET_LIMIT:
+            raise ResourceLimitError(
+                f"C(n,k) = C({n},{k}) = {binomial(n, k)} k-sets exceed "
+                f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}"
+            )
         bits = 0
         count = 0
         for e in edges:

@@ -1,8 +1,11 @@
 """Resource limits for the exact solvers and enumerators.
 
-Every limit can be overridden globally through the ``EKRLAB_LIMIT``
-environment variable (one integer applied to all four limits below), or
-per call via the ``limit=`` keyword accepted by the gated operations.
+The four solver limits can be overridden globally through the
+``EKRLAB_LIMIT`` environment variable (one integer applied to all four),
+or per call via the ``limit=`` keyword accepted by the gated operations.
+``FAMILY_KSET_LIMIT`` is fixed: neither overrides it, since a value small
+enough to exercise the solver limits (tests set ``EKRLAB_LIMIT`` to 10 or
+119) would reject every family.
 """
 
 from __future__ import annotations
@@ -12,6 +15,10 @@ import os
 from .errors import DomainError
 
 ENV_VAR = "EKRLAB_LIMIT"
+
+# Largest C(n,k) for which a family's colex bitset is built from edges:
+# 2^24 k-sets is a 2 MB bitset, where one edge at (40,20) would need 17 GB.
+FAMILY_KSET_LIMIT = 1 << 24
 
 # Largest e * 2^k subset-degree updates done by the eigenspace-mass code.
 EIGEN_SUBSET_LIMIT = 1 << 20

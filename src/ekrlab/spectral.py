@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import limits
-from .errors import DomainError, ResourceLimitError
+from .errors import ContradictionError, DomainError, ResourceLimitError
 from .families import Family, binomial, vertex_degrees
 
 
@@ -131,9 +131,9 @@ class SpectralMass:
 
     def __post_init__(self) -> None:
         if any(f < 0 for f in self.masses):
-            raise ArithmeticError(f"negative eigenspace mass: {self.masses}")
+            raise ContradictionError(f"negative eigenspace mass: {self.masses}")
         if sum(self.masses) != self.total:
-            raise ArithmeticError("eigenspace masses do not sum to the edge count")
+            raise ContradictionError("eigenspace masses do not sum to the edge count")
 
 
 def _subset_degree_sums(family: Family) -> list[int]:
@@ -179,5 +179,5 @@ def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
     lams = kneser_spectrum(n, k).eigenvalues()
     result = SpectralMass(n, k, tuple(masses), quad, Fraction(e))
     if sum(l * f for l, f in zip(lams, result.masses)) != quad:
-        raise ArithmeticError("eigenspace masses violate the quadratic-form identity")
+        raise ContradictionError("eigenspace masses violate the quadratic-form identity")
     return result

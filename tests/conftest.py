@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -35,6 +36,12 @@ def random_family_edge_count(rng: random.Random, n: int, k: int, m: int) -> Fami
     for r in ranks:
         bits |= 1 << r
     return Family.from_ranks(n, k, bits)
+
+
+def random_sum_zero(rng: random.Random, n: int, unit: Fraction | int = 1) -> list[Fraction]:
+    """n multiples of ``unit`` with coordinate sum 0: n-1 drawn from [-50, 50]."""
+    head = [Fraction(rng.randint(-50, 50)) * unit for _ in range(n - 1)]
+    return head + [-sum(head, Fraction(0))]
 
 
 def random_family_min_degree(rng: random.Random, n: int, k: int, target: int) -> Family:

@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive: Pascal recursion for binomials,
 exhaustive recursion for matchings, dense floating-point linear algebra
-for eigenspace masses, full powerset filtering for maximal families, and
-a ``Fraction`` tableau simplex for the packing LP.
+for eigenspace masses, a floating-point QR simplex frame for the simplex
+lemma, full powerset filtering for maximal families, and a ``Fraction``
+tableau simplex for the packing LP.
 None of it shares code with the library paths it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -109,6 +111,37 @@ def star_span_mass(n: int, k: int, char_vectors: np.ndarray) -> np.ndarray:
 def char_vector(n: int, k: int, edges: set[tuple[int, ...]]) -> np.ndarray:
     ksets = list(combinations(range(1, n + 1), k))
     return np.array([1.0 if e in edges else 0.0 for e in ksets])
+
+
+@cache
+def qr_simplex_frame(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, frame) for the sum-zero hyperplane of R^n, n >= 2, in floats.
+
+    Cached per n; callers only read the arrays.
+
+    The columns of q are an orthonormal basis of the hyperplane, from QR of
+    the columns e_i - e_n.  The rows of frame are the centered basis
+    vectors e_i - 1/n in q coordinates, scaled to unit length: n unit
+    vectors of R^(n-1) with pairwise inner products -1/(n-1).
+    """
+    basis = np.zeros((n, n - 1))
+    basis[:-1, :] = np.eye(n - 1)
+    basis[-1, :] = -1.0
+    q, _ = np.linalg.qr(basis)
+    centered = np.eye(n) - np.full((n, n), 1.0 / n)
+    return q, centered @ q / np.sqrt((n - 1) / n)
+
+
+def float_simplex_min(v) -> tuple[int, float]:
+    """(1-based index, value) minimizing <v, u_i> over the unit QR frame.
+
+    v lies in the sum-zero hyperplane of R^n and is taken to q coordinates
+    first; numpy's argmin keeps the lowest index on ties.
+    """
+    q, frame = qr_simplex_frame(len(v))
+    products = frame @ (q.T @ np.asarray(v, dtype=float))
+    idx = int(np.argmin(products))
+    return idx + 1, float(products[idx])
 
 
 def brute_maximal_intersecting(n: int, k: int) -> list[frozenset]:

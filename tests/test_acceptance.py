@@ -12,17 +12,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ekrlab.certificates import canonical_simplex_frame, simplex_min_index, simplex_witness
+from ekrlab.certificates import simplex_min_index, simplex_witness
 from ekrlab.cli import dispatch
 from ekrlab.families import Family, binomial, is_intersecting, min_degree, vertex_degrees
 from ekrlab.constructions import erdos_extremal, fano, remark_family, star
 from ekrlab.lp import fractional_matching, verify_duality
 from ekrlab.matching import corollary33_check, find_matching_by_degree, matching_number
 from ekrlab.search import cross_pair_scan, ekr_degree_scan
-from ekrlab.spectral import eigen_mass_full, kneser_spectrum, quadratic_form
+from ekrlab.spectral import eigen_mass_full, kneser_spectrum, level_masses, quadratic_form
 
-from conftest import random_family, random_family_edge_count, random_family_min_degree
-from oracles import char_vector, eigenspace_masses_dense
+from conftest import random_family, random_family_edge_count, random_family_min_degree, random_sum_zero
+from oracles import char_vector, eigenspace_masses_dense, float_simplex_min
 
 
 def report(number: int, elapsed: float, detail: str) -> None:
@@ -111,27 +111,41 @@ def test_criterion_4_mass_identities_and_float_oracle(mass_sample):
 
 def test_criterion_5_simplex_lemma_property():
     start = time.time()
-    rng = np.random.default_rng(99)
+    rng = random.Random(99)
+    compared = 0
     for n in range(3, 13):
-        frame = canonical_simplex_frame(n)
-        vectors = rng.normal(size=(1000, n - 1))
-        products = vectors @ frame.vectors.T
-        minima = products.min(axis=1)
-        norms = np.linalg.norm(vectors, axis=1)
-        assert np.all(minima <= -norms / (n - 1) + 1e-10)
-        idx, value = simplex_min_index(vectors[0], frame)
-        assert value == pytest.approx(products[0].min(), abs=1e-12)
+        for _ in range(1000):
+            v = random_sum_zero(rng, n)
+            w = simplex_min_index(v)
+            assert w.holds
+            # the float QR frame gives <v, u_i> = v_i sqrt(n/(n-1))
+            idx, value = float_simplex_min(v)
+            assert value == pytest.approx(float(w.lhs) * (n / (n - 1)) ** 0.5, abs=1e-9)
+            if v.count(w.lhs) == 1:
+                assert idx == w.vertex
+                compared += 1
     elapsed = time.time() - start
     assert elapsed < 10
-    report(5, elapsed, "lemma bound held for 1000 random vectors at every n in 3..12")
+    report(5, elapsed, "exact lemma held for 1000 random integer sum-zero vectors at every "
+                       f"n in 3..12; float QR oracle agrees (index on {compared} unique minima)")
 
 
 def test_criterion_6_generalized_witness_inequality(mass_sample):
     start = time.time()
-    violations = sum(0 if simplex_witness(fam).holds else 1 for fam in mass_sample)
+    violations = 0
+    for fam in mass_sample:
+        n, k = fam.n, fam.k
+        witness = simplex_witness(fam)
+        violations += not witness.holds
+        shift = Fraction(k * fam.edge_count, n)
+        assert witness == simplex_min_index([d - shift for d in vertex_degrees(fam)])
+        _, f1, _ = level_masses(fam)
+        scale = Fraction(binomial(n, k) * k * (n - k), n * n * (n - 1) * (n - 1))
+        assert witness.rhs_squared == scale * f1
     assert violations == 0
     elapsed = time.time() - start
-    report(6, elapsed, "witness inequality exact on all 500 families; zero violations")
+    report(6, elapsed, "witness inequality exact on all 500 families, equal to the simplex "
+                       "lemma on deg - ke/n with rhs^2 the scaled F_1; zero violations")
 
 
 def test_criterion_7_strong_duality():

@@ -1,6 +1,5 @@
 """Certificate chain: frames, witness, dichotomy, cross bounds."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -10,8 +9,6 @@ import pytest
 from ekrlab import certificates
 from ekrlab.certificates import (
     Dichotomy,
-    SimplexFrame,
-    canonical_simplex_frame,
     cross_certificate,
     ekr_certificate,
     simplex_min_index,
@@ -19,57 +16,67 @@ from ekrlab.certificates import (
     sqrt_product_inequality_check,
     star_frame_checks,
 )
-from ekrlab.errors import DomainError
+from ekrlab.errors import ContradictionError, DomainError
 from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, hilton_milner, remark_family, star
 
-from conftest import random_family
+from conftest import random_family, random_sum_zero
+from oracles import float_simplex_min, qr_simplex_frame
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_canonical_frame_valid(n):
-    frame = canonical_simplex_frame(n)
-    gram = frame.vectors @ frame.vectors.T
+    # the float oracle's frame is a unit regular simplex in the hyperplane
+    q, frame = qr_simplex_frame(n)
+    assert np.allclose(q.T @ q, np.eye(n - 1), atol=1e-12)
+    assert np.allclose(q.sum(axis=0), 0.0, atol=1e-12)
+    gram = frame @ frame.T
     assert np.allclose(np.diag(gram), 1.0, atol=1e-12)
     off = gram - np.diag(np.diag(gram))
     assert np.allclose(off + np.eye(n) * (-1 / (n - 1)), -1 / (n - 1), atol=1e-12)
-    assert np.allclose(frame.vectors.sum(axis=0), 0.0, atol=1e-10)
+    assert np.allclose(frame.sum(axis=0), 0.0, atol=1e-10)
 
 
 def test_frame_rejects_bad_vectors():
-    with pytest.raises(DomainError):
-        SimplexFrame.from_vectors([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    # the exact frame spans the sum-zero hyperplane of Q^n, n >= 2
+    for v in ([1, 0, 0], [Fraction(1, 3), Fraction(1, 3), Fraction(-1, 2)], [0], []):
+        with pytest.raises(DomainError):
+            simplex_min_index(v)
 
 
 def test_simplex_min_index_explicit_triangle():
-    frame = SimplexFrame.from_vectors(
-        [[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]]
-    )
-    idx, value = simplex_min_index([1.0, 0.0], frame)
-    assert idx == 2  # tie with index 3 broken downward
-    assert value == pytest.approx(-0.5, abs=1e-15)
-    idx0, value0 = simplex_min_index([0.0, 0.0], frame)
-    assert value0 == 0.0
+    w = simplex_min_index([2, -1, -1])
+    assert w.vertex == 2  # tie with index 3 broken downward
+    assert w.lhs == -1 and w.rhs_squared == 1  # ||v||^2 / (n(n-1)) = 6/6
+    assert w.holds and w.equality
+    assert float_simplex_min([2, -1, -1])[0] == 2
+    w0 = simplex_min_index([0, 0, 0])
+    assert (w0.vertex, w0.lhs, w0.rhs_squared) == (1, 0, 0)
+    assert w0.holds and w0.equality
 
 
 def test_simplex_min_bound_random_vectors():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for n in range(3, 13):
-        frame = canonical_simplex_frame(n)
         for _ in range(200):
-            v = rng.normal(size=n - 1)
-            _, value = simplex_min_index(v, frame)
-            assert value <= -np.linalg.norm(v) / (n - 1) + 1e-10
+            v = random_sum_zero(rng, n, Fraction(1, rng.randrange(1, 30)))
+            w = simplex_min_index(v)
+            assert w.lhs == min(v) == v[w.vertex - 1]
+            assert w.rhs_squared * n * (n - 1) == sum(x * x for x in v)
+            assert w.holds
 
 
 def test_simplex_min_index_scale_invariance():
-    rng = np.random.default_rng(6)
-    frame = canonical_simplex_frame(7)
+    rng = random.Random(6)
     for _ in range(50):
-        v = rng.normal(size=6)
-        idx, _ = simplex_min_index(v, frame)
-        for scale in (0.25, 3.0, 1000.0):
-            assert simplex_min_index(scale * v, frame)[0] == idx
+        v = random_sum_zero(rng, 7)
+        w = simplex_min_index(v)
+        for scale in (Fraction(1, 4), Fraction(3), Fraction(1000), Fraction(7, 3)):
+            scaled = simplex_min_index([scale * x for x in v])
+            assert scaled.vertex == w.vertex
+            assert scaled.lhs == scale * w.lhs
+            assert scaled.rhs_squared == scale * scale * w.rhs_squared
+            assert (scaled.holds, scaled.equality) == (w.holds, w.equality)
 
 
 def test_star_frame_checks_values():
@@ -112,6 +119,28 @@ def test_simplex_witness_every_family():
         for _ in range(100):
             fam = random_family(rng, n, k, rng.choice([0.15, 0.5, 0.85]))
             assert simplex_witness(fam).holds
+
+
+def test_witness_checks_its_norm_against_f1(monkeypatch, tmp_path, capsys):
+    # ||deg - ke/n||^2 = C(n-2,k-1) F_1; stage an F_1 that breaks it
+    from ekrlab.cli import dispatch
+    from ekrlab.io import serialize_family
+
+    original = certificates.level_masses
+
+    def shifted(family):
+        f0, f1, residual = original(family)
+        return f0, f1 + 1, residual - 1
+
+    monkeypatch.setattr(certificates, "level_masses", shifted)
+    with pytest.raises(ContradictionError):
+        simplex_witness(star(7, 3, 1))
+    with pytest.raises(ContradictionError):
+        ekr_certificate(hilton_milner(11, 4))
+    path = tmp_path / "star.json"
+    path.write_bytes(serialize_family(star(7, 3, 1)))
+    assert dispatch(["certify", "witness", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("contradiction: ")
 
 
 def test_ekr_certificate_star():

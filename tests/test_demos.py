@@ -1,5 +1,5 @@
-"""Smoke test: the quick demos run to completion; demos 04 and 05 print
-exactly their golden output under tests/golden/."""
+"""Smoke test: the quick demos run to completion; demos 03, 04 and 05
+print exactly their golden output under tests/golden/."""
 
 import re
 import subprocess

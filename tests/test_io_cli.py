@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekrlab.cli import dispatch
-from ekrlab.errors import FormatError
+from ekrlab.errors import FormatError, ResourceLimitError
 from ekrlab.families import Family, binomial
 from ekrlab.io import (
     emit_report,
@@ -219,11 +219,55 @@ def test_bad_limit_env_is_a_domain_error(tmp_path, monkeypatch, capsys):
 
 def test_out_of_memory_input_exits_3(tmp_path, capsys):
     # the one edge {31..60} has colex rank C(60,30) - 1, so its bitset
-    # cannot be allocated; the shift fails at once
+    # could not be allocated; the C(n,k) gate refuses it before any shift
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 60, "k": 30, "edges": [list(range(31, 61))]}))
     assert dispatch(["spectrum", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: C(n,k) = C(60,30) = 118264581564861424 k-sets exceed "
+        "FAMILY_KSET_LIMIT = 16777216\n"
+    )
+
+
+def test_one_edge_file_above_the_kset_limit_exits_3(tmp_path, monkeypatch, capsys):
+    # C(30,15) = 155117520 k-sets: a 19 MB bitset without the gate; the
+    # EKRLAB_LIMIT override does not reach the gate
+    monkeypatch.setenv("EKRLAB_LIMIT", str(10 ** 12))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 30, "k": 15, "edges": [list(range(16, 31))]}))
+    assert dispatch(["spectrum", str(path)]) == 3
+    assert "FAMILY_KSET_LIMIT" in capsys.readouterr().err
+    with pytest.raises(ResourceLimitError):
+        Family.from_edges(30, 15, [])
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    # stage the allocation failure; real inputs that big now meet the gate
+    from ekrlab import cli
+
+    def boom(n, k, limit=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "ekr_degree_scan", boom)
+    assert dispatch(["scan", "ekr", "--n", "7", "--k", "3"]) == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
+def test_spectral_self_check_is_a_contradiction(tmp_path, monkeypatch, capsys):
+    # a negative eigenspace mass surfaces as exit 1, not a traceback
+    from ekrlab import spectral
+
+    original = spectral._masses
+
+    def negative(n, k, sums):
+        return [Fraction(-1)] + original(n, k, sums)[1:]
+
+    monkeypatch.setattr(spectral, "_masses", negative)
+    star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
+    assert dispatch(["spectrum", star_path, "--full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contradiction: negative eigenspace mass")
+    assert "Traceback" not in err
 
 
 def test_exit_code_1_on_contradiction(monkeypatch, capsys):
@@ -254,6 +298,7 @@ def test_console_entry_point(tmp_path):
     assert result.returncode == 0
     assert "7/3" in result.stdout
 
+
 def test_import_does_not_load_numpy():
     result = subprocess.run(
         [sys.executable, "-c",
@@ -261,3 +306,25 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_library_source_imports_no_numpy_or_scipy():
+    # numpy and scipy serve the test oracles only; the library stays exact
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src" / "ekrlab"
+    files = sorted(src.glob("*.py"))
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] in ("numpy", "scipy")]
+    assert not found
