@@ -2,8 +2,9 @@
 
 A family is stored as a bitset over the colexicographic ranks of its edges,
 so membership tests and set algebra on whole families are single big-int
-operations.  Vertices are 1-based integers, edges are strictly increasing
-tuples of vertices, and all counting is exact (Python big ints).
+operations; per-vertex incidence bitsets (:func:`incidence`, :func:`meets`)
+make degrees popcounts and meets ORs.  Vertices are 1-based integers, edges
+are strictly increasing tuples of vertices, and all counting is exact.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import limits
 from .errors import DomainError, ResourceLimitError
@@ -202,15 +203,29 @@ def _vertex_mask(edge: KSubset) -> int:
     return m
 
 
+def incidence(masks: Sequence[int], n: int) -> list[int]:
+    """Incidence bitsets: bit i of entry v-1 is set iff ``masks[i]`` contains v.
+
+    For the complete family in colex-rank order, entry v-1 is the star of v.
+    With the masks written as rows of n binary digits, last mask first, the
+    column of vertex v, read as a binary numeral, is its bitset.
+    """
+    rows = "".join(format(m, f"0{n}b") for m in reversed(masks))
+    return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
+
+
+def meets(through: Sequence[int], masks: Sequence[int]) -> list[int]:
+    """For each mask, the OR of its vertices' incidence bitsets in ``through``."""
+    out = [0] * len(masks)
+    for star, column in zip(through, incidence(masks, len(through))):
+        for i in iter_bits(column):
+            out[i] |= star
+    return out
+
+
 def is_intersecting(family: Family) -> bool:
     """True iff every two edges share a vertex (vacuously for <= 1 edge)."""
-    masks = family.vertex_masks()
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if not mi & masks[j]:
-                return False
-    return True
+    return family.edge_count <= 1 or are_cross_intersecting(family, family)
 
 
 def are_cross_intersecting(left: Family, right: Family) -> bool:
@@ -221,11 +236,8 @@ def are_cross_intersecting(left: Family, right: Family) -> bool:
             f"got ({left.n}, {left.k}) vs ({right.n}, {right.k})"
         )
     lmasks = left.vertex_masks()
-    for rm in right.vertex_masks():
-        for lm in lmasks:
-            if not lm & rm:
-                return False
-    return True
+    full = (1 << len(lmasks)) - 1
+    return all(m == full for m in meets(incidence(lmasks, left.n), right.vertex_masks()))
 
 
 def degree(family: Family, subset: Iterable[int]) -> int:

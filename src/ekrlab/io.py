@@ -31,18 +31,21 @@ def parse_family(data: bytes | str) -> Family:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise FormatError("malformed JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise FormatError("family file must be a JSON object")
     for key in ("n", "k", "edges"):
         if key not in payload:
             raise FormatError(f"family file is missing '{key}'")
     n, k, edges = payload["n"], payload["k"], payload["edges"]
-    if not isinstance(n, int) or not isinstance(k, int):
+    # exact type checks: json reads true and false as bool, a subclass of int
+    if type(n) is not int or type(k) is not int:
         raise FormatError("'n' and 'k' must be integers")
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise FormatError("'edges' must be a list of vertex lists")
     for e in edges:
-        if not all(isinstance(v, int) for v in e):
+        if not all(type(v) is int for v in e):
             raise FormatError(f"edge {e} contains a non-integer vertex")
     try:
         return Family.from_edges(n, k, edges)

@@ -15,11 +15,12 @@ matching of size s is assembled by one of three moves per level:
 
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
+Edge sets are bitsets over edge indices; degrees are popcounts against
+the per-vertex incidence bitsets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, KSubset, binomial, iter_bits, min_degree, vertex_degrees
+from .families import Family, KSubset, binomial, incidence, iter_bits, min_degree, vertex_degrees
 from .lp import FractionalSolution, fractional_matching
 
 
@@ -53,14 +54,13 @@ class Matching:
         return cls(chosen)
 
 
-def _greedy_cover_bound(masks: Sequence[int]) -> int:
-    """Size of a greedy vertex cover; an upper bound on the matching number."""
-    remaining = list(masks)
+def _greedy_cover_bound(avail: int, through: Sequence[int]) -> int:
+    """Size of a greedy vertex cover of the edge-index bitset ``avail``, taking
+    the lowest vertex of maximum degree each step; bounds the matching number."""
     size = 0
-    while remaining:
-        counts = Counter(v for m in remaining for v in iter_bits(m))
-        best = 1 << max(sorted(counts), key=lambda v: counts[v])
-        remaining = [m for m in remaining if not m & best]
+    while avail:
+        degrees = [(avail & star).bit_count() for star in through]
+        avail &= ~through[degrees.index(max(degrees))]
         size += 1
     return size
 
@@ -72,29 +72,22 @@ def matching_number(
 ) -> tuple[int, Matching]:
     """Exact matching number with a witness, by branch and bound.
 
-    Branches on the minimum-positive-degree vertex: either one of its
-    edges is matched, or none is and all of them are discarded.  Pruned by
-    support-size/k and by a greedy cover bound.  With ``at_least`` the
-    search stops as soon as a matching of that size is found (the result
-    is then a certified lower bound; it is exact whenever it is smaller).
+    Edge sets are bitsets over the edge indices.  Branches on the
+    minimum-positive-degree vertex: either one of its edges is matched, or
+    none is and all of them are discarded.  Pruned by support-size/k and
+    by a greedy cover bound.  With ``at_least`` the search stops as soon as
+    a matching of that size is found (the result is then a certified lower
+    bound; it is exact whenever it is smaller).
     """
     cap = limits.resolve(node_limit, limits.MATCHING_NODE_LIMIT)
-    masks = family.vertex_masks()
+    edges = family.edge_tuples()
+    through = incidence(family.vertex_masks(), family.n)
     k = max(family.k, 1)
     best: list[int] = []
     current: list[int] = []
     nodes = 0
 
-    def bound(avail: list[int]) -> int:
-        support = 0
-        for m in avail:
-            support |= m
-        cheap = support.bit_count() // k
-        if len(current) + cheap <= len(best):
-            return cheap
-        return min(cheap, _greedy_cover_bound(avail))
-
-    def recurse(avail: list[int]) -> bool:
+    def recurse(avail: int) -> bool:
         """Returns True when the search can stop early."""
         nonlocal nodes, best
         nodes += 1
@@ -104,26 +97,26 @@ def matching_number(
             best = current.copy()
             if at_least is not None and len(best) >= at_least:
                 return True
-        if not avail or len(current) + bound(avail) <= len(best):
+        degrees = [(avail & star).bit_count() for star in through]
+        cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
+        if len(current) + cheap <= len(best) or (
+            len(current) + _greedy_cover_bound(avail, through) <= len(best)
+        ):
             return False
         # branch vertex: minimum positive degree, lowest id on ties
-        counts = Counter(v for m in avail for v in iter_bits(m))
-        vbit = 1 << min(counts, key=lambda v: (counts[v], v))
-        through = [i for i, m in enumerate(avail) if m & vbit]
-        for i in through:
-            current.append(avail[i])
-            if recurse([m for m in avail if not m & avail[i]]):
+        _, v = min((d, v) for v, d in enumerate(degrees) if d)
+        for i in iter_bits(avail & through[v]):
+            rest = avail
+            for u in edges[i]:
+                rest &= ~through[u - 1]
+            current.append(i)
+            if recurse(rest):
                 return True
             current.pop()
-        skip = set(through)
-        return recurse([m for j, m in enumerate(avail) if j not in skip])
+        return recurse(avail & ~through[v])
 
-    recurse(masks)
-    chosen = []
-    lookup = {m: e for m, e in zip(masks, family.edge_tuples())}
-    for m in best:
-        chosen.append(lookup[m])
-    return len(best), Matching.from_family(family, chosen)
+    recurse((1 << len(edges)) - 1)
+    return len(best), Matching.from_family(family, [edges[i] for i in best])
 
 
 def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
@@ -152,14 +145,12 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
 
     edges = family.edge_tuples()
     masks = family.vertex_masks()
-    vbits = [1 << (v - 1) for v in vs]
-    all_vbits = 0
-    for b in vbits:
-        all_vbits |= b
-    through = [
-        [i for i, m in enumerate(masks) if m & vb and not (m & all_vbits & ~vb)]
-        for vb in vbits
-    ]
+    inc = incidence(masks, n)
+    seen = shared = 0  # shared: edges through two or more of the vertices
+    for v in vs:
+        shared |= seen & inc[v - 1]
+        seen |= inc[v - 1]
+    through = [list(iter_bits(inc[v - 1] & ~shared)) for v in vs]
 
     chosen: list[int] = []
 
@@ -199,13 +190,16 @@ def find_matching_by_degree(
 ) -> tuple[Matching, list[dict]]:
     """Construct a matching of size s from the minimum-degree hypothesis.
 
-    Requires n >= 3 k^2 s and delta_1 > C(n-1,k-1) - C(n-s,k-1).  Returns
-    the matching together with a trace listing, per recursion level, which
-    branch fired and on what threshold evidence.  With ``strict=False`` an
-    input outside the hypothesis region falls back to the exact
-    branch-and-bound solver and the trace carries an ``outside-guarantee``
-    marker instead of raising.
+    Requires s >= 0, n >= 3 k^2 s and delta_1 > C(n-1,k-1) - C(n-s,k-1).
+    Returns the matching together with a trace listing, per recursion
+    level, which branch fired and on what threshold evidence.  With
+    ``strict=False`` an input outside the hypothesis region falls back to
+    the exact branch-and-bound solver and the trace carries an
+    ``outside-guarantee`` marker instead of raising; a negative s raises
+    DomainError either way.
     """
+    if s < 0:
+        raise DomainError(f"matching size must be nonnegative, got s={s}")
     n, k = family.n, family.k
     threshold = _degree_threshold(n, k, s)
     inside = n >= 3 * k * k * s and min_degree(family, 1) > threshold

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, iter_bits
+from .families import Family, binomial, incidence, iter_bits, meets
 from .matching import matching_number
 
 from .constructions import erdos_extremal
@@ -48,25 +48,20 @@ class ScanReport:
 
 
 @lru_cache(maxsize=None)
-def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """(k-set tuples, vertex masks, meet-adjacency bitsets, disjointness
-    bitsets), each indexed by colex rank.
+def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
+    """(stars, meet-adjacency bitsets, disjointness bitsets) over the colex
+    ranks of the k-subsets of [n].
 
-    The k-sets and their masks are the decoded complete family on [n].
+    ``stars[v-1]`` is the incidence bitset of vertex v in the complete
+    family; the ranks meeting rank r are the OR of the stars of its
+    vertices, and ``meet[r]`` leaves r itself out.
     """
-    count = binomial(n, k)
-    full = (1 << count) - 1
-    complete = Family.from_ranks(n, k, full)
-    ksets = tuple(complete.edge_tuples())
-    vmask = tuple(complete.vertex_masks())
-    meet = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if vmask[i] & vmask[j]:
-                meet[i] |= 1 << j
-                meet[j] |= 1 << i
-    disjoint = tuple(full & ~meet[r] & ~(1 << r) for r in range(count))
-    return ksets, vmask, tuple(meet), disjoint
+    full = (1 << binomial(n, k)) - 1
+    masks = Family.from_ranks(n, k, full).vertex_masks()
+    stars = incidence(masks, n)
+    reach = meets(stars, masks)
+    meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
+    return tuple(stars), meet, tuple(full ^ m for m in reach)
 
 
 def _check_enum_size(n: int, k: int, limit: int | None) -> int:
@@ -89,7 +84,7 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
     before the generator is returned.
     """
     count = _check_enum_size(n, k, limit)
-    _, _, meet, _ = _kneser_tables(n, k)
+    _, meet, _ = _kneser_tables(n, k)
 
     def bron_kerbosch():
         frames = []
@@ -116,23 +111,18 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
     return bron_kerbosch()
 
 
-def _family_stats(bits: int, ksets: tuple, masks: tuple, n: int) -> tuple[int, int, int]:
-    """(edge count, delta_1, common-vertex mask) from the rank bitset."""
-    deg = [0] * n
-    common = (1 << n) - 1
-    count = 0
-    for rank in iter_bits(bits):
-        count += 1
-        for v in ksets[rank]:
-            deg[v - 1] += 1
-        common &= masks[rank]
-    return count, min(deg), common
+def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
+    """(edge count, delta_1, mask of the vertices in every edge) from the rank bitset."""
+    count = bits.bit_count()
+    degrees = [(bits & star).bit_count() for star in stars]
+    common = sum(1 << v for v, d in enumerate(degrees) if d == count)
+    return count, min(degrees), common
 
 
 def greedy_complete(family: Family) -> Family:
     """Extend a pairwise-intersecting family to a maximal one, in rank order."""
     count = _check_enum_size(family.n, family.k, None)
-    _, _, meet, _ = _kneser_tables(family.n, family.k)
+    _, meet, _ = _kneser_tables(family.n, family.k)
     bits = family.edges
     for r in iter_bits(((1 << count) - 1) & ~bits):
         if bits & ~meet[r] == 0:
@@ -150,7 +140,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     _check_enum_size(n, k, limit)
-    ksets, masks, _, _ = _kneser_tables(n, k)
+    stars = _kneser_tables(n, k)[0]
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
@@ -161,7 +151,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     violations = []
     records = []
     for examined, fam in enumerate(maximal_intersecting(n, k, limit=limit)):
-        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
+        e, delta, common = _family_stats(fam.edges, stars)
         is_star = e == star_size and common != 0
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
         if is_star:
@@ -212,7 +202,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     full = (1 << _check_enum_size(n, k, limit)) - 1
-    ksets, masks, _, disjoint = _kneser_tables(n, k)
+    stars, _, disjoint = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
@@ -228,7 +218,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
         if fam.edges in seen:
             raise ContradictionError(f"maximal family {i} repeats an earlier one")
         seen.add(fam.edges)
-        e, delta, common = _family_stats(fam.edges, ksets, masks, n)
+        e, delta, common = _family_stats(fam.edges, stars)
         deltas.append(delta)
         centers.append(common.bit_length() if (e == star_size and common) else 0)
 
@@ -264,7 +254,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     )
 
 
-def _nu_below(bits: int, new_rank: int, s: int, masks: tuple, n: int, k: int) -> bool:
+def _nu_below(bits: int, new_rank: int, s: int, disjoint: tuple, n: int, k: int) -> bool:
     """True iff adding new_rank keeps every matching below size s.
 
     Since the current family has no s-matching, one could only appear
@@ -273,12 +263,10 @@ def _nu_below(bits: int, new_rank: int, s: int, masks: tuple, n: int, k: int) ->
     """
     if s <= 1:
         return False
-    new_mask = masks[new_rank]
-    away = [r for r in iter_bits(bits) if not masks[r] & new_mask]
+    away = bits & disjoint[new_rank]
     if not away:
         return True
-    sub = Family.from_ranks(n, k, sum(1 << r for r in away))
-    nu, _ = matching_number(sub, at_least=s - 1)
+    nu, _ = matching_number(Family.from_ranks(n, k, away), at_least=s - 1)
     return nu < s - 1
 
 
@@ -298,7 +286,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     if budget < 0:
         raise DomainError(f"need budget >= 0, got {budget}")
     full = (1 << _check_enum_size(n, k, None)) - 1
-    ksets, masks, _, _ = _kneser_tables(n, k)
+    stars, _, disjoint = _kneser_tables(n, k)
 
     threshold = binomial(n - 1, k - 1) - binomial(n - s, k - 1)
     assert_mode = n > k * s
@@ -306,7 +294,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     base = erdos_extremal(n, k, s, 1).edges
 
     def delta1(bits: int) -> int:
-        return _family_stats(bits, ksets, masks, n)[1]
+        return _family_stats(bits, stars)[1]
 
     def perturb(bits: int) -> int:
         out = bits
@@ -334,7 +322,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
             absent = list(iter_bits(full ^ current))
             if absent:
                 r = absent[rng.randrange(len(absent))]
-                if _nu_below(current, r, s, masks, n, k):
+                if _nu_below(current, r, s, disjoint, n, k):
                     candidate = current | (1 << r)
         else:
             present = list(iter_bits(current))

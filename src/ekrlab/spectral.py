@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, vertex_degrees
+from .families import Family, binomial, incidence, meets, vertex_degrees
 
 
 def _comb_nonneg(n: int, r: int) -> int:
@@ -72,15 +72,15 @@ def kneser_spectrum(n: int, k: int) -> KneserSpectrum:
 
 
 def disjoint_pairs(family: Family) -> int:
-    """Number of unordered pairs of disjoint edges."""
+    """Number of unordered pairs of disjoint edges.
+
+    For k >= 1 each edge meets itself, so edge i is disjoint from
+    e - |meet_i| others, and the sum counts every pair twice.  At k = 0
+    there is at most the one empty edge, and 1 // 2 = 0.
+    """
     masks = family.vertex_masks()
-    count = 0
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            if not mi & masks[j]:
-                count += 1
-    return count
+    reach = meets(incidence(masks, family.n), masks)
+    return sum(len(masks) - m.bit_count() for m in reach) // 2
 
 
 def quadratic_form(family: Family) -> int:

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from ekrlab.families import Family, binomial
 
 # Child processes (CLI and demo runs) import the same checkout as the tests.
@@ -66,3 +68,17 @@ def random_family_min_degree(rng: random.Random, n: int, k: int, target: int) ->
         pool = all_by_vertex[v]
         add(pool[rng.randrange(len(pool))])
     return Family.from_edges(n, k, sorted(chosen))
+
+
+@st.composite
+def small_families(draw, n: int | None = None, k: int | None = None, max_edges: int = 14):
+    """Families with n <= 10 and k <= 4, k = 0 and empty families included.
+
+    Passing ``n`` and ``k`` pins the uniformity, so two draws can be compared.
+    """
+    if k is None:
+        k = draw(st.integers(min_value=0, max_value=4))
+    if n is None:
+        n = draw(st.integers(min_value=k, max_value=10))
+    ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=max_edges))
+    return Family.from_ranks(n, k, sum(1 << r for r in ranks))

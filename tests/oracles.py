@@ -3,8 +3,10 @@
 Everything here is deliberately naive: Pascal recursion for binomials,
 exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
-lemma, full powerset filtering for maximal families, and a ``Fraction``
-tableau simplex for the packing LP.
+lemma, full powerset filtering for maximal families, a ``Fraction``
+tableau simplex for the packing LP, pair-by-pair loops for the meet
+predicates and the Kneser tables, per-edge degree counts, and a
+branch-and-bound matching search on lists of vertex masks.
 None of it shares code with the library paths it checks.
 """
 
@@ -299,3 +301,119 @@ def quadratic_cross_pair_scan(n: int, k: int, families: list[list[tuple[int, ...
         "ordered_pairs_skipped": m * m - ordered_cross,
     }
     return {"families_examined": m, "best": best, "violations": tuple(violations), "notes": notes}
+
+
+def _mask(edge: tuple[int, ...]) -> int:
+    return sum(1 << (v - 1) for v in edge)
+
+
+def pairwise_is_intersecting(edges: list[tuple[int, ...]]) -> bool:
+    """True iff every two edges share a vertex, by testing every pair."""
+    masks = [_mask(e) for e in edges]
+    return all(masks[i] & masks[j] for i in range(len(masks)) for j in range(i + 1, len(masks)))
+
+
+def pairwise_are_cross_intersecting(left: list[tuple[int, ...]], right: list[tuple[int, ...]]) -> bool:
+    """True iff every edge of ``left`` meets every edge of ``right``, pair by pair."""
+    return all(_mask(a) & _mask(b) for a in left for b in right)
+
+
+def pairwise_disjoint_pairs(edges: list[tuple[int, ...]]) -> int:
+    """Unordered pairs of disjoint edges, by testing every pair."""
+    masks = [_mask(e) for e in edges]
+    return sum(
+        1 for i in range(len(masks)) for j in range(i + 1, len(masks)) if not masks[i] & masks[j]
+    )
+
+
+def quadratic_kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
+    """(stars, meet, disjoint) over the colex ranks of the k-subsets of [n],
+    by testing every pair of k-sets; ``meet[r]`` leaves r out."""
+    ksets = sorted(combinations(range(1, n + 1), k), key=lambda s: s[::-1])
+    masks = [_mask(e) for e in ksets]
+    count = len(ksets)
+    meet = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if masks[i] & masks[j]:
+                meet[i] |= 1 << j
+                meet[j] |= 1 << i
+    full = (1 << count) - 1
+    disjoint = tuple(full & ~meet[r] & ~(1 << r) for r in range(count))
+    stars = tuple(sum(1 << r for r, e in enumerate(ksets) if v in e) for v in range(1, n + 1))
+    return stars, tuple(meet), disjoint
+
+
+def per_edge_family_stats(edges: list[tuple[int, ...]], n: int) -> tuple[int, int, int]:
+    """(edge count, delta_1, common-vertex mask) by counting edge by edge."""
+    deg = [0] * n
+    common = (1 << n) - 1
+    for e in edges:
+        for v in e:
+            deg[v - 1] += 1
+        common &= _mask(e)
+    return len(edges), min(deg), common
+
+
+def mask_list_matching_number(
+    edges: list[tuple[int, ...]], k: int, at_least: int | None = None
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """(nu, witness edges, branch-and-bound nodes) on lists of vertex masks.
+
+    The same branching, bounds and tie-breaks as ``matching.matching_number``
+    (minimum-positive-degree branch vertex, lowest id on ties; support/k and
+    greedy cover bounds), with every degree recounted from the mask list at
+    each node.  ``edges`` must be in colex order, as ``Family.edge_tuples``.
+    """
+    masks = [_mask(e) for e in edges]
+    k = max(k, 1)
+    best: list[int] = []
+    current: list[int] = []
+    nodes = 0
+
+    def counts(avail: list[int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for m in avail:
+            v = 0
+            while m >> v:
+                if m >> v & 1:
+                    out[v] = out.get(v, 0) + 1
+                v += 1
+        return out
+
+    def greedy(avail: list[int]) -> int:
+        remaining, size = list(avail), 0
+        while remaining:
+            c = counts(remaining)
+            top = max(sorted(c), key=lambda v: c[v])
+            remaining = [m for m in remaining if not m >> top & 1]
+            size += 1
+        return size
+
+    def recurse(avail: list[int]) -> bool:
+        nonlocal nodes, best
+        nodes += 1
+        if len(current) > len(best):
+            best = current.copy()
+            if at_least is not None and len(best) >= at_least:
+                return True
+        if not avail:
+            return False
+        support = 0
+        for m in avail:
+            support |= m
+        cheap = bin(support).count("1") // k
+        if len(current) + cheap <= len(best) or len(current) + greedy(avail) <= len(best):
+            return False
+        c = counts(avail)
+        v = min(c, key=lambda u: (c[u], u))
+        for m in [m for m in avail if m >> v & 1]:
+            current.append(m)
+            if recurse([o for o in avail if not o & m]):
+                return True
+            current.pop()
+        return recurse([m for m in avail if not m >> v & 1])
+
+    recurse(masks)
+    lookup = dict(zip(masks, edges))
+    return len(best), [lookup[m] for m in best], nodes

@@ -15,9 +15,11 @@ from ekrlab.families import (
     binomial,
     degree,
     degree_profile,
+    incidence,
     is_intersecting,
     iter_bits,
     link,
+    meets,
     min_degree,
     rank_colex,
     unrank_colex,
@@ -27,8 +29,13 @@ from ekrlab.constructions import complete, hilton_milner, remark_family, star
 from ekrlab.lp import fractional_cover
 from ekrlab.spectral import disjoint_pairs
 
-from conftest import random_family, random_family_edge_count
-from oracles import pascal_binomial
+from conftest import random_family, random_family_edge_count, small_families
+from oracles import (
+    pairwise_are_cross_intersecting,
+    pairwise_disjoint_pairs,
+    pairwise_is_intersecting,
+    pascal_binomial,
+)
 
 
 def test_binomial_examples():
@@ -170,6 +177,41 @@ def test_intersecting_iff_no_disjoint_pairs():
     for _ in range(50):
         fam = random_family(rng, 6, 3, 0.4)
         assert is_intersecting(fam) == (disjoint_pairs(fam) == 0)
+
+
+def test_incidence_and_meets_of_a_small_family():
+    fam = Family.from_edges(5, 2, [(1, 2), (2, 3), (4, 5)])  # colex: 12, 23, 45
+    through = incidence(fam.vertex_masks(), 5)
+    assert through == [0b001, 0b011, 0b010, 0b100, 0b100]
+    assert meets(through, fam.vertex_masks()) == [0b011, 0b011, 0b100]
+    # the complete family's incidence bitsets are the stars
+    full = complete(6, 3)
+    assert incidence(full.vertex_masks(), 6) == [star(6, 3, v).edges for v in range(1, 7)]
+    assert incidence([], 3) == [0, 0, 0] and meets([0, 0, 0], []) == []
+
+
+def _check_meet_predicates(fam: Family, other: Family) -> None:
+    edges, other_edges = fam.edge_tuples(), other.edge_tuples()
+    assert is_intersecting(fam) == pairwise_is_intersecting(edges)
+    assert disjoint_pairs(fam) == pairwise_disjoint_pairs(edges)
+    assert are_cross_intersecting(fam, other) == pairwise_are_cross_intersecting(edges, other_edges)
+    assert are_cross_intersecting(other, fam) == pairwise_are_cross_intersecting(other_edges, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_meet_predicates_match_pairwise_oracles(data):
+    # incidence bitsets against the pairwise loops they replaced
+    fam = data.draw(small_families())
+    _check_meet_predicates(fam, data.draw(small_families(n=fam.n, k=fam.k)))
+
+
+@pytest.mark.parametrize("n, k", [(0, 0), (3, 0), (4, 1), (6, 3)])
+def test_meet_predicates_at_k0_and_on_empty_families(n, k):
+    families = [Family.empty(n, k), complete(n, k), Family.from_ranks(n, k, 1)]
+    for fam in families:
+        for other in families:
+            _check_meet_predicates(fam, other)
 
 
 def test_family_validation():

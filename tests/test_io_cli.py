@@ -104,6 +104,37 @@ def test_cli_rejects_negative_conjecture_budget(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 4, "k": 2, "edges": [[true, 2], [3, 4]]}',
+    '{"n": true, "k": 1, "edges": []}',
+    '{"n": 4, "k": false, "edges": []}',
+])
+def test_cli_rejects_json_booleans(tmp_path, capsys, text):
+    # Python reads JSON true/false as ints; a file that uses them is malformed
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    with pytest.raises(FormatError):
+        parse_family(text)
+    assert dispatch(["matching", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    # json.loads raises RecursionError here; that must be exit 2, not a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert dispatch(["matching", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_cli_construct_degree_rejects_negative_size(tmp_path, capsys):
+    path = write_family(tmp_path, "star.json", star(9, 2, 1))
+    assert dispatch(["matching", path, "--construct-degree", "-2"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert dispatch(["matching", path, "--construct-degree", "0"]) == 0
+    assert "empty" in capsys.readouterr().out
+
+
 @st.composite
 def any_families(draw):
     n = draw(st.integers(min_value=0, max_value=12))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab.errors import ContradictionError, DomainError
+from ekrlab import limits
+from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, min_degree, vertex_degrees
 from ekrlab.constructions import complete, erdos_extremal, fano, remark_family, star
 from ekrlab.lp import FractionalSolution, fractional_cover, fractional_matching
@@ -19,8 +20,8 @@ from ekrlab.matching import (
     reduce_cover,
 )
 
-from conftest import random_family_edge_count, random_family_min_degree
-from oracles import brute_matching_number
+from conftest import random_family_edge_count, random_family_min_degree, small_families
+from oracles import brute_matching_number, mask_list_matching_number
 
 
 def assert_valid_matching(fam, matching):
@@ -67,6 +68,36 @@ def test_matching_number_matches_brute_force_property(fam):
     assert nu == brute_matching_number(fam.edge_tuples())
     assert len(witness) == nu
     assert_valid_matching(fam, witness)
+
+
+@pytest.mark.parametrize("fam, at_least, nodes", [
+    (fano(), None, 8),
+    (remark_family(), None, 7),
+    (erdos_extremal(12, 3, 3, 1), None, 29),
+    (erdos_extremal(8, 3, 2, 1), None, 8),
+    (complete(10, 3), None, 58),
+    (complete(9, 4), None, 63),
+    (complete(12, 2), 2, 3),
+], ids=["fano", "remark", "erdos(12,3,3,1)", "erdos(8,3,2,1)", "complete(10,3)",
+        "complete(9,4)", "complete(12,2)-at-least-2"])
+def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes):
+    # machine-independent regression guard: the search visits exactly `nodes` nodes
+    assert nodes <= limits.MATCHING_NODE_LIMIT
+    result = matching_number(fam, at_least=at_least)
+    assert matching_number(fam, at_least=at_least, node_limit=nodes) == result
+    with pytest.raises(ResourceLimitError):
+        matching_number(fam, at_least=at_least, node_limit=nodes - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_families(), st.sampled_from([None, 1, 2, 3]))
+def test_matching_number_matches_mask_list_oracle(fam, at_least):
+    # (nu, witness, node count) against the mask-list search the bitsets replaced
+    nu, witness, nodes = mask_list_matching_number(fam.edge_tuples(), fam.k, at_least)
+    assert matching_number(fam, at_least=at_least) == (nu, Matching(tuple(witness)))
+    matching_number(fam, at_least=at_least, node_limit=nodes)
+    with pytest.raises(ResourceLimitError):
+        matching_number(fam, at_least=at_least, node_limit=nodes - 1)
 
 
 def test_matching_number_at_least_short_circuit():
@@ -156,6 +187,14 @@ def test_find_matching_strict_preconditions():
     sparse = Family.from_edges(37, 2, [(1, 2)])
     with pytest.raises(DomainError):
         find_matching_by_degree(sparse, 3)  # degree hypothesis fails
+
+
+def test_find_matching_rejects_negative_size():
+    for strict in (True, False):
+        with pytest.raises(DomainError):
+            find_matching_by_degree(complete(40, 2), -1, strict=strict)
+    matching, trace = find_matching_by_degree(star(9, 2, 1), 0, strict=False)
+    assert len(matching) == 0 and trace == [{"s": 0, "branch": "empty"}]
 
 
 def test_find_matching_fallback():

@@ -23,7 +23,12 @@ from ekrlab.search import (
 )
 
 from conftest import random_family_edge_count
-from oracles import brute_maximal_intersecting, quadratic_cross_pair_scan
+from oracles import (
+    brute_maximal_intersecting,
+    per_edge_family_stats,
+    quadratic_cross_pair_scan,
+    quadratic_kneser_tables,
+)
 
 
 def is_maximal_intersecting(fam: Family) -> bool:
@@ -71,6 +76,22 @@ def test_emission_order_is_pinned(n, k, count, digest):
         h.update(f"{fam.edges}\n".encode())
         emitted += 1
     assert (emitted, h.hexdigest()) == (count, digest)
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
+def test_kneser_tables_match_quadratic_oracle(n, k):
+    assert search._kneser_tables(n, k) == quadratic_kneser_tables(n, k)
+
+
+def test_family_stats_match_per_edge_count():
+    # n popcounts against the per-edge degree loop, on every maximal family at (7,3)
+    stars = search._kneser_tables(7, 3)[0]
+    examined = 0
+    for fam in maximal_intersecting(7, 3):
+        assert search._family_stats(fam.edges, stars) == per_edge_family_stats(fam.edge_tuples(), 7)
+        examined += 1
+    assert examined == 6127
+    assert search._family_stats(0, stars) == per_edge_family_stats([], 7) == (0, 0, 0b1111111)
 
 
 def test_enumeration_limit():
