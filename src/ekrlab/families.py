@@ -9,8 +9,9 @@ are strictly increasing tuples of vertices, and all counting is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -75,21 +76,59 @@ def rank_colex(s: KSubset) -> int:
     return sum(binomial(a - 1, i) for i, a in enumerate(s, start=1))
 
 
+def _gated_kset_count(n: int, k: int) -> int:
+    """C(n,k) for n >= 0; ResourceLimitError above FAMILY_KSET_LIMIT."""
+    total = binomial(n, k)
+    if total > limits.FAMILY_KSET_LIMIT:
+        raise ResourceLimitError(
+            f"C(n,k) = C({n},{k}) = {total} k-sets exceed "
+            f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}"
+        )
+    return total
+
+
+@lru_cache(maxsize=64)
+def _colex_columns(n: int, k: int) -> tuple[int, int, list[int]]:
+    """(C(n,k), w, columns) for unranking the k-subsets of [n]; w = n - k + 1.
+
+    The level-i coordinate b = a_i - 1 of a k-subset lies in [i-1, n-k+i-1],
+    a window of w values, so ``columns[(k-i)*w + j]`` = C(i-1+j, i) for the
+    levels i = k..2, ascending within each level.  Level 1 needs no column:
+    C(b,1) = b.  The table is refused with ResourceLimitError above
+    FAMILY_KSET_LIMIT, the gate every family built from edges passes, which
+    keeps it to about 17k entries; one flat list keeps k >= n-1 at the size
+    of at most two decoded edges.
+    """
+    total = _gated_kset_count(n, k)
+    w = n - k + 1
+    return total, w, [comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w)]
+
+
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
-    """Inverse of :func:`rank_colex` on the k-subsets of [n]."""
+    """Inverse of :func:`rank_colex` on the k-subsets of [n].
+
+    The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): from level
+    k down, a_i - 1 is the largest b with C(b, i) <= r, found by one
+    bisection of the tabulated column below the previous coordinate, and
+    C(b, i) is taken off r.  Raises ResourceLimitError when C(n,k) exceeds
+    FAMILY_KSET_LIMIT.
+    """
     if k < 0 or k > n:
         raise DomainError(f"unrank_colex: need 0 <= k <= n, got k={k}, n={n}")
-    if r < 0 or r >= binomial(n, k):
-        raise DomainError(f"rank {r} out of range [0, {binomial(n, k)}) at (n={n}, k={k})")
-    out = []
-    a = n
-    for i in range(k, 0, -1):
-        # largest a with C(a-1, i) <= r
-        while binomial(a - 1, i) > r:
-            a -= 1
-        out.append(a)
-        r -= binomial(a - 1, i)
-    return tuple(reversed(out))
+    total, w, columns = _colex_columns(n, k)
+    if r < 0 or r >= total:
+        raise DomainError(f"rank {r} out of range [0, {total}) at (n={n}, k={k})")
+    out = [0] * k
+    lo, hi = 0, w
+    for i in range(k, 1, -1):
+        at = bisect_right(columns, r, lo, hi) - 1
+        r -= columns[at]
+        out[i - 1] = at - lo + i
+        lo += w
+        hi = at + w + 1
+    if k:
+        out[0] = r + 1
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -121,11 +160,8 @@ class Family:
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Family":
         """The family of the given edges; C(n,k) is gated before any bit is set."""
-        if n >= 0 and binomial(n, k) > limits.FAMILY_KSET_LIMIT:
-            raise ResourceLimitError(
-                f"C(n,k) = C({n},{k}) = {binomial(n, k)} k-sets exceed "
-                f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}"
-            )
+        if n >= 0:
+            _gated_kset_count(n, k)
         bits = 0
         count = 0
         for e in edges:
@@ -214,10 +250,14 @@ def incidence(masks: Sequence[int], n: int) -> list[int]:
     return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
 
 
-def meets(through: Sequence[int], masks: Sequence[int]) -> list[int]:
-    """For each mask, the OR of its vertices' incidence bitsets in ``through``."""
-    out = [0] * len(masks)
-    for star, column in zip(through, incidence(masks, len(through))):
+def meets(through: Sequence[int], columns: Sequence[int], count: int) -> list[int]:
+    """For each of ``count`` masks, the OR of its vertices' bitsets in ``through``.
+
+    ``columns`` are the masks' own incidence bitsets (:func:`incidence`),
+    so one transposition serves both sides when a family meets itself.
+    """
+    out = [0] * count
+    for star, column in zip(through, columns):
         for i in iter_bits(column):
             out[i] |= star
     return out
@@ -235,9 +275,10 @@ def are_cross_intersecting(left: Family, right: Family) -> bool:
             f"cross-intersecting requires matching (n, k); "
             f"got ({left.n}, {left.k}) vs ({right.n}, {right.k})"
         )
-    lmasks = left.vertex_masks()
-    full = (1 << len(lmasks)) - 1
-    return all(m == full for m in meets(incidence(lmasks, left.n), right.vertex_masks()))
+    through = incidence(left.vertex_masks(), left.n)
+    columns = through if right is left else incidence(right.vertex_masks(), right.n)
+    full = (1 << left.edge_count) - 1
+    return all(m == full for m in meets(through, columns, right.edge_count))
 
 
 def degree(family: Family, subset: Iterable[int]) -> int:

@@ -7,13 +7,14 @@ suffices, with Bland's anti-cycling rule (entering: lowest eligible
 column index; leaving: lowest basic variable index among minimum-ratio
 rows), which terminates on every input.  The tableau is fraction-free
 (Edmonds 1967; Bareiss 1968): integer entries over one running
-denominator, the basis determinant, so pivots take no gcd and only the
-read-out of x and y divides.  The fractional cover is the LP dual: its
-vertex weights y are the final objective-row entries at the slack
-columns.  Every solve is checked by a primal–dual certificate (x a
-feasible matching, y a feasible cover, sum x = sum y), which by weak
-duality proves both optimal.  Problem sizes here are desk scale; no
-sparsity tricks are attempted.
+denominator, the basis determinant, so pivots take no gcd.  The
+fractional cover is the LP dual: its vertex weights y are the final
+objective-row entries at the slack columns.  Every solve is checked by a
+primal–dual certificate (x a feasible matching, y a feasible cover,
+sum x = sum y), which by weak duality proves both optimal; it is checked
+on the integer numerators over the final denominator, and only the
+weights of a checked solve become Fractions.  Problem sizes here are
+desk scale; no sparsity tricks are attempted.
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ def _pivot(tableau: list[list[int]], obj: list[int], row: int, col: int, d: int)
     obj[:] = [(p * a - f * b) // d for a, b in zip(obj, prow)]
 
 
-def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[Fraction], list[Fraction]]:
+def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], int]:
     """Maximize sum(x) subject to sum of x_e over e containing v <= 1, x >= 0.
 
     Columns are the edges in the given order, then one slack per vertex
     1..n.  The tableau holds integers; divided by d, the determinant of
     the current basis (the last pivot, 1 at the all-slack start), they
     give the true tableau.  d stays positive because every pivot is.
-    Returns the optimal x (one entry per edge) and the dual y (one entry
-    per vertex): obj[j] / d = y.A_j - c_j at the optimum, so y sits at
-    the slack columns.
+    Returns the numerators of the optimal x (one entry per edge) and of
+    the dual y (one entry per vertex) over their shared denominator d:
+    obj[j] / d = y.A_j - c_j at the optimum, so y sits at the slack columns.
     """
     e = len(edges)
     width = e + n
@@ -78,11 +79,11 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[Fraction], list[F
         _pivot(tableau, obj, leaving, entering, d)
         d = tableau[leaving][entering]
         basis[leaving] = entering
-    x = [Fraction(0)] * e
+    x = [0] * e
     for i, b in enumerate(basis):
         if b < e:
-            x[b] = Fraction(tableau[i][-1], d)
-    return x, [Fraction(a, d) for a in obj[e:width]]
+            x[b] = tableau[i][-1]
+    return x, obj[e:width], d
 
 
 @dataclass(frozen=True)
@@ -94,25 +95,31 @@ class FractionalSolution:
     objective: Fraction
 
 
-def _validate_matching_weights(family: Family, weights: dict[int, Fraction]) -> None:
-    load: dict[int, Fraction] = {}
+def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: int) -> None:
+    """The primal–dual certificate, in integers over the shared denominator
+    d > 0: x (numerators by edge rank) is a feasible matching, 0 <= x_e <= d
+    and every vertex load <= d; y (numerators by vertex) is a feasible
+    cover, 0 <= y_v <= d and every edge sum >= d; and sum x = sum y."""
+    load = [0] * (family.n + 1)
     for rank, edge in zip(family.edge_ranks(), family.edge_tuples()):
-        w = weights.get(rank, Fraction(0))
-        if not 0 <= w <= 1:
-            raise ContradictionError(f"matching weight {w} outside [0, 1]")
+        w = x[rank]
+        if not 0 <= w <= d:
+            raise ContradictionError(f"matching weight {Fraction(w, d)} outside [0, 1]")
         for v in edge:
-            load[v] = load.get(v, Fraction(0)) + w
-    if any(total > 1 for total in load.values()):
+            load[v] += w
+    if any(total > d for total in load):
         raise ContradictionError("fractional matching overloads a vertex")
-
-
-def _validate_cover_weights(family: Family, weights: dict[int, Fraction]) -> None:
-    for v, w in weights.items():
-        if not 0 <= w <= 1:
-            raise ContradictionError(f"cover weight {w} at vertex {v} outside [0, 1]")
+    for v, w in y.items():
+        if not 0 <= w <= d:
+            raise ContradictionError(f"cover weight {Fraction(w, d)} at vertex {v} outside [0, 1]")
     for edge in family.edge_tuples():
-        if sum(weights.get(v, Fraction(0)) for v in edge) < 1:
+        if sum(y[v] for v in edge) < d:
             raise ContradictionError(f"edge {edge} is not covered")
+    nu, tau = sum(x.values()), sum(y.values())
+    if nu != tau:
+        raise ContradictionError(
+            f"duality gap: matching {Fraction(nu, d)} != cover {Fraction(tau, d)}"
+        )
 
 
 def _check_lp_size(family: Family, limit: int | None) -> None:
@@ -129,20 +136,17 @@ def fractional_pair(
     """(maximum fractional matching, minimum fractional cover) from one
     packing LP solve, returned only once their primal–dual certificate holds."""
     _check_lp_size(family, limit)
-    x, y = _solve_packing(family.edge_tuples(), family.n)
-    matching = FractionalSolution(
-        "matching", dict(zip(family.edge_ranks(), x)), sum(x, Fraction(0))
-    )
-    cover = FractionalSolution(
-        "cover", {v: y[v - 1] for v in range(1, family.n + 1)}, sum(y, Fraction(0))
-    )
-    _validate_matching_weights(family, matching.weights)
-    _validate_cover_weights(family, cover.weights)
-    if matching.objective != cover.objective:
-        raise ContradictionError(
-            f"duality gap: matching {matching.objective} != cover {cover.objective}"
-        )
-    return matching, cover
+    x, y, d = _solve_packing(family.edge_tuples(), family.n)
+    xs = dict(zip(family.edge_ranks(), x))
+    ys = dict(zip(range(1, family.n + 1), y))
+    _check_certificate(family, xs, ys, d)
+    return _over("matching", xs, d), _over("cover", ys, d)
+
+
+def _over(kind: str, numerators: dict[int, int], d: int) -> FractionalSolution:
+    """The checked numerators as weights over d."""
+    weights = {key: Fraction(a, d) for key, a in numerators.items()}
+    return FractionalSolution(kind, weights, Fraction(sum(numerators.values()), d))
 
 
 def fractional_matching(family: Family, limit: int | None = None) -> FractionalSolution:

@@ -56,10 +56,10 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
     family; the ranks meeting rank r are the OR of the stars of its
     vertices, and ``meet[r]`` leaves r itself out.
     """
-    full = (1 << binomial(n, k)) - 1
-    masks = Family.from_ranks(n, k, full).vertex_masks()
-    stars = incidence(masks, n)
-    reach = meets(stars, masks)
+    count = binomial(n, k)
+    full = (1 << count) - 1
+    stars = incidence(Family.from_ranks(n, k, full).vertex_masks(), n)
+    reach = meets(stars, stars, count)
     meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
     return tuple(stars), meet, tuple(full ^ m for m in reach)
 

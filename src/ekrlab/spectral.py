@@ -78,9 +78,9 @@ def disjoint_pairs(family: Family) -> int:
     e - |meet_i| others, and the sum counts every pair twice.  At k = 0
     there is at most the one empty edge, and 1 // 2 = 0.
     """
-    masks = family.vertex_masks()
-    reach = meets(incidence(masks, family.n), masks)
-    return sum(len(masks) - m.bit_count() for m in reach) // 2
+    columns = incidence(family.vertex_masks(), family.n)
+    e = family.edge_count
+    return sum(e - m.bit_count() for m in meets(columns, columns, e)) // 2
 
 
 def quadratic_form(family: Family) -> int:

@@ -1,6 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive: Pascal recursion for binomials,
+a linear walk down the ground set for colex unranking,
 exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
 lemma, full powerset filtering for maximal families, a ``Fraction``
@@ -15,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -27,6 +29,19 @@ def pascal_binomial(n: int, r: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[r]
+
+
+def linear_unrank(r: int, k: int, n: int) -> tuple[int, ...]:
+    """The k-subset of [n] of colex rank r, walking a down from n and
+    taking the largest a with C(a-1, i) <= r at each level i = k..1."""
+    out = []
+    a = n
+    for i in range(k, 0, -1):
+        while comb(a - 1, i) > r:
+            a -= 1
+        out.append(a)
+        r -= comb(a - 1, i)
+    return tuple(reversed(out))
 
 
 def brute_matching_number(edges: list[tuple[int, ...]]) -> int:

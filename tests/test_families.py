@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import ekrlab.families
 from ekrlab.certificates import cross_certificate, ekr_certificate, simplex_witness
-from ekrlab.errors import DomainError
+from ekrlab import limits
+from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import (
     Family,
     are_cross_intersecting,
@@ -31,6 +32,7 @@ from ekrlab.spectral import disjoint_pairs
 
 from conftest import random_family, random_family_edge_count, small_families
 from oracles import (
+    linear_unrank,
     pairwise_are_cross_intersecting,
     pairwise_disjoint_pairs,
     pairwise_is_intersecting,
@@ -73,10 +75,48 @@ def test_rank_unrank_bijection(n, k):
 
 
 def test_unrank_out_of_range():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^rank 35 out of range \[0, 35\) at \(n=7, k=3\)$"):
         unrank_colex(binomial(7, 3), 3, 7)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^rank -1 out of range \[0, 35\) at \(n=7, k=3\)$"):
         unrank_colex(-1, 3, 7)
+    with pytest.raises(DomainError) as bad_k:
+        unrank_colex(0, 4, 3)
+    assert str(bad_k.value) == "unrank_colex: need 0 <= k <= n, got k=4, n=3"
+
+
+def test_unrank_matches_linear_walk_on_every_rank_up_to_n_20():
+    for n in range(21):
+        for k in range(n + 1):
+            ranks = range(binomial(n, k))
+            assert [unrank_colex(r, k, n) for r in ranks] == [linear_unrank(r, k, n) for r in ranks]
+
+
+def test_unrank_matches_linear_walk_on_random_ranks_below_n_60():
+    rng = random.Random(60)
+    for n in range(21, 60):
+        for k in range(n + 1):
+            total = binomial(n, k)
+            if total > limits.FAMILY_KSET_LIMIT:
+                continue
+            for r in {0, total - 1, *(rng.randrange(total) for _ in range(20))}:
+                assert unrank_colex(r, k, n) == linear_unrank(r, k, n)
+
+
+def test_unrank_is_gated_like_families():
+    cap = limits.FAMILY_KSET_LIMIT
+    assert binomial(5793, 2) <= cap < binomial(5794, 2)
+    assert unrank_colex(binomial(5793, 2) - 1, 2, 5793) == (5792, 5793)
+    for r, k, n in [(0, 2, 5794), (0, 1, cap + 1), (0, 20, 40)]:
+        with pytest.raises(ResourceLimitError, match="FAMILY_KSET_LIMIT"):
+            unrank_colex(r, k, n)
+    with pytest.raises(ResourceLimitError):
+        Family.from_ranks(40, 20, 1).edge_tuples()
+    # k = 1 decodes by a closed form, with no column of n entries
+    assert unrank_colex(cap - 1, 1, cap) == (cap,)
+    assert ekrlab.families._colex_columns(cap, 1) == (cap, cap, [])
+    # at k >= n - 1 the table is no larger than two decoded edges
+    assert len(ekrlab.families._colex_columns(5000, 5000)[2]) == 4999
+    assert len(ekrlab.families._colex_columns(5000, 4999)[2]) == 2 * 4998
 
 
 def test_is_intersecting():
@@ -183,11 +223,11 @@ def test_incidence_and_meets_of_a_small_family():
     fam = Family.from_edges(5, 2, [(1, 2), (2, 3), (4, 5)])  # colex: 12, 23, 45
     through = incidence(fam.vertex_masks(), 5)
     assert through == [0b001, 0b011, 0b010, 0b100, 0b100]
-    assert meets(through, fam.vertex_masks()) == [0b011, 0b011, 0b100]
+    assert meets(through, through, 3) == [0b011, 0b011, 0b100]
     # the complete family's incidence bitsets are the stars
     full = complete(6, 3)
     assert incidence(full.vertex_masks(), 6) == [star(6, 3, v).edges for v in range(1, 7)]
-    assert incidence([], 3) == [0, 0, 0] and meets([0, 0, 0], []) == []
+    assert incidence([], 3) == [0, 0, 0] and meets([0, 0, 0], [0, 0, 0], 0) == []
 
 
 def _check_meet_predicates(fam: Family, other: Family) -> None:
@@ -264,7 +304,12 @@ def ranked_ksets(draw):
 @given(ranked_ksets())
 def test_rank_unrank_round_trip_property(nkr):
     n, k, r = nkr
+    if binomial(n, k) > limits.FAMILY_KSET_LIMIT:
+        with pytest.raises(ResourceLimitError):
+            unrank_colex(r, k, n)
+        return
     s = unrank_colex(r, k, n)
+    assert s == linear_unrank(r, k, n)
     assert len(s) == k
     assert all(1 <= a < b <= n for a, b in zip(s, s[1:]))
     assert not s or 1 <= s[0] and s[-1] <= n
@@ -301,6 +346,23 @@ def _count_unranks(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ekrlab.families, "unrank_colex", counting)
     return calls
+
+
+def test_decoding_with_a_built_table_computes_no_binomial(monkeypatch):
+    rng = random.Random(543)
+    random_family_edge_count(rng, 54, 3, 1230).edge_tuples()
+    fam = random_family_edge_count(rng, 54, 3, 1230)
+    calls = [0]
+    for name in ("binomial", "comb"):
+        original = getattr(ekrlab.families, name)
+
+        def counting(*args, original=original):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ekrlab.families, name, counting)
+    assert len(fam.edge_tuples()) == len(fam.vertex_masks()) == 1230
+    assert calls[0] == 0
 
 
 def test_ekr_certificate_decodes_each_edge_once(monkeypatch):

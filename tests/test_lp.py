@@ -124,17 +124,19 @@ def test_lp_pair_property(fam):
     assert abs(float(nu.objective) - fractional_matching_value(fam.n, fam.edge_tuples())) < 1e-9
 
 
-@pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(-1, 3)])
-def test_failed_certificate_is_a_contradiction(delta, tmp_path, monkeypatch, capsys):
-    # an overweight cover leaves a duality gap; an underweight one misses edges
+@pytest.mark.parametrize(
+    "delta, message", [(1, "duality gap"), (-1, "is not covered")], ids=["gap", "uncovered"]
+)
+def test_failed_certificate_is_a_contradiction(delta, message, tmp_path, monkeypatch, capsys):
+    # one more on a cover numerator leaves a duality gap; one less uncovers an edge
     solve = lp._solve_packing
 
     def perturbed(edges, n):
-        x, y = solve(edges, n)
-        return x, [y[0] + delta] + y[1:]
+        x, y, d = solve(edges, n)
+        return x, [y[0] + delta] + y[1:], d
 
     monkeypatch.setattr(lp, "_solve_packing", perturbed)
-    with pytest.raises(ContradictionError):
+    with pytest.raises(ContradictionError, match=message):
         fractional_cover(fano())
     path = tmp_path / "fano.json"
     path.write_bytes(serialize_family(fano()))
@@ -202,9 +204,9 @@ def count_pivots(monkeypatch, families):
 
 def assert_same_as_fraction_tableau(fam):
     edges = fam.edge_tuples()
-    x, y = lp._solve_packing(edges, fam.n)
-    assert (x, y) == fraction_packing(edges, fam.n)
-    assert all(type(w) is Fraction for w in x + y)
+    x, y, d = lp._solve_packing(edges, fam.n)
+    assert d > 0 and all(type(a) is int for a in x + y)
+    assert ([Fraction(a, d) for a in x], [Fraction(a, d) for a in y]) == fraction_packing(edges, fam.n)
 
 
 @pytest.mark.parametrize("name", PINNED_LPS)
