@@ -88,7 +88,7 @@ def _gated_kset_count(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _colex_columns(n: int, k: int) -> tuple[int, int, list[int]]:
+def _colex_columns(n: int, k: int) -> tuple[int, int, tuple[int, ...]]:
     """(C(n,k), w, columns) for unranking the k-subsets of [n]; w = n - k + 1.
 
     The level-i coordinate b = a_i - 1 of a k-subset lies in [i-1, n-k+i-1],
@@ -96,12 +96,12 @@ def _colex_columns(n: int, k: int) -> tuple[int, int, list[int]]:
     levels i = k..2, ascending within each level.  Level 1 needs no column:
     C(b,1) = b.  The table is refused with ResourceLimitError above
     FAMILY_KSET_LIMIT, the gate every family built from edges passes, which
-    keeps it to about 17k entries; one flat list keeps k >= n-1 at the size
+    keeps it to about 17k entries; one flat tuple keeps k >= n-1 at the size
     of at most two decoded edges.
     """
     total = _gated_kset_count(n, k)
     w = n - k + 1
-    return total, w, [comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w)]
+    return total, w, tuple(comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w))
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:

@@ -113,7 +113,7 @@ def test_unrank_is_gated_like_families():
         Family.from_ranks(40, 20, 1).edge_tuples()
     # k = 1 decodes by a closed form, with no column of n entries
     assert unrank_colex(cap - 1, 1, cap) == (cap,)
-    assert ekrlab.families._colex_columns(cap, 1) == (cap, cap, [])
+    assert ekrlab.families._colex_columns(cap, 1) == (cap, cap, ())
     # at k >= n - 1 the table is no larger than two decoded edges
     assert len(ekrlab.families._colex_columns(5000, 5000)[2]) == 4999
     assert len(ekrlab.families._colex_columns(5000, 4999)[2]) == 2 * 4998

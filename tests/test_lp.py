@@ -206,7 +206,8 @@ def assert_same_as_fraction_tableau(fam):
     edges = fam.edge_tuples()
     x, y, d = lp._solve_packing(edges, fam.n)
     assert d > 0 and all(type(a) is int for a in x + y)
-    assert ([Fraction(a, d) for a in x], [Fraction(a, d) for a in y]) == fraction_packing(edges, fam.n)
+    over_d = [Fraction(a, d) for a in x], [Fraction(a, d) for a in y]
+    assert over_d == fraction_packing(edges, fam.n)
 
 
 @pytest.mark.parametrize("name", PINNED_LPS)
