@@ -72,8 +72,11 @@ def rank_colex(s: KSubset) -> int:
     The rank of {a_1 < ... < a_k} is sum_i C(a_i - 1, i); it does not
     depend on the ground-set size.  {1, ..., k} has rank 0.
     """
-    s = validate_ksubset(s)
-    return sum(binomial(a - 1, i) for i, a in enumerate(s, start=1))
+    return _rank_validated(validate_ksubset(s))
+
+
+def _rank_validated(s: KSubset) -> int:
+    return sum(comb(a - 1, i) for i, a in enumerate(s, start=1))
 
 
 def _gated_kset_count(n: int, k: int) -> int:
@@ -168,7 +171,7 @@ class Family:
             s = validate_ksubset(e, n)
             if len(s) != k:
                 raise DomainError(f"edge {s} has size {len(s)}, expected {k}")
-            bit = 1 << rank_colex(s)
+            bit = 1 << _rank_validated(s)
             if bits & bit:
                 raise DomainError(f"duplicate edge {s}")
             bits |= bit
@@ -220,13 +223,13 @@ class Family:
         s = validate_ksubset(elements, self.n)
         if len(s) != self.k:
             return False
-        return bool(self.edges >> rank_colex(s) & 1)
+        return bool(self.edges >> _rank_validated(s) & 1)
 
     def with_edge(self, elements: Iterable[int]) -> "Family":
         s = validate_ksubset(elements, self.n)
         if len(s) != self.k:
             raise DomainError(f"edge {s} has size {len(s)}, expected {self.k}")
-        return Family.from_ranks(self.n, self.k, self.edges | (1 << rank_colex(s)))
+        return Family.from_ranks(self.n, self.k, self.edges | (1 << _rank_validated(s)))
 
     def without_rank(self, rank: int) -> "Family":
         return Family.from_ranks(self.n, self.k, self.edges & ~(1 << rank))

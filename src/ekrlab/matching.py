@@ -15,8 +15,9 @@ matching of size s is assembled by one of three moves per level:
 
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
-Edge sets are bitsets over edge indices; degrees are popcounts against
-the per-vertex incidence bitsets.
+Edge sets are bitsets over edge indices and degrees are popcounts against
+per-vertex incidence bitsets.  The constructive algorithm decodes its family
+once and deletes a vertex by clearing its bitset; no edge is relabelled.
 """
 
 from __future__ import annotations
@@ -142,22 +143,28 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
             raise DomainError(
                 f"vertex {v} has degree {deg[v - 1]} <= 2(s-1)C(n-2,k-2) = {need}"
             )
-
-    edges = family.edge_tuples()
     masks = family.vertex_masks()
-    inc = incidence(masks, n)
-    seen = shared = 0  # shared: edges through two or more of the vertices
-    for v in vs:
-        shared |= seen & inc[v - 1]
-        seen |= inc[v - 1]
-    through = [list(iter_bits(inc[v - 1] & ~shared)) for v in vs]
+    chosen = _rainbow(masks, incidence(masks, n), (1 << len(masks)) - 1, vs)
+    edges = family.edge_tuples()
+    return Matching.from_family(family, [edges[i] for i in chosen])
 
+
+def _rainbow(
+    masks: Sequence[int], through: Sequence[int], avail: int, vertices: Sequence[int]
+) -> list[int]:
+    """Indices of disjoint edges of ``avail``, the i-th through ``vertices[i]``
+    and no other of them; exhaustion raises ContradictionError."""
+    seen = shared = 0
+    for v in vertices:
+        shared |= seen & through[v - 1]
+        seen |= through[v - 1]
+    candidates = [list(iter_bits(avail & through[v - 1] & ~shared)) for v in vertices]
     chosen: list[int] = []
 
     def place(level: int, used: int) -> bool:
-        if level == s:
+        if level == len(candidates):
             return True
-        for i in through[level]:
+        for i in candidates[level]:
             if not masks[i] & used:
                 chosen.append(i)
                 if place(level + 1, used | masks[i]):
@@ -169,20 +176,11 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
         raise ContradictionError(
             "complete rainbow search exhausted although the degree hypothesis holds"
         )
-    return Matching.from_family(family, [edges[i] for i in chosen])
+    return chosen
 
 
 def _degree_threshold(n: int, k: int, s: int) -> int:
     return binomial(n - 1, k - 1) - binomial(n - s, k - 1)
-
-
-def _delete_vertex(family: Family, v: int) -> Family:
-    """Edges avoiding v, relabeled onto [n-1] order-preservingly."""
-    kept = []
-    for e in family.edge_tuples():
-        if v not in e:
-            kept.append(tuple(u if u < v else u - 1 for u in e))
-    return Family.from_edges(family.n - 1, family.k, kept)
 
 
 def find_matching_by_degree(
@@ -195,12 +193,14 @@ def find_matching_by_degree(
     level, which branch fired and on what threshold evidence.  With
     ``strict=False`` an input outside the hypothesis region falls back to
     the exact branch-and-bound solver and the trace carries an
-    ``outside-guarantee`` marker instead of raising; a negative s raises
-    DomainError either way.
+    ``outside-guarantee`` marker instead of raising; a negative s, or
+    ks > n, where no s disjoint k-sets fit, raises DomainError either way.
     """
     if s < 0:
         raise DomainError(f"matching size must be nonnegative, got s={s}")
     n, k = family.n, family.k
+    if k * s > n:
+        raise DomainError(f"no {s} disjoint {k}-sets fit on n = {n} vertices: ks = {k * s} > n")
     threshold = _degree_threshold(n, k, s)
     inside = n >= 3 * k * k * s and min_degree(family, 1) > threshold
     if not inside:
@@ -215,77 +215,73 @@ def find_matching_by_degree(
         trace = [{"s": s, "branch": "outside-guarantee", "nu": nu}]
         return Matching.from_family(family, witness.edges[:s]), trace
 
-    edges, trace = _construct(family, s)
-    return Matching.from_family(family, edges), trace
-
-
-def _first_disjoint_pair(family: Family) -> list[KSubset] | None:
-    masks = family.vertex_masks()
     edges = family.edge_tuples()
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if not masks[i] & masks[j]:
-                return [edges[i], edges[j]]
-    return None
+    chosen, trace = _construct(family, s)
+    return Matching.from_family(family, [edges[i] for i in chosen]), trace
 
 
-def _construct(family: Family, s: int) -> tuple[list[KSubset], list[dict]]:
-    n, k = family.n, family.k
+def _construct(family: Family, s: int) -> tuple[list[int], list[dict]]:
+    """Edge indices of the matching and the trace, top level first.
+
+    A level is an edge-index bitset ``avail`` on the sorted surviving
+    vertices ``alive``; the trace names a vertex by its position in
+    ``alive``, the order-preserving relabelling, which keeps colex order.
+    """
+    masks = family.vertex_masks()
     if s <= 0:
         return [], [{"s": s, "branch": "empty"}]
-    edges = family.edge_tuples()
     if s == 1:
-        if not edges:
+        if not masks:
             raise ContradictionError("positive minimum degree but no edges")
-        return [edges[0]], [{"s": 1, "branch": "single-edge"}]
-    if s == 2:
-        pair = _first_disjoint_pair(family)
-        if pair is None:
-            raise ContradictionError(
-                "no two disjoint edges although the degree hypothesis holds"
-            )
-        return pair, [{"s": 2, "branch": "pair-scan"}]
-
-    deg = vertex_degrees(family)
-    pair_bound = binomial(n - 2, k - 2)
-    high = k * (s - 1) * pair_bound
-    vmax = 1 + max(range(n), key=lambda i: deg[i])
-    if deg[vmax - 1] > high:
-        sub = _delete_vertex(family, vmax)
-        if min_degree(sub, 1) <= _degree_threshold(n - 1, k, s - 1):
-            raise ContradictionError("vertex deletion lost the degree hypothesis")
-        sub_edges, sub_trace = _construct(sub, s - 1)
-        lifted = [tuple(u if u < vmax else u + 1 for u in e) for e in sub_edges]
-        used = {v for e in lifted for v in e}
-        extension = next(
-            (e for e in edges if vmax in e and not used.intersection(e)), None
-        )
-        if extension is None:
-            raise ContradictionError(
-                "high-degree vertex could not be extended past the partial matching"
-            )
-        entry = {"s": s, "branch": "high-degree-vertex", "vertex": vmax,
-                 "degree": deg[vmax - 1], "threshold": high}
-        return lifted + [extension], [entry] + sub_trace
-
-    order = sorted(range(n), key=lambda i: (-deg[i], i))
-    top = [i + 1 for i in order[:s]]
-    rainbow_bound = 2 * (s - 1) * pair_bound
-    if deg[top[-1] - 1] > rainbow_bound:
-        matching = rainbow_extension(family, top)
-        entry = {"s": s, "branch": "rainbow", "vertices": top,
-                 "threshold": rainbow_bound}
-        return list(matching.edges), [entry]
-
-    sub_edges, sub_trace = _construct(family, s - 1)
-    used = {v for e in sub_edges for v in e}
-    extension = next((e for e in edges if not used.intersection(e)), None)
-    if extension is None:
-        raise ContradictionError(
-            "edge count comparison failed: no edge avoids the partial matching"
-        )
-    entry = {"s": s, "branch": "greedy-extension", "threshold": rainbow_bound}
-    return sub_edges + [extension], [entry] + sub_trace
+        return [0], [{"s": 1, "branch": "single-edge"}]
+    k, avail = family.k, (1 << len(masks)) - 1
+    trace: list[dict] = []
+    pending: list[int] = []  # candidate edges of each level that extends, top first
+    if s >= 3:
+        through = incidence(masks, family.n)
+        alive, deg = list(range(1, family.n + 1)), vertex_degrees(family)
+    while s >= 3:
+        n = len(alive)
+        pair_bound = binomial(n - 2, k - 2)
+        high = k * (s - 1) * pair_bound
+        p = deg.index(max(deg))
+        if deg[p] > high:
+            star = through[alive[p] - 1]
+            pending.append(avail & star)
+            trace.append({"s": s, "branch": "high-degree-vertex", "vertex": p + 1,
+                          "degree": deg[p], "threshold": high})
+            avail &= ~star
+            del alive[p]
+            deg = [(avail & through[u - 1]).bit_count() for u in alive]
+            s -= 1
+            if min(deg, default=0) <= _degree_threshold(n - 1, k, s):
+                raise ContradictionError("vertex deletion lost the degree hypothesis")
+            continue
+        order = sorted(range(n), key=lambda i: (-deg[i], i))
+        rainbow_bound = 2 * (s - 1) * pair_bound
+        if deg[order[s - 1]] > rainbow_bound:
+            chosen = _rainbow(masks, through, avail, [alive[i] for i in order[:s]])
+            trace.append({"s": s, "branch": "rainbow", "vertices": [i + 1 for i in order[:s]],
+                          "threshold": rainbow_bound})
+            break
+        pending.append(avail)
+        trace.append({"s": s, "branch": "greedy-extension", "threshold": rainbow_bound})
+        s -= 1
+    else:  # early exit: on a family this dense the first edges meet a partner
+        # (avail & -(2 << i) keeps the edges after edge i)
+        chosen = next(([i, j] for i in iter_bits(avail) for j in iter_bits(avail & -(2 << i))
+                       if not masks[i] & masks[j]), None)
+        if chosen is None:
+            raise ContradictionError("no two disjoint edges although the degree hypothesis holds")
+        trace.append({"s": 2, "branch": "pair-scan"})
+    used = sum(masks[i] for i in chosen)  # disjoint masks: their sum is their union
+    for candidates, entry in zip(reversed(pending), trace[-2::-1]):
+        i = next((i for i in iter_bits(candidates) if not masks[i] & used), None)
+        if i is None:
+            raise ContradictionError(f"{entry['branch']}: no edge avoids the partial matching")
+        chosen.append(i)
+        used |= masks[i]
+    return chosen, trace
 
 
 def reduce_cover(family: Family, cover: FractionalSolution) -> Family:

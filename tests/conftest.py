@@ -70,6 +70,29 @@ def random_family_min_degree(rng: random.Random, n: int, k: int, target: int) ->
     return Family.from_edges(n, k, sorted(chosen))
 
 
+def random_family_near_regular(rng: random.Random, n: int, k: int, target: int) -> Family:
+    """Random family in which every vertex degree reaches ``target`` and few pass it.
+
+    Each new edge takes a random vertex below ``target`` and k - 1 more from
+    the other vertices below it; once fewer than 2k are below, from all
+    other vertices, so the last deficits can always be filled.
+    """
+    chosen: set[tuple[int, ...]] = set()
+    deg = [0] * (n + 1)
+    while True:
+        low = [v for v in range(1, n + 1) if deg[v] < target]
+        if not low:
+            break
+        v = rng.choice(low)
+        pool = low if len(low) >= 2 * k else range(1, n + 1)
+        edge = tuple(sorted([v] + rng.sample([u for u in pool if u != v], k - 1)))
+        if edge not in chosen:
+            chosen.add(edge)
+            for u in edge:
+                deg[u] += 1
+    return Family.from_edges(n, k, sorted(chosen))
+
+
 @st.composite
 def small_families(draw, n: int | None = None, k: int | None = None, max_edges: int = 14):
     """Families with n <= 10 and k <= 4, k = 0 and empty families included.

@@ -6,8 +6,9 @@ exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
 lemma, full powerset filtering for maximal families, a ``Fraction``
 tableau simplex for the packing LP, pair-by-pair loops for the meet
-predicates and the Kneser tables, per-edge degree counts, and a
-branch-and-bound matching search on lists of vertex masks.
+predicates and the Kneser tables, per-edge degree counts, a
+branch-and-bound matching search on lists of vertex masks, and the
+degree-driven constructive matching that rebuilds and relabels each level.
 None of it shares code with the library paths it checks.
 """
 
@@ -432,3 +433,86 @@ def mask_list_matching_number(
     recurse(masks)
     lookup = dict(zip(masks, edges))
     return len(best), [lookup[m] for m in best], nodes
+
+
+def _extended_comb(n: int, r: int) -> int:
+    return comb(n, r) if 0 <= r <= n else 0
+
+
+def tuple_matching_by_degree(
+    edges: list[tuple[int, ...]], n: int, k: int, s: int
+) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """(matching edges, trace) of the degree-driven constructive matching,
+    on edge-tuple lists.
+
+    The same branches, thresholds, tie-breaks and trace entries as
+    ``matching.find_matching_by_degree`` inside its hypothesis region, but
+    every level rebuilds the family without the deleted vertex, relabels
+    it onto [n-1] and lifts the sub-matching back, the rainbow placement
+    runs on tuple sets, and the pair scan tests pair by pair.  ``edges``
+    must be in colex order, as ``Family.edge_tuples``; an order-preserving
+    relabelling keeps that order.  A failed step raises AssertionError.
+    """
+    if s <= 0:
+        return [], [{"s": s, "branch": "empty"}]
+    if s == 1:
+        assert edges, "positive minimum degree but no edges"
+        return [edges[0]], [{"s": 1, "branch": "single-edge"}]
+    if s == 2:
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                if not set(edges[i]).intersection(edges[j]):
+                    return [edges[i], edges[j]], [{"s": 2, "branch": "pair-scan"}]
+        raise AssertionError("no two disjoint edges")
+
+    deg = [0] * n
+    for e in edges:
+        for v in e:
+            deg[v - 1] += 1
+    pair_bound = _extended_comb(n - 2, k - 2)
+    high = k * (s - 1) * pair_bound
+    vmax = 1 + max(range(n), key=lambda i: deg[i])
+    if deg[vmax - 1] > high:
+        sub = [tuple(u if u < vmax else u - 1 for u in e) for e in edges if vmax not in e]
+        sub_deg = [0] * (n - 1)
+        for e in sub:
+            for v in e:
+                sub_deg[v - 1] += 1
+        lost = _extended_comb(n - 2, k - 1) - _extended_comb(n - s, k - 1)
+        assert min(sub_deg, default=0) > lost, "vertex deletion lost the degree hypothesis"
+        sub_edges, sub_trace = tuple_matching_by_degree(sub, n - 1, k, s - 1)
+        lifted = [tuple(u if u < vmax else u + 1 for u in e) for e in sub_edges]
+        used = {v for e in lifted for v in e}
+        extension = next(e for e in edges if vmax in e and not used.intersection(e))
+        entry = {"s": s, "branch": "high-degree-vertex", "vertex": vmax,
+                 "degree": deg[vmax - 1], "threshold": high}
+        return lifted + [extension], [entry] + sub_trace
+
+    order = sorted(range(n), key=lambda i: (-deg[i], i))
+    top = [i + 1 for i in order[:s]]
+    rainbow_bound = 2 * (s - 1) * pair_bound
+    if deg[top[-1] - 1] > rainbow_bound:
+        only = [[e for e in edges if v in e and not any(w in e for w in top if w != v)]
+                for v in top]
+        chosen: list[tuple[int, ...]] = []
+
+        def place(level: int, used: set[int]) -> bool:
+            if level == s:
+                return True
+            for e in only[level]:
+                if not used.intersection(e):
+                    chosen.append(e)
+                    if place(level + 1, used | set(e)):
+                        return True
+                    chosen.pop()
+            return False
+
+        assert place(0, set()), "rainbow search exhausted"
+        entry = {"s": s, "branch": "rainbow", "vertices": top, "threshold": rainbow_bound}
+        return chosen, [entry]
+
+    sub_edges, sub_trace = tuple_matching_by_degree(edges, n, k, s - 1)
+    used = {v for e in sub_edges for v in e}
+    extension = next(e for e in edges if not used.intersection(e))
+    entry = {"s": s, "branch": "greedy-extension", "threshold": rainbow_bound}
+    return sub_edges + [extension], [entry] + sub_trace

@@ -382,6 +382,23 @@ def test_fractional_cover_decodes_each_edge_once(monkeypatch):
     assert calls[0] == fam.edge_count == 24
 
 
+def test_edges_are_validated_once(monkeypatch):
+    calls = [0]
+    original = ekrlab.families.validate_ksubset
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    edges = complete(9, 3).edge_tuples()
+    monkeypatch.setattr(ekrlab.families, "validate_ksubset", counting)
+    fam = Family.from_edges(9, 3, edges)
+    assert calls[0] == len(edges) == 84
+    assert fam.has_edge((7, 8, 9)) and calls[0] == 85
+    assert fam.without_rank(0).with_edge((1, 2, 3)) == fam and calls[0] == 86
+    assert rank_colex((7, 8, 9)) == 83 and calls[0] == 87
+
+
 def test_vertex_degrees_are_fresh_copies():
     fam = star(7, 3, 2)
     vertex_degrees(fam)[1] = 0

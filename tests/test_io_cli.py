@@ -224,6 +224,16 @@ def test_cli_construct_degree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_construct_degree_rejects_more_edges_than_fit(tmp_path, capsys):
+    out = str(tmp_path / "c.json")
+    dispatch(["construct", "complete", "--n", "12", "--k", "2", "--out", out])
+    capsys.readouterr()
+    assert dispatch(["matching", out, "--construct-degree", "100"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no 100 disjoint 2-sets fit on n = 12 vertices: ks = 200 > n\n"
+    )
+
+
 def test_cli_scan_conjecture_deterministic(capsys):
     args = ["scan", "conjecture", "--n", "7", "--k", "3", "--s", "2",
             "--budget", "150", "--seed", "8", "--json"]

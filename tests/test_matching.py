@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ekrlab.matching
 from ekrlab import limits
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, min_degree, vertex_degrees
@@ -20,8 +22,13 @@ from ekrlab.matching import (
     reduce_cover,
 )
 
-from conftest import random_family_edge_count, random_family_min_degree, small_families
-from oracles import brute_matching_number, mask_list_matching_number
+from conftest import (
+    random_family_edge_count,
+    random_family_min_degree,
+    random_family_near_regular,
+    small_families,
+)
+from oracles import brute_matching_number, mask_list_matching_number, tuple_matching_by_degree
 
 
 def assert_valid_matching(fam, matching):
@@ -193,6 +200,8 @@ def test_find_matching_rejects_negative_size():
     for strict in (True, False):
         with pytest.raises(DomainError):
             find_matching_by_degree(complete(40, 2), -1, strict=strict)
+        with pytest.raises(DomainError, match="no 21 disjoint 2-sets fit on n = 40"):
+            find_matching_by_degree(complete(40, 2), 21, strict=strict)
     matching, trace = find_matching_by_degree(star(9, 2, 1), 0, strict=False)
     assert len(matching) == 0 and trace == [{"s": 0, "branch": "empty"}]
 
@@ -209,9 +218,13 @@ def test_find_matching_fallback():
 def test_trace_replay():
     """Replaying the recorded branches against degree profiles reproduces them."""
     rng = random.Random(54)
-    for _ in range(5):
-        fam = random_family_min_degree(rng, 37, 2, 3)
-        _, trace = find_matching_by_degree(fam, 3)
+    cases = [(random_family_min_degree(rng, 37, 2, 3), 3) for _ in range(5)]
+    # at k = 2 the high-degree and rainbow thresholds coincide; at k = 3 rainbow fires
+    cases.append((random_family_near_regular(random.Random(55), 81, 3, 330), 3))
+    seen = set()
+    for fam, s in cases:
+        _, trace = find_matching_by_degree(fam, s)
+        seen.update(step["branch"] for step in trace)
         current = fam
         for step in trace:
             s = step["s"]
@@ -235,6 +248,54 @@ def test_trace_replay():
             else:
                 assert step["branch"] == "greedy-extension"
                 assert max(deg) <= high
+    assert {"high-degree-vertex", "rainbow"} <= seen
+
+
+def _heavy_vertex_family(rng):
+    """(108,3,4): vertex 54 has degree 1000, and once it is deleted every
+    other degree lies in 450..457, above the rainbow bound 420 at s = 3."""
+    rest = random_family_near_regular(rng, 107, 3, 450).edge_tuples()
+    others = [v for v in range(1, 109) if v != 54]
+    heavy = [(54,) + pair for pair in rng.sample(list(combinations(others, 2)), 1000)]
+    return Family.from_edges(108, 3, [tuple(u + (u >= 54) for u in e) for e in rest] + heavy)
+
+
+def test_construct_matches_tuple_oracle():
+    """Bitset levels give the matching and trace of the relabel-and-lift recursion."""
+    rng = random.Random(61)
+    high = "high-degree-vertex"
+    cases = [
+        (random_family_min_degree(rng, 37, 2, 3), 3, [high, "pair-scan"]),
+        (random_family_min_degree(rng, 48, 2, 4), 4, [high, high, "pair-scan"]),
+        (random_family_min_degree(rng, 60, 2, 5), 5, [high, high, high, "pair-scan"]),
+        (random_family_min_degree(rng, 54, 3, 53), 2, ["pair-scan"]),
+        (random_family_near_regular(rng, 81, 3, 330), 3, ["rainbow"]),
+        (random_family_near_regular(rng, 81, 3, 158), 3, ["greedy-extension", "pair-scan"]),
+        (_heavy_vertex_family(rng), 4, [high, "rainbow"]),
+    ]
+    for fam, s, branches in cases:
+        matching, trace = find_matching_by_degree(fam, s)
+        assert [step["branch"] for step in trace] == branches
+        expected = tuple_matching_by_degree(fam.edge_tuples(), fam.n, fam.k, s)
+        assert repr((list(matching.edges), trace)) == repr(expected)
+    # the rainbow vertices above the deleted vertex 54 are named by relabelled id
+    assert trace[0]["vertex"] == 54 and max(trace[1]["vertices"]) >= 54
+
+
+def test_construct_transposes_once_and_only_from_s_3(monkeypatch):
+    calls = [0]
+    original = ekrlab.matching.incidence
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(ekrlab.matching, "incidence", counting)
+    for fam, s, transposes in [(complete(60, 2), 5, 1), (complete(24, 2), 2, 0),
+                               (complete(12, 2), 1, 0)]:
+        calls[0] = 0
+        find_matching_by_degree(fam, s)
+        assert calls[0] == transposes
 
 
 def test_reduce_cover_star():
