@@ -15,11 +15,12 @@ which forces every qualifying family to be small or a full star.  The
 cross-family variant bounds sqrt(F_1(B) F_1(C)) the same way and yields
 the product bound delta_1(B) * delta_1(C) <= C(n-2,k-2)^2.
 
-Every inequality involving a square root of a rational is decided by sign
-analysis plus squaring, never by floating point: the extremal families sit
-exactly on the boundary.  That includes the one geometric step of the
-witness inequality, the simplex lemma, which is decided in the sum-zero
-hyperplane of Q^n (:func:`simplex_min_index`).
+Every inequality involving a square root of a rational is brought to the
+form a + b sqrt(c) against 0 and decided by one exact sign test (:func:`_sign`),
+never by floating point: the extremal families sit exactly on the boundary.
+That includes the one geometric step of the witness inequality, the simplex
+lemma, which is decided in the sum-zero hyperplane of Q^n
+(:func:`simplex_min_index`).
 """
 
 from __future__ import annotations
@@ -75,14 +76,20 @@ def star_frame_checks(n: int, k: int) -> StarFrameReport:
     )
 
 
-def _leq_neg_sqrt(lhs: Fraction, rhs_sq: Fraction) -> tuple[bool, bool]:
-    """Decide lhs <= -sqrt(rhs_sq) exactly; returns (holds, equality)."""
-    if rhs_sq < 0:
+def _sign(a: Fraction, b: Fraction, c: Fraction) -> int:
+    """Sign of a + b sqrt(c) for rationals a, b and c >= 0, decided exactly.
+
+    When a and b sqrt(c) have opposite signs the term of larger magnitude
+    wins, so the sign is sign(a) sign(a^2 - b^2 c); otherwise it is the
+    sign of whichever term is nonzero.
+    """
+    if c < 0:
         raise DomainError("comparison needs a nonnegative radicand")
-    if lhs > 0:
-        return False, False
-    sq = lhs * lhs
-    return sq >= rhs_sq, sq == rhs_sq
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) * (c > 0)
+    if sa * sb >= 0:
+        return sa or sb
+    d = a * a - b * b * c
+    return sa * ((d > 0) - (d < 0))
 
 
 @dataclass(frozen=True)
@@ -114,9 +121,9 @@ def simplex_min_index(v: Sequence[Fraction | int]) -> WitnessReport:
         raise DomainError("simplex lemma needs a vector with coordinate sum 0")
     lhs = min(v)
     rhs_sq = sum(x * x for x in v) / (n * (n - 1))
-    holds, equality = _leq_neg_sqrt(lhs, rhs_sq)
+    g = _sign(lhs, 1, rhs_sq)
     return WitnessReport(vertex=1 + v.index(lhs), lhs=lhs, rhs_squared=rhs_sq,
-                         holds=holds, equality=equality)
+                         holds=g <= 0, equality=g == 0)
 
 
 def simplex_witness(family: Family) -> WitnessReport:
@@ -227,40 +234,13 @@ def sqrt_product_inequality_check(
     """Exactly verify sqrt((x1-y1)(x2-y2)) <= sqrt(x1 x2) - sqrt(y1 y2).
 
     Requires x1 >= y1 >= 0 and x2 >= y2 >= 0.  Both sides are nonnegative,
-    so squaring twice with sign tracking reduces the claim to
-    (x1 y2 + y1 x2)^2 >= 4 x1 y2 y1 x2, an exact rational comparison.
+    so squaring once reduces the claim to x1 y2 + y1 x2 - 2 sqrt(x1 y2 y1 x2)
+    >= 0, decided by the exact sign test.
     """
     x1, y1, x2, y2 = Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)
     if not (x1 >= y1 >= 0 and x2 >= y2 >= 0):
         raise DomainError("need x1 >= y1 >= 0 and x2 >= y2 >= 0")
-    if x1 * x2 < y1 * y2:
-        return False
-    a = x1 * y2
-    b = y1 * x2
-    return (a + b) ** 2 >= 4 * a * b
-
-
-def _geq_sqrt_gap(lhs_sq: Fraction, alpha: Fraction, p: int, t: Fraction) -> tuple[bool, bool]:
-    """Decide sqrt(lhs_sq) >= alpha * sqrt(p) * (sqrt(p) - t) exactly.
-
-    lhs_sq >= 0, alpha >= 0, p >= 0 integer, t >= 0; returns
-    (holds, equality).  sqrt(p) is eliminated by sign analysis plus one
-    more squaring, so irrational sizes are handled exactly.
-    """
-    if lhs_sq < 0 or alpha < 0 or p < 0 or t < 0:
-        raise DomainError("sqrt-gap comparison needs nonnegative inputs")
-    if alpha == 0 or p == 0:
-        return True, lhs_sq == 0
-    if p <= t * t:
-        # right side is <= 0 while the left side is >= 0
-        return True, lhs_sq == 0 and p == t * t
-    # both sides positive: square once; sqrt(p) survives linearly
-    x = lhs_sq - alpha * alpha * p * (p + t * t)
-    y = 2 * alpha * alpha * p * t
-    if x >= 0:
-        return True, x == 0 and y == 0
-    # x < 0: need x >= -y sqrt(p), i.e. x^2 <= y^2 p
-    return x * x <= y * y * p, x * x == y * y * p
+    return _sign(x1 * y2 + y1 * x2, -2, x1 * y2 * y1 * x2) >= 0
 
 
 @dataclass(frozen=True)
@@ -284,7 +264,7 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     """Certify the cross-intersecting mass bound and the degree product bound.
 
     Checks sqrt(B_1 C_1) >= (n-1)/C(n,k) * sqrt(|B||C|) (sqrt(|B||C|) -
-    (n/k) C(n-2,k-2)) by exact square comparison, and
+    (n/k) C(n-2,k-2)) by the exact sign test, and
     delta_1(B) delta_1(C) <= C(n-2,k-2)^2 as integers.
     """
     n, k = left.n, left.k
@@ -302,7 +282,14 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     p = left.edge_count * right.edge_count
     alpha = Fraction(n - 1, binomial(n, k))
     t = Fraction(n, k) * binomial(n - 2, k - 2)
-    holds, equality = _geq_sqrt_gap(b1 * c1, alpha, p, t)
+    if b1 * c1 < 0:
+        raise DomainError("sqrt-gap comparison needs nonnegative inputs")
+    g = _sign(alpha * p, -alpha * t, p)  # the right side, alpha p - alpha t sqrt(p)
+    if g <= 0:
+        holds, equality = True, g == 0 and b1 * c1 == 0
+    else:  # square both positive sides once; sqrt(p) survives linearly
+        h = _sign(b1 * c1 - alpha * alpha * p * (p + t * t), 2 * alpha * alpha * p * t, p)
+        holds, equality = h >= 0, h == 0
     bound = binomial(n - 2, k - 2) ** 2
     return CrossCertificate(
         n=n, k=k, size_b=left.edge_count, size_c=right.edge_count,

@@ -9,7 +9,7 @@ Isomorphic variants are obtained by relabeling.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DomainError
 from .families import Family, binomial
@@ -22,7 +22,7 @@ def star(n: int, k: int, center: int = 1) -> Family:
     if center < 1 or center > n:
         raise DomainError(f"star center {center} outside [1, {n}]")
     rest = [v for v in range(1, n + 1) if v != center]
-    edges = [tuple(sorted((center,) + c)) for c in combinations(rest, k - 1)]
+    edges = (tuple(sorted((center,) + c)) for c in combinations(rest, k - 1))
     return Family.from_edges(n, k, edges)
 
 
@@ -41,7 +41,7 @@ def erdos_extremal(n: int, k: int, s: int, i: int) -> Family:
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
     bound = s * i - 1
-    edges = [e for e in combinations(range(1, n + 1), k) if sum(1 for v in e if v <= bound) >= i]
+    edges = (e for e in combinations(range(1, n + 1), k) if sum(1 for v in e if v <= bound) >= i)
     return Family.from_edges(n, k, edges)
 
 
@@ -54,11 +54,8 @@ def hilton_milner(n: int, k: int) -> Family:
     if n <= k:
         raise DomainError(f"need n >= k + 1, got n={n}, k={k}")
     blocker = set(range(2, k + 2))
-    edges = [tuple(sorted(blocker))]
-    for c in combinations(range(2, n + 1), k - 1):
-        if blocker.intersection(c):
-            edges.append((1,) + c)
-    return Family.from_edges(n, k, edges)
+    through_1 = ((1,) + c for c in combinations(range(2, n + 1), k - 1) if blocker.intersection(c))
+    return Family.from_edges(n, k, chain([tuple(sorted(blocker))], through_1))
 
 
 REMARK_EDGES = (
@@ -89,10 +86,10 @@ def random_halved(k: int, seed: int) -> Family:
     n = 2 * k
     rng = random.Random(seed)
     full = frozenset(range(1, n + 1))
-    edges = []
-    for c in combinations(range(2, n + 1), k - 1):
-        e = (1,) + c
-        edges.append(e if rng.getrandbits(1) else tuple(sorted(full.difference(e))))
+    edges = (
+        (1,) + c if rng.getrandbits(1) else tuple(sorted(full.difference((1,) + c)))
+        for c in combinations(range(2, n + 1), k - 1)
+    )
     return Family.from_edges(n, k, edges)
 
 
@@ -131,11 +128,10 @@ def build_construction(
 ) -> Family:
     """Dispatch a construction by kind name, validating required parameters."""
 
-    def need(**params: int | None) -> list[int]:
+    def need(**params: int | None) -> None:
         missing = [name for name, value in params.items() if value is None]
         if missing:
             raise DomainError(f"construction '{kind}' requires --{', --'.join(missing)}")
-        return [v for v in params.values() if v is not None]
 
     if kind == "star":
         need(n=n, k=k)

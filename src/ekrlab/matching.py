@@ -193,14 +193,16 @@ def find_matching_by_degree(
     level, which branch fired and on what threshold evidence.  With
     ``strict=False`` an input outside the hypothesis region falls back to
     the exact branch-and-bound solver and the trace carries an
-    ``outside-guarantee`` marker instead of raising; a negative s, or
-    ks > n, where no s disjoint k-sets fit, raises DomainError either way.
+    ``outside-guarantee`` marker instead of raising; a negative s, and
+    ks > n or k = 0 with s >= 2, where no s disjoint k-sets fit, raise
+    DomainError either way.
     """
     if s < 0:
         raise DomainError(f"matching size must be nonnegative, got s={s}")
     n, k = family.n, family.k
-    if k * s > n:
-        raise DomainError(f"no {s} disjoint {k}-sets fit on n = {n} vertices: ks = {k * s} > n")
+    if k * s > n or (k == 0 and s >= 2):
+        why = f"ks = {k * s} > n" if k else "a 0-uniform family has at most one edge"
+        raise DomainError(f"no {s} disjoint {k}-sets fit on n = {n} vertices: {why}")
     threshold = _degree_threshold(n, k, s)
     inside = n >= 3 * k * k * s and min_degree(family, 1) > threshold
     if not inside:

@@ -7,8 +7,10 @@ for eigenspace masses, a floating-point QR simplex frame for the simplex
 lemma, full powerset filtering for maximal families, a ``Fraction``
 tableau simplex for the packing LP, pair-by-pair loops for the meet
 predicates and the Kneser tables, per-edge degree counts, a
-branch-and-bound matching search on lists of vertex masks, and the
-degree-driven constructive matching that rebuilds and relabels each level.
+branch-and-bound matching search on lists of vertex masks, the
+degree-driven constructive matching that rebuilds and relabels each level,
+and the hand-derived sign-and-squaring comparators for the square-root
+inequalities of the certificates.
 None of it shares code with the library paths it checks.
 """
 
@@ -20,6 +22,8 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+
+from ekrlab.errors import DomainError
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -516,3 +520,55 @@ def tuple_matching_by_degree(
     extension = next(e for e in edges if not used.intersection(e))
     entry = {"s": s, "branch": "greedy-extension", "threshold": rainbow_bound}
     return sub_edges + [extension], [entry] + sub_trace
+
+
+def leq_neg_sqrt(lhs: Fraction, rhs_sq: Fraction) -> tuple[bool, bool]:
+    """Decide lhs <= -sqrt(rhs_sq) exactly; returns (holds, equality)."""
+    if rhs_sq < 0:
+        raise DomainError("comparison needs a nonnegative radicand")
+    if lhs > 0:
+        return False, False
+    sq = lhs * lhs
+    return sq >= rhs_sq, sq == rhs_sq
+
+
+def geq_sqrt_gap(lhs_sq: Fraction, alpha: Fraction, p: int, t: Fraction) -> tuple[bool, bool]:
+    """Decide sqrt(lhs_sq) >= alpha * sqrt(p) * (sqrt(p) - t) exactly.
+
+    lhs_sq >= 0, alpha >= 0, p >= 0 integer, t >= 0; returns
+    (holds, equality).  sqrt(p) is eliminated by sign analysis plus one
+    more squaring, so irrational sizes are handled exactly.
+    """
+    if lhs_sq < 0 or alpha < 0 or p < 0 or t < 0:
+        raise DomainError("sqrt-gap comparison needs nonnegative inputs")
+    if alpha == 0 or p == 0:
+        return True, lhs_sq == 0
+    if p <= t * t:
+        # right side is <= 0 while the left side is >= 0
+        return True, lhs_sq == 0 and p == t * t
+    # both sides positive: square once; sqrt(p) survives linearly
+    x = lhs_sq - alpha * alpha * p * (p + t * t)
+    y = 2 * alpha * alpha * p * t
+    if x >= 0:
+        return True, x == 0 and y == 0
+    # x < 0: need x >= -y sqrt(p), i.e. x^2 <= y^2 p
+    return x * x <= y * y * p, x * x == y * y * p
+
+
+def squared_sqrt_product_check(
+    x1: Fraction | int, y1: Fraction | int, x2: Fraction | int, y2: Fraction | int
+) -> bool:
+    """Exactly verify sqrt((x1-y1)(x2-y2)) <= sqrt(x1 x2) - sqrt(y1 y2).
+
+    Requires x1 >= y1 >= 0 and x2 >= y2 >= 0.  Both sides are nonnegative,
+    so squaring twice with sign tracking reduces the claim to
+    (x1 y2 + y1 x2)^2 >= 4 x1 y2 y1 x2, an exact rational comparison.
+    """
+    x1, y1, x2, y2 = Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)
+    if not (x1 >= y1 >= 0 and x2 >= y2 >= 0):
+        raise DomainError("need x1 >= y1 >= 0 and x2 >= y2 >= 0")
+    if x1 * x2 < y1 * y2:
+        return False
+    a = x1 * y2
+    b = y1 * x2
+    return (a + b) ** 2 >= 4 * a * b

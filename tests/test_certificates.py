@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import isqrt, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab import certificates
 from ekrlab.certificates import (
@@ -21,7 +24,13 @@ from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, hilton_milner, remark_family, star
 
 from conftest import random_family, random_sum_zero
-from oracles import float_simplex_min, qr_simplex_frame
+from oracles import (
+    float_simplex_min,
+    geq_sqrt_gap,
+    leq_neg_sqrt,
+    qr_simplex_frame,
+    squared_sqrt_product_check,
+)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -270,3 +279,118 @@ def test_cross_certificate_errors():
         cross_certificate(b, c)
     with pytest.raises(DomainError):
         cross_certificate(remark_family(), remark_family())
+
+
+SIGN_TABLE = [
+    # (a, b, c, sign of a + b sqrt(c)); c = 0 leaves the sign of a
+    (-3, -2, 0, -1), (-3, 0, 0, -1), (-3, 2, 0, -1),
+    (0, -2, 0, 0), (0, 0, 0, 0), (0, 2, 0, 0),
+    (3, -2, 0, 1), (3, 0, 0, 1), (3, 2, 0, 1),
+    # c > 0: like signs add up, opposite signs go by a^2 against b^2 c
+    (-3, -2, 2, -1), (-3, 0, 2, -1), (-3, 2, 3, 1), (-3, 2, 2, -1),
+    (0, -2, 2, -1), (0, 0, 2, 0), (0, 2, 2, 1),
+    (3, -2, 2, 1), (3, -2, 3, -1), (3, 0, 2, 1), (3, 2, 2, 1),
+    # a^2 = b^2 c: zero for opposite signs, not for like ones
+    (-3, 1, 9, 0), (3, -1, 9, 0), (Fraction(-1, 2), 2, Fraction(1, 16), 0),
+    (Fraction(3, 4), Fraction(-3, 2), Fraction(1, 4), 0), (3, 1, 9, 1), (-3, -1, 9, -1),
+]
+
+
+@pytest.mark.parametrize("a,b,c,expected", SIGN_TABLE)
+def test_sign_table(a, b, c, expected):
+    assert certificates._sign(Fraction(a), Fraction(b), Fraction(c)) == expected
+
+
+def test_sign_rejects_a_negative_radicand():
+    with pytest.raises(DomainError, match="^comparison needs a nonnegative radicand$"):
+        certificates._sign(Fraction(1), Fraction(1), Fraction(-1))
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+NONNEG = st.fractions(min_value=0, max_value=40, max_denominator=12)
+
+
+def near(draw, boundary: Fraction) -> Fraction:
+    """The boundary itself, a step of 1/997 off it, or a free draw; never < 0."""
+    step = draw(st.sampled_from([0, 0, 0, Fraction(1, 997), Fraction(-1, 997), None]))
+    value = draw(NONNEG) if step is None else boundary + step
+    return max(value, Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_witness_decision_matches_squaring_reference(data):
+    # lhs <= -sqrt(r) is _sign(lhs, 1, r) <= 0, with equality at 0
+    lhs = data.draw(RATIONALS)
+    r = near(data.draw, lhs * lhs)
+    g = certificates._sign(lhs, Fraction(1), r)
+    assert (g <= 0, g == 0) == leq_neg_sqrt(lhs, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 20), st.data())
+def test_simplex_min_index_matches_squaring_reference(n, scale, data):
+    # star-shaped vectors (n-1, -1, ..., -1) sit exactly on equality
+    if data.draw(st.booleans()):
+        v = [Fraction(scale * (n - 1))] + [Fraction(-scale)] * (n - 1)
+        v = data.draw(st.permutations(v))
+    else:
+        head = data.draw(st.lists(RATIONALS, min_size=n - 1, max_size=n - 1))
+        v = head + [-sum(head, Fraction(0))]
+    w = simplex_min_index(v)
+    assert (w.holds, w.equality) == leq_neg_sqrt(w.lhs, w.rhs_squared)
+
+
+# t = (n/k) C(n-2,k-2) is 3, 4 and 21 at (6,2), (8,2) and (9,3), so that
+# p = |B||C| = t^2 puts the right side of the cross bound exactly at 0;
+# at (5,2) and (7,3) t is not an integer
+CROSS_SHAPES = [(5, 2), (6, 2), (8, 2), (7, 3), (9, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CROSS_SHAPES), st.data())
+def test_cross_decision_matches_squaring_reference(shape, data):
+    n, k = shape
+    edges = star(n, k, 1).edge_tuples()
+    alpha = Fraction(n - 1, binomial(n, k))
+    t = Fraction(n, k) * binomial(n - 2, k - 2)
+    sizes = st.integers(1, len(edges))
+    if t.denominator == 1 and t <= len(edges) and data.draw(st.booleans()):
+        a = b = int(t)
+    else:
+        a, b = data.draw(sizes), data.draw(sizes)
+    p = a * b
+    root = isqrt(p)
+    if root * root == p:  # the boundary (alpha sqrt(p) (sqrt(p) - t))^2 is rational
+        boundary = (alpha * root * (root - t)) ** 2
+    else:
+        boundary = alpha * alpha * p * (p + t * t - 2 * t * Fraction(sqrt(p)))
+    lhs_sq = near(data.draw, boundary)
+    masses = iter([(0, lhs_sq, 0), (0, Fraction(1), 0)])
+    left = Family.from_edges(n, k, edges[:a])
+    right = Family.from_edges(n, k, edges[:b])
+    with mock.patch.object(certificates, "level_masses", lambda family: next(masses)):
+        cert = cross_certificate(left, right)
+    assert (cert.ineq10_holds, cert.ineq10_equality) == geq_sqrt_gap(lhs_sq, alpha, p, t)
+
+
+def test_cross_certificate_rejects_a_negative_mass_product(monkeypatch):
+    s = star(7, 3, 1)
+    masses = iter([(0, Fraction(-1), 0), (0, Fraction(1), 0)])
+    monkeypatch.setattr(certificates, "level_masses", lambda family: next(masses))
+    with pytest.raises(DomainError, match="^sqrt-gap comparison needs nonnegative inputs$"):
+        cross_certificate(s, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NONNEG, NONNEG, NONNEG, st.data())
+def test_sqrt_product_matches_squaring_reference(y1, y2, gap1, data):
+    # equality needs x1 y2 = y1 x2, i.e. x2 = x1 y2 / y1
+    x1 = y1 + gap1
+    if y1 > 0 and data.draw(st.booleans()):
+        x2 = x1 * y2 / y1
+    else:
+        x2 = y2 + data.draw(NONNEG)
+    assert sqrt_product_inequality_check(x1, y1, x2, y2) == squared_sqrt_product_check(
+        x1, y1, x2, y2
+    )

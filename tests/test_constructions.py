@@ -1,10 +1,12 @@
 """Named families: sizes, degrees, intersection structure, determinism."""
 
+import itertools
 import statistics
 
 import pytest
 
-from ekrlab.errors import DomainError
+from ekrlab import constructions, limits
+from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import binomial, is_intersecting, min_degree, vertex_degrees
 from ekrlab.constructions import (
     build_construction,
@@ -130,3 +132,32 @@ def test_build_construction_dispatch():
         build_construction("star", n=7)
     with pytest.raises(DomainError):
         build_construction("nonesuch", n=7, k=3)
+
+
+# C(12,4) = 495 and C(10,5) = 252 k-sets, above a gate lowered to 100
+OVERSIZED = {
+    "star": {"n": 12, "k": 4},
+    "hilton-milner": {"n": 12, "k": 4},
+    "erdos-extremal": {"n": 12, "k": 4, "s": 2, "i": 1},
+    "random-halved": {"k": 5},
+}
+
+
+@pytest.mark.parametrize("kind", OVERSIZED)
+def test_oversized_construction_draws_no_kset(kind, monkeypatch):
+    # the C(n,k) gate fires before the first k-set is enumerated
+    drawn = []
+
+    def counting(*args):
+        for c in itertools.combinations(*args):
+            drawn.append(c)
+            yield c
+
+    monkeypatch.setattr(constructions, "combinations", counting)
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 100)
+    with pytest.raises(ResourceLimitError, match="FAMILY_KSET_LIMIT = 100$"):
+        build_construction(kind, **OVERSIZED[kind])
+    assert len(drawn) == 0
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 1 << 24)
+    build_construction(kind, **OVERSIZED[kind])
+    assert len(drawn) > 0  # the counter does see an enumeration below the gate

@@ -1,6 +1,7 @@
 """File format, report determinism, CLI dispatch and exit codes."""
 
 import json
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -234,6 +235,16 @@ def test_cli_construct_degree_rejects_more_edges_than_fit(tmp_path, capsys):
     )
 
 
+def test_cli_construct_degree_rejects_a_second_empty_edge(tmp_path, capsys):
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps({"n": 3, "k": 0, "edges": [[]]}))
+    assert dispatch(["matching", str(path), "--construct-degree", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no 5 disjoint 0-sets fit on n = 3 vertices: "
+        "a 0-uniform family has at most one edge\n"
+    )
+
+
 def test_cli_scan_conjecture_deterministic(capsys):
     args = ["scan", "conjecture", "--n", "7", "--k", "3", "--s", "2",
             "--budget", "150", "--seed", "8", "--json"]
@@ -338,6 +349,29 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "7/3" in result.stdout
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("args", [
+    ["star", "--n", "60", "--k", "30"],
+    ["hilton-milner", "--n", "60", "--k", "30"],
+    ["erdos-extremal", "--n", "60", "--k", "30", "--s", "2", "--i", "1"],
+    ["random-halved", "--k", "30"],
+], ids=lambda args: args[0])
+def test_oversized_construct_exits_3_at_once(args):
+    # the C(60,30) gate fires before any edge is built, as for `complete`
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", "construct", *args],
+        capture_output=True, text=True, timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert result.returncode == 3
+    assert result.stderr == (
+        "resource limit: C(n,k) = C(60,30) = 118264581564861424 k-sets exceed "
+        "FAMILY_KSET_LIMIT = 16777216\n"
+    )
 
 
 def test_import_does_not_load_numpy():

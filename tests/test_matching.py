@@ -202,6 +202,10 @@ def test_find_matching_rejects_negative_size():
             find_matching_by_degree(complete(40, 2), -1, strict=strict)
         with pytest.raises(DomainError, match="no 21 disjoint 2-sets fit on n = 40"):
             find_matching_by_degree(complete(40, 2), 21, strict=strict)
+        for s in (2, 5):  # one empty edge is all a 0-uniform family can hold
+            with pytest.raises(DomainError, match=f"no {s} disjoint 0-sets fit on n = 3 .*"
+                               "a 0-uniform family has at most one edge"):
+                find_matching_by_degree(Family.from_edges(3, 0, [()]), s, strict=strict)
     matching, trace = find_matching_by_degree(star(9, 2, 1), 0, strict=False)
     assert len(matching) == 0 and trace == [{"s": 0, "branch": "empty"}]
 
