@@ -14,7 +14,7 @@ from fractions import Fraction
 from .certificates import cross_certificate, ekr_certificate, simplex_witness
 from .constructions import KINDS, build_construction
 from .errors import ContradictionError, DomainError, FormatError, ResourceLimitError
-from .families import Family, min_degree
+from .families import Family, vertex_degrees
 from .io import emit_report, parse_family, rational_fields, serialize_family
 from .lp import fractional_cover, fractional_matching
 from .matching import find_matching_by_degree, matching_number
@@ -157,7 +157,7 @@ def cmd_matching(args: argparse.Namespace) -> int:
         fields = {
             "n": family.n, "k": family.k, "edges": family.edge_count,
             "target_size": args.construct_degree,
-            "delta1": min_degree(family, 1),
+            "delta1": min(vertex_degrees(family), default=0),
             "matching": " ".join("{" + ",".join(map(str, e)) + "}" for e in witness.edges),
             "trace": " -> ".join(step["branch"] for step in trace),
         }

@@ -2,88 +2,99 @@
 
 The only program solved is the packing LP of a family: maximize the sum
 of edge weights x subject to a load of at most 1 on every vertex.  Its
-all-slack basis is feasible, so a one-phase dense tableau simplex
-suffices, with Bland's anti-cycling rule (entering: lowest eligible
-column index; leaving: lowest basic variable index among minimum-ratio
-rows), which terminates on every input.  The tableau is fraction-free
-(Edmonds 1967; Bareiss 1968): integer entries over one running
-denominator, the basis determinant, so pivots take no gcd.  The
-fractional cover is the LP dual: its vertex weights y are the final
+all-slack basis is feasible, so a one-phase simplex suffices, with
+Bland's anti-cycling rule (entering: lowest eligible column index;
+leaving: lowest basic variable index among minimum-ratio rows), which
+terminates on every input.  The tableau is fraction-free (Edmonds 1967;
+Bareiss 1968): integer entries d*B^-1[A | I | b] over one running
+denominator d, the basis determinant, so pivots take no gcd.  Only the
+n slack columns and b are stored, as in the revised simplex method: edge
+j's column is the sum of the slack columns of its vertices, since A_j is.
+The fractional cover is the LP dual: its vertex weights y are the final
 objective-row entries at the slack columns.  Every solve is checked by a
 primal–dual certificate (x a feasible matching, y a feasible cover,
 sum x = sum y), which by weak duality proves both optimal; it is checked
 on the integer numerators over the final denominator, and only the
-weights of a checked solve become Fractions.  Problem sizes here are
-desk scale; no sparsity tricks are attempted.
+weights of a checked solve become Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
 from .families import Family, KSubset
 
 
-def _pivot(tableau: list[list[int]], obj: list[int], row: int, col: int, d: int) -> None:
-    """Fraction-free (Bareiss) pivot: every other row, objective included,
-    becomes (p*a - f*b) // d, exact by Sylvester's identity, so no gcd is
-    taken.  The pivot row stays; the pivot p is the next determinant."""
+def _pivot(tableau: list[list[int]], obj: list[int], column: list[int], f_obj: int,
+           row: int, d: int) -> None:
+    """Fraction-free (Bareiss) pivot on the entering column, given by its
+    entries ``column`` (one per row) and ``f_obj`` (objective row): every
+    other row, objective included, becomes (p*a - f*b) // d, exact by
+    Sylvester's identity, so no gcd is taken; a row with f = 0 is only
+    scaled by p/d.  The pivot row stays; p is the next determinant."""
     prow = tableau[row]
-    p = prow[col]
-    for r, line in enumerate(tableau):
-        if r != row:
-            f = line[col]
-            tableau[r] = [(p * a - f * b) // d for a, b in zip(line, prow)]
-    f = obj[col]
-    obj[:] = [(p * a - f * b) // d for a, b in zip(obj, prow)]
+    p = column[row]
+    for r, f in enumerate(column):
+        if f and r != row:
+            tableau[r] = [(p * a - f * b) // d for a, b in zip(tableau[r], prow)]
+        elif r != row and p != d:
+            tableau[r] = [p * a // d for a in tableau[r]]
+    obj[:] = [(p * a - f_obj * b) // d for a, b in zip(obj, prow)]
 
 
 def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], int]:
     """Maximize sum(x) subject to sum of x_e over e containing v <= 1, x >= 0.
 
     Columns are the edges in the given order, then one slack per vertex
-    1..n.  The tableau holds integers; divided by d, the determinant of
-    the current basis (the last pivot, 1 at the all-slack start), they
-    give the true tableau.  d stays positive because every pivot is.
-    Returns the numerators of the optimal x (one entry per edge) and of
-    the dual y (one entry per vertex) over their shared denominator d:
-    obj[j] / d = y.A_j - c_j at the optimum, so y sits at the slack columns.
+    1..n.  Row i holds only the integers d*B^-1[I | b], d being the
+    determinant of the current basis (the last pivot, 1 at the all-slack
+    start), positive because every pivot is.  Edge j's column is the sum
+    of its vertices' slack columns, and its objective entry the sum of
+    the objective at those slacks, less d.  Bland's rule prices the edge
+    columns first, in order, then the slacks.  Returns the numerators of
+    the optimal x (one per edge) and of the dual y (one per vertex, the
+    objective row) over their shared denominator d.
     """
     e = len(edges)
-    width = e + n
-    tableau = []
-    for v in range(1, n + 1):
-        line = [1 if v in edge else 0 for edge in edges] + [0] * n + [1]
-        line[e + v - 1] = 1
-        tableau.append(line)
-    basis = list(range(e, width))
-    obj = [-1] * e + [0] * (n + 1)
+    tableau = [[int(v == w) for w in range(n)] + [1] for v in range(n)]
+    basis = list(range(e, e + n))
+    obj = [0] * n
+    picks = [itemgetter(*(v - 1 for v in edge)) for edge in edges]
+    # an itemgetter of one index returns the entry itself, not a 1-tuple
+    total = sum if e and len(edges[0]) > 1 else int
     d = 1
     while True:
-        entering = next((j for j in range(width) if obj[j] < 0), -1)
-        if entering < 0:
-            break
+        for entering, pick in enumerate(picks):
+            f_obj = total(pick(obj)) - d
+            if f_obj < 0:
+                column = [total(pick(line)) for line in tableau]
+                break
+        else:
+            v = next((v for v in range(n) if obj[v] < 0), -1)
+            if v < 0:
+                break
+            entering, f_obj, column = e + v, obj[v], [line[v] for line in tableau]
         # minimum ratio rhs/coef by cross-multiplying; num/den starts at 1/0
         leaving, num, den = -1, 1, 0
-        for i, line in enumerate(tableau):
-            coef = line[entering]
+        for i, coef in enumerate(column):
             if coef > 0:
-                lhs, rhs = line[-1] * den, num * coef
+                lhs, rhs = tableau[i][-1] * den, num * coef
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving, num, den = i, line[-1], coef
+                    leaving, num, den = i, tableau[i][-1], coef
         if leaving < 0:
             raise ContradictionError("packing LP unbounded, but every x_e is at most 1")
-        _pivot(tableau, obj, leaving, entering, d)
-        d = tableau[leaving][entering]
+        _pivot(tableau, obj, column, f_obj, leaving, d)
+        d = column[leaving]
         basis[leaving] = entering
     x = [0] * e
     for i, b in enumerate(basis):
         if b < e:
             x[b] = tableau[i][-1]
-    return x, obj[e:width], d
+    return x, obj, d
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, KSubset, binomial, incidence, iter_bits, min_degree, vertex_degrees
+from .families import Family, KSubset, binomial, incidence, iter_bits, vertex_degrees
 from .lp import FractionalSolution, fractional_matching
 
 
@@ -200,11 +200,13 @@ def find_matching_by_degree(
     if s < 0:
         raise DomainError(f"matching size must be nonnegative, got s={s}")
     n, k = family.n, family.k
+    if n == 0:
+        raise DomainError("the degree hypothesis needs a nonempty ground set, got n = 0")
     if k * s > n or (k == 0 and s >= 2):
         why = f"ks = {k * s} > n" if k else "a 0-uniform family has at most one edge"
         raise DomainError(f"no {s} disjoint {k}-sets fit on n = {n} vertices: {why}")
     threshold = _degree_threshold(n, k, s)
-    inside = n >= 3 * k * k * s and min_degree(family, 1) > threshold
+    inside = n >= 3 * k * k * s and min(vertex_degrees(family), default=0) > threshold
     if not inside:
         if strict:
             raise DomainError(
@@ -339,7 +341,7 @@ def threshold_report(family: Family, s: int, limit: int | None = None) -> Thresh
     """Evaluate the d = 1 degree threshold against the exact nu* of a family."""
     n, k = family.n, family.k
     threshold = _degree_threshold(n, k, s)
-    delta = min_degree(family, 1)
+    delta = min(vertex_degrees(family), default=0)
     nu_star = fractional_matching(family, limit=limit).objective
     return ThresholdReport(
         n=n, k=k, d=1, s=s, threshold=threshold, delta=delta,

@@ -5,7 +5,8 @@ a linear walk down the ground set for colex unranking,
 exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
 lemma, full powerset filtering for maximal families, a ``Fraction``
-tableau simplex for the packing LP, pair-by-pair loops for the meet
+tableau simplex and the dense integer tableau (every edge column stored)
+for the packing LP, pair-by-pair loops for the meet
 predicates and the Kneser tables, per-edge degree counts, a
 branch-and-bound matching search on lists of vertex masks, the
 degree-driven constructive matching that rebuilds and relabels each level,
@@ -23,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from ekrlab.errors import DomainError
+from ekrlab.errors import ContradictionError, DomainError
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -253,6 +254,62 @@ def fraction_packing(edges: list[tuple[int, ...]], n: int) -> tuple[list[Fractio
         if b < e:
             x[b] = tableau[i][-1]
     return x, obj[e:width]
+
+
+def _dense_pivot(tableau: list[list[int]], obj: list[int], row: int, col: int, d: int) -> None:
+    """Fraction-free (Bareiss) pivot: every other row, objective included,
+    becomes (p*a - f*b) // d, exact by Sylvester's identity, so no gcd is
+    taken.  The pivot row stays; the pivot p is the next determinant."""
+    prow = tableau[row]
+    p = prow[col]
+    for r, line in enumerate(tableau):
+        if r != row:
+            f = line[col]
+            tableau[r] = [(p * a - f * b) // d for a, b in zip(line, prow)]
+    f = obj[col]
+    obj[:] = [(p * a - f * b) // d for a, b in zip(obj, prow)]
+
+
+def dense_packing(edges: list[tuple[int, ...]], n: int) -> tuple[list[int], list[int], int]:
+    """The packing LP on the full fraction-free tableau: every edge column,
+    every slack column and the right-hand side, over the basis determinant d.
+
+    Same columns, all-slack start and Bland's rule as ``lp._solve_packing``,
+    which stores only the slack columns; both return the numerators of x
+    and y and their shared denominator d, so the triples must be identical.
+    """
+    e = len(edges)
+    width = e + n
+    tableau = []
+    for v in range(1, n + 1):
+        line = [1 if v in edge else 0 for edge in edges] + [0] * n + [1]
+        line[e + v - 1] = 1
+        tableau.append(line)
+    basis = list(range(e, width))
+    obj = [-1] * e + [0] * (n + 1)
+    d = 1
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), -1)
+        if entering < 0:
+            break
+        # minimum ratio rhs/coef by cross-multiplying; num/den starts at 1/0
+        leaving, num, den = -1, 1, 0
+        for i, line in enumerate(tableau):
+            coef = line[entering]
+            if coef > 0:
+                lhs, rhs = line[-1] * den, num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, num, den = i, line[-1], coef
+        if leaving < 0:
+            raise ContradictionError("packing LP unbounded, but every x_e is at most 1")
+        _dense_pivot(tableau, obj, leaving, entering, d)
+        d = tableau[leaving][entering]
+        basis[leaving] = entering
+    x = [0] * e
+    for i, b in enumerate(basis):
+        if b < e:
+            x[b] = tableau[i][-1]
+    return x, obj[e:width], d
 
 
 def quadratic_cross_pair_scan(n: int, k: int, families: list[list[tuple[int, ...]]]) -> dict:

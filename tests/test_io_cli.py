@@ -245,6 +245,23 @@ def test_cli_construct_degree_rejects_a_second_empty_edge(tmp_path, capsys):
     )
 
 
+def test_cli_construct_degree_takes_k1(tmp_path, capsys):
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps({"n": 5, "k": 1, "edges": [[1], [2]]}))
+    assert dispatch(["matching", str(path), "--construct-degree", "1", "--json"]) == 0
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert (fields["delta1"], fields["matching"], fields["trace"]) == (0, "{1}", "outside-guarantee")
+
+
+def test_cli_construct_degree_rejects_an_empty_ground_set(tmp_path, capsys):
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps({"n": 0, "k": 0, "edges": []}))
+    assert dispatch(["matching", str(path), "--construct-degree", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the degree hypothesis needs a nonempty ground set, got n = 0\n"
+    )
+
+
 def test_cli_scan_conjecture_deterministic(capsys):
     args = ["scan", "conjecture", "--n", "7", "--k", "3", "--s", "2",
             "--budget", "150", "--seed", "8", "--json"]

@@ -15,7 +15,7 @@ from ekrlab.io import serialize_family
 from ekrlab.lp import fractional_cover, fractional_matching, fractional_pair, verify_duality
 
 from conftest import random_family_edge_count
-from oracles import fraction_packing, fractional_matching_value
+from oracles import dense_packing, fraction_packing, fractional_matching_value
 
 
 def test_fano_sandwich():
@@ -100,7 +100,7 @@ def test_lp_rejects_k0():
 
 @st.composite
 def small_families(draw):
-    k = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from([1, 2, 3, 4]))
     n = draw(st.integers(min_value=k, max_value=10))
     ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=25))
     return Family.from_ranks(n, k, sum(1 << r for r in ranks))
@@ -234,3 +234,35 @@ def test_integer_tableau_matches_fraction_tableau_criterion7(criterion7_sample):
 @given(small_families())
 def test_integer_tableau_matches_fraction_tableau_property(fam):
     assert_same_as_fraction_tableau(fam)
+
+
+def assert_same_triple_as_dense_tableau(fam):
+    # the slack-column solve must reproduce the full tableau's numerators
+    # and denominator exactly, not only the same values over d
+    edges = fam.edge_tuples()
+    assert lp._solve_packing(edges, fam.n) == dense_packing(edges, fam.n)
+
+
+@pytest.mark.parametrize("name", PINNED_LPS)
+def test_slack_columns_match_dense_tableau(name):
+    assert_same_triple_as_dense_tableau(PINNED_LPS[name][0]())
+
+
+def test_slack_columns_match_dense_tableau_criterion7(criterion7_sample):
+    for fam in criterion7_sample:
+        assert_same_triple_as_dense_tableau(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families())
+def test_slack_columns_match_dense_tableau_property(fam):
+    assert_same_triple_as_dense_tableau(fam)
+
+
+def test_single_vertex_edges():
+    # k = 1: each edge column is one slack column
+    fam = Family.from_edges(5, 1, [(2,), (4,), (5,)])
+    assert_same_triple_as_dense_tableau(fam)
+    matching, cover = fractional_pair(fam)
+    assert matching.objective == cover.objective == 3
+    assert cover.weights == {1: 0, 2: 1, 3: 0, 4: 1, 5: 1}

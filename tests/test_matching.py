@@ -20,6 +20,7 @@ from ekrlab.matching import (
     matching_number,
     rainbow_extension,
     reduce_cover,
+    threshold_report,
 )
 
 from conftest import (
@@ -208,6 +209,27 @@ def test_find_matching_rejects_negative_size():
                 find_matching_by_degree(Family.from_edges(3, 0, [()]), s, strict=strict)
     matching, trace = find_matching_by_degree(star(9, 2, 1), 0, strict=False)
     assert len(matching) == 0 and trace == [{"s": 0, "branch": "empty"}]
+
+
+def test_find_matching_by_degree_takes_k1():
+    # delta_1 comes from the vertex degrees, which min_degree(., 1) refuses at k = 1
+    two = Family.from_edges(5, 1, [(1,), (2,)])
+    matching, trace = find_matching_by_degree(two, 1, strict=False)
+    assert matching.edges == ((1,),) and trace[0]["branch"] == "outside-guarantee"
+    with pytest.raises(DomainError, match="hypothesis violated"):
+        find_matching_by_degree(two, 1)
+    full = Family.from_edges(6, 1, [(v,) for v in range(1, 7)])
+    matching, trace = find_matching_by_degree(full, 2)
+    assert len(matching) == 2 and "outside-guarantee" not in [t["branch"] for t in trace]
+    assert threshold_report(two, 1).delta == 0
+    assert threshold_report(full, 2).delta == 1
+
+
+def test_find_matching_rejects_an_empty_ground_set():
+    for s in (0, 1, 2):
+        for strict in (True, False):
+            with pytest.raises(DomainError, match="nonempty ground set, got n = 0"):
+                find_matching_by_degree(Family.from_edges(0, 0, []), s, strict=strict)
 
 
 def test_find_matching_fallback():
