@@ -53,6 +53,8 @@ def hilton_milner(n: int, k: int) -> Family:
     """
     if n <= k:
         raise DomainError(f"need n >= k + 1, got n={n}, k={k}")
+    if k < 1:
+        raise DomainError(f"hilton-milner needs k >= 1, got k={k}")
     blocker = set(range(2, k + 2))
     through_1 = ((1,) + c for c in combinations(range(2, n + 1), k - 1) if blocker.intersection(c))
     return Family.from_edges(n, k, chain([tuple(sorted(blocker))], through_1))

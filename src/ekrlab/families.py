@@ -2,9 +2,9 @@
 
 A family is stored as a bitset over the colexicographic ranks of its edges,
 so membership tests and set algebra on whole families are single big-int
-operations; per-vertex incidence bitsets (:func:`incidence`, :func:`meets`)
-make degrees popcounts and meets ORs.  Vertices are 1-based integers, edges
-are strictly increasing tuples of vertices, and all counting is exact.
+operations; :attr:`Family.through`, transposed once, holds the edges through
+each vertex, and :func:`meet_rows` streams meets as its ORs, edge by edge.
+Vertices are 1-based, edges are increasing vertex tuples, counting is exact.
 """
 
 from __future__ import annotations
@@ -203,6 +203,15 @@ class Family:
         return tuples, tuple(_vertex_mask(e) for e in tuples)
 
     @cached_property
+    def through(self) -> tuple[int, ...]:
+        """Bit i of entry v-1 is set iff edge i contains v (the star of v in the
+        complete family): column v of the vertex masks written as n-digit
+        binary rows, last edge first.  Cached in the instance dict."""
+        n = self.n
+        rows = "".join(format(m, f"0{n}b") for m in reversed(self.vertex_masks()))
+        return tuple(int(rows[n - 1 - v :: n] or "0", 2) for v in range(n))
+
+    @cached_property
     def _degrees(self) -> tuple[int, ...]:
         """Degree of every vertex 1..n, counted once from the decoded edges."""
         deg = [0] * self.n
@@ -242,28 +251,14 @@ def _vertex_mask(edge: KSubset) -> int:
     return m
 
 
-def incidence(masks: Sequence[int], n: int) -> list[int]:
-    """Incidence bitsets: bit i of entry v-1 is set iff ``masks[i]`` contains v.
-
-    For the complete family in colex-rank order, entry v-1 is the star of v.
-    With the masks written as rows of n binary digits, last mask first, the
-    column of vertex v, read as a binary numeral, is its bitset.
-    """
-    rows = "".join(format(m, f"0{n}b") for m in reversed(masks))
-    return [int(rows[n - 1 - v :: n] or "0", 2) for v in range(n)]
-
-
-def meets(through: Sequence[int], columns: Sequence[int], count: int) -> list[int]:
-    """For each of ``count`` masks, the OR of its vertices' bitsets in ``through``.
-
-    ``columns`` are the masks' own incidence bitsets (:func:`incidence`),
-    so one transposition serves both sides when a family meets itself.
-    """
-    out = [0] * count
-    for star, column in zip(through, columns):
-        for i in iter_bits(column):
-            out[i] |= star
-    return out
+def meet_rows(through: Sequence[int], edges: Iterable[KSubset]) -> Iterator[int]:
+    """For each edge, the OR of its vertices' bitsets in ``through``: the
+    edges of the transposed family that meet it, one row at a time."""
+    for edge in edges:
+        row = 0
+        for v in edge:
+            row |= through[v - 1]
+        yield row
 
 
 def is_intersecting(family: Family) -> bool:
@@ -278,10 +273,8 @@ def are_cross_intersecting(left: Family, right: Family) -> bool:
             f"cross-intersecting requires matching (n, k); "
             f"got ({left.n}, {left.k}) vs ({right.n}, {right.k})"
         )
-    through = incidence(left.vertex_masks(), left.n)
-    columns = through if right is left else incidence(right.vertex_masks(), right.n)
     full = (1 << left.edge_count) - 1
-    return all(m == full for m in meets(through, columns, right.edge_count))
+    return all(row == full for row in meet_rows(left.through, right.edge_tuples()))
 
 
 def degree(family: Family, subset: Iterable[int]) -> int:

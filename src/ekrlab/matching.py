@@ -16,8 +16,9 @@ matching of size s is assembled by one of three moves per level:
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
 Edge sets are bitsets over edge indices and degrees are popcounts against
-per-vertex incidence bitsets.  The constructive algorithm decodes its family
-once and deletes a vertex by clearing its bitset; no edge is relabelled.
+the family's own ``through`` bitsets (the edges through each vertex).  The
+constructive algorithm decodes its family once, transposes it only from
+s >= 3, and deletes a vertex by clearing its bitset; no edge is relabelled.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, KSubset, binomial, incidence, iter_bits, vertex_degrees
+from .families import Family, KSubset, binomial, iter_bits, vertex_degrees
 from .lp import FractionalSolution, fractional_matching
 
 
@@ -78,12 +79,14 @@ def matching_number(
     none is and all of them are discarded.  Pruned by support-size/k and
     by a greedy cover bound.  With ``at_least`` the search stops as soon as
     a matching of that size is found (the result is then a certified lower
-    bound; it is exact whenever it is smaller).
+    bound; it is exact whenever it is smaller).  At k = 0 the only edge is
+    the empty one, a matching by itself, so nu is the edge count.
     """
     cap = limits.resolve(node_limit, limits.MATCHING_NODE_LIMIT)
-    edges = family.edge_tuples()
-    through = incidence(family.vertex_masks(), family.n)
-    k = max(family.k, 1)
+    edges, k = family.edge_tuples(), family.k
+    if k == 0:
+        return len(edges), Matching.from_family(family, edges)
+    through = family.through
     best: list[int] = []
     current: list[int] = []
     nodes = 0
@@ -144,7 +147,7 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
                 f"vertex {v} has degree {deg[v - 1]} <= 2(s-1)C(n-2,k-2) = {need}"
             )
     masks = family.vertex_masks()
-    chosen = _rainbow(masks, incidence(masks, n), (1 << len(masks)) - 1, vs)
+    chosen = _rainbow(masks, family.through, (1 << len(masks)) - 1, vs)
     edges = family.edge_tuples()
     return Matching.from_family(family, [edges[i] for i in chosen])
 
@@ -242,7 +245,7 @@ def _construct(family: Family, s: int) -> tuple[list[int], list[dict]]:
     trace: list[dict] = []
     pending: list[int] = []  # candidate edges of each level that extends, top first
     if s >= 3:
-        through = incidence(masks, family.n)
+        through = family.through
         alive, deg = list(range(1, family.n + 1)), vertex_degrees(family)
     while s >= 3:
         n = len(alive)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, incidence, iter_bits, meets
+from .families import Family, binomial, iter_bits, meet_rows
 from .matching import matching_number
 
 from .constructions import erdos_extremal
@@ -52,16 +52,16 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
     """(stars, meet-adjacency bitsets, disjointness bitsets) over the colex
     ranks of the k-subsets of [n].
 
-    ``stars[v-1]`` is the incidence bitset of vertex v in the complete
-    family; the ranks meeting rank r are the OR of the stars of its
-    vertices, and ``meet[r]`` leaves r itself out.
+    ``stars`` is the complete family's ``through`` (``stars[v-1]`` holds the
+    ranks containing v); :func:`meet_rows` ORs them into the ranks meeting
+    rank r, and ``meet[r]`` leaves r itself out.
     """
-    count = binomial(n, k)
-    full = (1 << count) - 1
-    stars = incidence(Family.from_ranks(n, k, full).vertex_masks(), n)
-    reach = meets(stars, stars, count)
+    full = (1 << binomial(n, k)) - 1
+    complete = Family.from_ranks(n, k, full)
+    stars = complete.through
+    reach = tuple(meet_rows(stars, complete.edge_tuples()))
     meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
-    return tuple(stars), meet, tuple(full ^ m for m in reach)
+    return stars, meet, tuple(full ^ m for m in reach)
 
 
 def _check_enum_size(n: int, k: int, limit: int | None) -> int:

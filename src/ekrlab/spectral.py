@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, incidence, meets, vertex_degrees
+from .families import Family, binomial, meet_rows, vertex_degrees
 
 
 def _comb_nonneg(n: int, r: int) -> int:
@@ -78,9 +78,9 @@ def disjoint_pairs(family: Family) -> int:
     e - |meet_i| others, and the sum counts every pair twice.  At k = 0
     there is at most the one empty edge, and 1 // 2 = 0.
     """
-    columns = incidence(family.vertex_masks(), family.n)
     e = family.edge_count
-    return sum(e - m.bit_count() for m in meets(columns, columns, e)) // 2
+    rows = meet_rows(family.through, family.edge_tuples())
+    return sum(e - row.bit_count() for row in rows) // 2
 
 
 def quadratic_form(family: Family) -> int:

@@ -105,3 +105,17 @@ def small_families(draw, n: int | None = None, k: int | None = None, max_edges: 
         n = draw(st.integers(min_value=k, max_value=10))
     ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=max_edges))
     return Family.from_ranks(n, k, sum(1 << r for r in ranks))
+
+
+def count_transpositions(monkeypatch) -> list[Family]:
+    """Record every family whose ``Family.through`` is computed from now on."""
+    transposed: list[Family] = []
+    cached = Family.__dict__["through"]
+    original = cached.func
+
+    def counting(family):
+        transposed.append(family)
+        return original(family)
+
+    monkeypatch.setattr(cached, "func", counting)
+    return transposed

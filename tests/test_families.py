@@ -16,11 +16,10 @@ from ekrlab.families import (
     binomial,
     degree,
     degree_profile,
-    incidence,
     is_intersecting,
     iter_bits,
     link,
-    meets,
+    meet_rows,
     min_degree,
     rank_colex,
     unrank_colex,
@@ -28,9 +27,10 @@ from ekrlab.families import (
 )
 from ekrlab.constructions import complete, hilton_milner, remark_family, star
 from ekrlab.lp import fractional_cover
+from ekrlab.matching import matching_number
 from ekrlab.spectral import disjoint_pairs
 
-from conftest import random_family, random_family_edge_count, small_families
+from conftest import count_transpositions, random_family, random_family_edge_count, small_families
 from oracles import (
     linear_unrank,
     pairwise_are_cross_intersecting,
@@ -221,13 +221,29 @@ def test_intersecting_iff_no_disjoint_pairs():
 
 def test_incidence_and_meets_of_a_small_family():
     fam = Family.from_edges(5, 2, [(1, 2), (2, 3), (4, 5)])  # colex: 12, 23, 45
-    through = incidence(fam.vertex_masks(), 5)
-    assert through == [0b001, 0b011, 0b010, 0b100, 0b100]
-    assert meets(through, through, 3) == [0b011, 0b011, 0b100]
+    assert fam.through == (0b001, 0b011, 0b010, 0b100, 0b100)
+    assert list(meet_rows(fam.through, fam.edge_tuples())) == [0b011, 0b011, 0b100]
     # the complete family's incidence bitsets are the stars
     full = complete(6, 3)
-    assert incidence(full.vertex_masks(), 6) == [star(6, 3, v).edges for v in range(1, 7)]
-    assert incidence([], 3) == [0, 0, 0] and meets([0, 0, 0], [0, 0, 0], 0) == []
+    assert full.through == tuple(star(6, 3, v).edges for v in range(1, 7))
+    assert Family.empty(3, 3).through == (0, 0, 0)
+    assert list(meet_rows((0, 0, 0), [])) == []
+
+
+def test_cross_intersecting_transposes_the_left_family_only(monkeypatch):
+    transposed = count_transpositions(monkeypatch)
+    left, right = hilton_milner(11, 4), hilton_milner(11, 4)
+    assert are_cross_intersecting(left, right)
+    assert len(transposed) == 1 and transposed[0] is left  # left == right: test identity
+
+
+def test_meet_questions_on_one_family_transpose_once(monkeypatch):
+    transposed = count_transpositions(monkeypatch)
+    fam = random_family_edge_count(random.Random(14), 9, 3, 30)
+    is_intersecting(fam)
+    disjoint_pairs(fam)
+    matching_number(fam)
+    assert len(transposed) == 1
 
 
 def _check_meet_predicates(fam: Family, other: Family) -> None:
@@ -241,7 +257,7 @@ def _check_meet_predicates(fam: Family, other: Family) -> None:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_meet_predicates_match_pairwise_oracles(data):
-    # incidence bitsets against the pairwise loops they replaced
+    # meet rows against the pairwise loops they replaced
     fam = data.draw(small_families())
     _check_meet_predicates(fam, data.draw(small_families(n=fam.n, k=fam.k)))
 

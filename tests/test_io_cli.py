@@ -1,5 +1,7 @@
 """File format, report determinism, CLI dispatch and exit codes."""
 
+import contextlib
+import io
 import json
 import resource
 import subprocess
@@ -19,7 +21,9 @@ from ekrlab.io import (
     rational_decimal,
     serialize_family,
 )
-from ekrlab.constructions import remark_family, star
+from ekrlab.constructions import KINDS, complete, remark_family, star
+
+from conftest import small_families
 
 
 def test_round_trip_canonicalizes():
@@ -153,6 +157,51 @@ def test_parse_serialize_round_trip_property(fam):
     assert serialize_family(back) == data
 
 
+@st.composite
+def cli_argvs(draw, directory):
+    """argv of construct, spectrum, certify and matching on small random files."""
+    command = draw(st.sampled_from(["construct", "spectrum", "certify", "matching"]))
+    if command == "construct":
+        argv = ["construct", draw(st.sampled_from(KINDS))]
+        for flag in ("--n", "--k", "--s", "--i", "--center"):
+            value = draw(st.none() | st.integers(min_value=-2, max_value=9))
+            if value is not None:
+                argv += [flag, str(value)]
+        return argv + ["--seed", str(draw(st.integers(0, 3)))]
+
+    def family_file(name):
+        k = draw(st.integers(min_value=0, max_value=3))
+        fam = draw(small_families(n=draw(st.integers(min_value=k, max_value=8)), k=k))
+        path = directory / name
+        path.write_bytes(serialize_family(fam))
+        return str(path)
+
+    if command == "spectrum":
+        return ["spectrum", family_file("a.json"), *draw(st.sampled_from([[], ["--full"]]))]
+    if command == "certify":
+        kind = draw(st.sampled_from(["ekr", "witness", "cross"]))
+        files = [family_file("a.json")] + ([family_file("b.json")] if kind == "cross" else [])
+        return ["certify", kind, *files]
+    mode = draw(st.sampled_from([[], ["--fractional"], ["--cover"], ["--construct-degree"]]))
+    if mode == ["--construct-degree"]:
+        mode.append(str(draw(st.integers(min_value=-2, max_value=9))))
+    return ["matching", family_file("a.json"), *mode]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cli_exit_code_contract(tmp_path_factory, data):
+    # 0 success, 1 a failed verdict, 2 a bad input, 3 a limit: never a traceback
+    directory = tmp_path_factory.mktemp("argv")
+    argv = data.draw(cli_argvs(directory)) + ["--out", str(directory / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code == 1 and argv[0] != "certify":
+        assert err.getvalue().startswith("contradiction:"), (argv, err.getvalue())
+
+
 def test_cli_spectrum_json(tmp_path, capsys):
     star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
     assert dispatch(["spectrum", star_path, "--full", "--json"]) == 0
@@ -243,6 +292,17 @@ def test_cli_construct_degree_rejects_a_second_empty_edge(tmp_path, capsys):
         "error: no 5 disjoint 0-sets fit on n = 3 vertices: "
         "a 0-uniform family has at most one edge\n"
     )
+
+
+def test_cli_matching_takes_the_empty_edge_at_k0(tmp_path, capsys):
+    path = tmp_path / "k0.json"
+    path.write_text(json.dumps({"n": 3, "k": 0, "edges": [[]]}))
+    assert dispatch(["matching", str(path), "--json"]) == 0
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert (fields["matching_number"], fields["witness"]) == (1, "{}")
+    assert dispatch(["matching", str(path), "--construct-degree", "1", "--json"]) == 0
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert (fields["matching"], fields["trace"]) == ("{}", "outside-guarantee")
 
 
 def test_cli_construct_degree_takes_k1(tmp_path, capsys):
@@ -389,6 +449,35 @@ def test_oversized_construct_exits_3_at_once(args):
         "resource limit: C(n,k) = C(60,30) = 118264581564861424 k-sets exceed "
         "FAMILY_KSET_LIMIT = 16777216\n"
     )
+
+
+def _cap_address_space_512():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+@pytest.fixture(scope="module")
+def complete_81_3(tmp_path_factory):
+    path = tmp_path_factory.mktemp("c81") / "complete-81-3.json"
+    path.write_bytes(serialize_family(complete(81, 3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, code, stderr", [
+    (["certify", "ekr", "{0}"], 2, "error: ekr_certificate requires an intersecting family\n"),
+    (["certify", "cross", "{0}", "{0}"], 2, "error: families are not cross-intersecting\n"),
+    (["spectrum", "{0}", "--json"], 0, ""),
+], ids=["certify-ekr", "certify-cross", "spectrum"])
+def test_meet_questions_on_85320_edges_fit_in_512_mib(complete_81_3, command, code, stderr):
+    # the meet rows stream one edge at a time; all e rows of e bits at once
+    # would take about 0.9 GB for complete(81,3)
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", *(arg.format(complete_81_3) for arg in command)],
+        capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space_512,
+    )
+    assert (result.returncode, result.stderr) == (code, stderr)
+    if code == 0:
+        fields = json.loads(result.stdout)["fields"]
+        assert fields["quadratic_form"] == binomial(81, 3) * binomial(78, 3) == 6490804320
 
 
 def test_import_does_not_load_numpy():

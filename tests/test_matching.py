@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ekrlab.matching
 from ekrlab import limits
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, min_degree, vertex_degrees
@@ -24,6 +23,7 @@ from ekrlab.matching import (
 )
 
 from conftest import (
+    count_transpositions,
     random_family_edge_count,
     random_family_min_degree,
     random_family_near_regular,
@@ -101,6 +101,11 @@ def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes):
 @given(small_families(), st.sampled_from([None, 1, 2, 3]))
 def test_matching_number_matches_mask_list_oracle(fam, at_least):
     # (nu, witness, node count) against the mask-list search the bitsets replaced
+    if fam.k == 0:  # answered before the search: the one empty edge matches alone
+        edges = fam.edge_tuples()
+        assert matching_number(fam, at_least=at_least) == (len(edges), Matching(tuple(edges)))
+        assert len(edges) == brute_matching_number(edges)
+        return
     nu, witness, nodes = mask_list_matching_number(fam.edge_tuples(), fam.k, at_least)
     assert matching_number(fam, at_least=at_least) == (nu, Matching(tuple(witness)))
     matching_number(fam, at_least=at_least, node_limit=nodes)
@@ -211,6 +216,14 @@ def test_find_matching_rejects_negative_size():
     assert len(matching) == 0 and trace == [{"s": 0, "branch": "empty"}]
 
 
+def test_matching_number_counts_the_empty_edge_at_k0():
+    single = Family.from_edges(3, 0, [()])
+    assert matching_number(single) == (1, Matching(edges=((),)))
+    assert matching_number(Family.empty(3, 0)) == (0, Matching(edges=()))
+    matching, trace = find_matching_by_degree(single, 1, strict=False)
+    assert matching.edges == ((),) and trace == [{"s": 1, "branch": "outside-guarantee", "nu": 1}]
+
+
 def test_find_matching_by_degree_takes_k1():
     # delta_1 comes from the vertex degrees, which min_degree(., 1) refuses at k = 1
     two = Family.from_edges(5, 1, [(1,), (2,)])
@@ -309,19 +322,12 @@ def test_construct_matches_tuple_oracle():
 
 
 def test_construct_transposes_once_and_only_from_s_3(monkeypatch):
-    calls = [0]
-    original = ekrlab.matching.incidence
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(ekrlab.matching, "incidence", counting)
+    transposed = count_transpositions(monkeypatch)
     for fam, s, transposes in [(complete(60, 2), 5, 1), (complete(24, 2), 2, 0),
                                (complete(12, 2), 1, 0)]:
-        calls[0] = 0
+        transposed.clear()
         find_matching_by_degree(fam, s)
-        assert calls[0] == transposes
+        assert len(transposed) == transposes
 
 
 def test_reduce_cover_star():
