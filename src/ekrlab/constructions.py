@@ -12,7 +12,7 @@ import random
 from itertools import chain, combinations
 
 from .errors import DomainError
-from .families import Family, binomial
+from .families import Family, binomial, gated_kset_count
 
 
 def star(n: int, k: int, center: int = 1) -> Family:
@@ -21,6 +21,7 @@ def star(n: int, k: int, center: int = 1) -> Family:
         raise DomainError(f"star needs 1 <= k <= n, got k={k}, n={n}")
     if center < 1 or center > n:
         raise DomainError(f"star center {center} outside [1, {n}]")
+    gated_kset_count(n, k)  # before any O(n) vertex list is built
     rest = [v for v in range(1, n + 1) if v != center]
     edges = (tuple(sorted((center,) + c)) for c in combinations(rest, k - 1))
     return Family.from_edges(n, k, edges)
@@ -40,6 +41,7 @@ def erdos_extremal(n: int, k: int, s: int, i: int) -> Family:
         raise DomainError(f"need s*i - 1 <= n, got s*i-1={s * i - 1}, n={n}")
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
+    gated_kset_count(n, k)
     bound = s * i - 1
     edges = (e for e in combinations(range(1, n + 1), k) if sum(1 for v in e if v <= bound) >= i)
     return Family.from_edges(n, k, edges)
@@ -55,6 +57,7 @@ def hilton_milner(n: int, k: int) -> Family:
         raise DomainError(f"need n >= k + 1, got n={n}, k={k}")
     if k < 1:
         raise DomainError(f"hilton-milner needs k >= 1, got k={k}")
+    gated_kset_count(n, k)
     blocker = set(range(2, k + 2))
     through_1 = ((1,) + c for c in combinations(range(2, n + 1), k - 1) if blocker.intersection(c))
     return Family.from_edges(n, k, chain([tuple(sorted(blocker))], through_1))
@@ -86,6 +89,7 @@ def random_halved(k: int, seed: int) -> Family:
     if k < 2:
         raise DomainError(f"need k >= 2, got k={k}")
     n = 2 * k
+    gated_kset_count(n, k)
     rng = random.Random(seed)
     full = frozenset(range(1, n + 1))
     edges = (
@@ -99,6 +103,7 @@ def complete(n: int, k: int) -> Family:
     """All k-subsets of [n]."""
     if k < 0 or k > n:
         raise DomainError(f"complete needs 0 <= k <= n, got k={k}, n={n}")
+    gated_kset_count(n, k)
     return Family.from_edges(n, k, combinations(range(1, n + 1), k))
 
 

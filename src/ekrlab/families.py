@@ -79,14 +79,26 @@ def _rank_validated(s: KSubset) -> int:
     return sum(comb(a - 1, i) for i, a in enumerate(s, start=1))
 
 
-def _gated_kset_count(n: int, k: int) -> int:
-    """C(n,k) for n >= 0; ResourceLimitError above FAMILY_KSET_LIMIT."""
-    total = binomial(n, k)
-    if total > limits.FAMILY_KSET_LIMIT:
-        raise ResourceLimitError(
-            f"C(n,k) = C({n},{k}) = {total} k-sets exceed "
-            f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}"
-        )
+@lru_cache(maxsize=256)
+def kset_count(n: int, k: int) -> int | None:
+    """C(n,k) for 0 <= k <= n, or None above 2^13288, a 4001-digit cap
+    (CPython prints no int of over 4300 digits).  C(n,i) grows up to i =
+    min(k, n-k) and is at least 2^i there, so stopping past the cap takes at
+    most about 13,300 steps, where math.comb takes seconds at (10^6, 5*10^5)."""
+    cap, total, i = 1 << 13_288, 1, 0
+    while total <= cap and i < min(k, n - k):
+        i += 1
+        total = total * (n + 1 - i) // i
+    return total if total <= cap else None
+
+
+def gated_kset_count(n: int, k: int) -> int:
+    """C(n,k) for 0 <= k <= n; ResourceLimitError above FAMILY_KSET_LIMIT."""
+    total = kset_count(n, k)
+    if total is None or total > limits.FAMILY_KSET_LIMIT:
+        count = "" if total is None else f" = {total}"  # too large to print: shape only
+        raise ResourceLimitError(f"C(n,k) = C({n},{k}){count} k-sets exceed "
+                                 f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}")
     return total
 
 
@@ -102,7 +114,7 @@ def _colex_columns(n: int, k: int) -> tuple[int, int, tuple[int, ...]]:
     keeps it to about 17k entries; one flat tuple keeps k >= n-1 at the size
     of at most two decoded edges.
     """
-    total = _gated_kset_count(n, k)
+    total = gated_kset_count(n, k)
     w = n - k + 1
     return total, w, tuple(comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w))
 
@@ -146,27 +158,24 @@ class Family:
     n: int
     k: int
     edges: int
-    edge_count: int
 
     def __post_init__(self) -> None:
         if self.k < 0 or self.k > self.n or self.n < 0:
             raise DomainError(f"invalid uniformity (n={self.n}, k={self.k})")
-        if self.edges < 0 or self.edges.bit_length() > binomial(self.n, self.k):
+        total = kset_count(self.n, self.k)  # None: more ranks than any bitset holds
+        if self.edges < 0 or total is not None and self.edges.bit_length() > total:
             raise DomainError("edge bitset has bits outside the valid rank range")
-        if self.edge_count != self.edges.bit_count():
-            raise DomainError("edge_count does not match the bitset popcount")
 
     @classmethod
     def from_ranks(cls, n: int, k: int, bits: int) -> "Family":
-        return cls(n, k, bits, bits.bit_count())
+        return cls(n, k, bits)
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Family":
         """The family of the given edges; C(n,k) is gated before any bit is set."""
         if n >= 0:
-            _gated_kset_count(n, k)
+            gated_kset_count(n, k)
         bits = 0
-        count = 0
         for e in edges:
             s = validate_ksubset(e, n)
             if len(s) != k:
@@ -175,12 +184,16 @@ class Family:
             if bits & bit:
                 raise DomainError(f"duplicate edge {s}")
             bits |= bit
-            count += 1
-        return cls(n, k, bits, count)
+        return cls(n, k, bits)
 
     @classmethod
     def empty(cls, n: int, k: int) -> "Family":
-        return cls(n, k, 0, 0)
+        return cls(n, k, 0)
+
+    @cached_property
+    def edge_count(self) -> int:
+        """Popcount of the edge bitset, cached in the instance dict."""
+        return self.edges.bit_count()
 
     def __len__(self) -> int:
         return self.edge_count
@@ -197,7 +210,7 @@ class Family:
         """(edge tuples, vertex masks) in colex-rank order, decoded once.
 
         Kept in the instance dict, not in a field, so equality and hashing
-        still see only (n, k, edges, edge_count).
+        still see only (n, k, edges).
         """
         tuples = tuple(unrank_colex(r, self.k, self.n) for r in self.edge_ranks())
         return tuples, tuple(_vertex_mask(e) for e in tuples)

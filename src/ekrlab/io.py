@@ -29,7 +29,7 @@ def parse_family(data: bytes | str) -> Family:
             raise FormatError(f"family file is not UTF-8: {exc}") from exc
     try:
         payload = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
         raise FormatError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise FormatError("malformed JSON: nested too deeply") from None

@@ -1,9 +1,7 @@
-"""Resource limits for the exact solvers and enumerators.
+"""Resource limits for the exact solvers and enumerators, one constant each.
 
-The four solver limits can be overridden globally through the
-``EKRLAB_LIMIT`` environment variable (one integer applied to all four),
-or per call via the ``limit=`` keyword accepted by the gated operations.
-``FAMILY_KSET_LIMIT`` is fixed: neither overrides it, since a value small
+The ``EKRLAB_LIMIT`` environment variable, one integer, overrides the four
+solver limits at once.  ``FAMILY_KSET_LIMIT`` is fixed, since a value small
 enough to exercise the solver limits (tests set ``EKRLAB_LIMIT`` to 10 or
 119) would reject every family.
 """
@@ -30,14 +28,10 @@ ENUM_KSET_LIMIT = 64
 MATCHING_NODE_LIMIT = 5_000_000
 
 
-def resolve(limit: int | None, default: int) -> int:
-    """Pick the effective limit: explicit argument, then env var, then default."""
-    if limit is not None:
-        return limit
+def resolve(default: int) -> int:
+    """Pick the effective limit: the env var if set, else ``default``."""
     env = os.environ.get(ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"{ENV_VAR} must be an integer, got {env!r}") from None
-    return default
+    try:
+        return default if env is None else int(env)
+    except ValueError:
+        raise DomainError(f"{ENV_VAR} must be an integer, got {env!r}") from None

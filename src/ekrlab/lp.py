@@ -133,20 +133,14 @@ def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: 
         )
 
 
-def _check_lp_size(family: Family, limit: int | None) -> None:
-    cap = limits.resolve(limit, limits.LP_EDGE_LIMIT)
+def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:
+    """(maximum fractional matching, minimum fractional cover) from one
+    packing LP solve, returned only once their primal–dual certificate holds."""
+    cap = limits.resolve(limits.LP_EDGE_LIMIT)
     if family.edge_count > cap:
         raise ResourceLimitError(f"edge count {family.edge_count} exceeds LP limit {cap}")
     if family.k < 1:
         raise DomainError("fractional programs need k >= 1")
-
-
-def fractional_pair(
-    family: Family, limit: int | None = None
-) -> tuple[FractionalSolution, FractionalSolution]:
-    """(maximum fractional matching, minimum fractional cover) from one
-    packing LP solve, returned only once their primal–dual certificate holds."""
-    _check_lp_size(family, limit)
     x, y, d = _solve_packing(family.edge_tuples(), family.n)
     xs = dict(zip(family.edge_ranks(), x))
     ys = dict(zip(range(1, family.n + 1), y))
@@ -160,20 +154,20 @@ def _over(kind: str, numerators: dict[int, int], d: int) -> FractionalSolution:
     return FractionalSolution(kind, weights, Fraction(sum(numerators.values()), d))
 
 
-def fractional_matching(family: Family, limit: int | None = None) -> FractionalSolution:
+def fractional_matching(family: Family) -> FractionalSolution:
     """Maximum fractional matching: max sum w(e), per-vertex load <= 1."""
-    return fractional_pair(family, limit)[0]
+    return fractional_pair(family)[0]
 
 
-def fractional_cover(family: Family, limit: int | None = None) -> FractionalSolution:
+def fractional_cover(family: Family) -> FractionalSolution:
     """Minimum fractional cover: min sum f(v), per-edge load >= 1.
 
     Read off the dual of the matching solve; vertices on no edge weigh 0.
     """
-    return fractional_pair(family, limit)[1]
+    return fractional_pair(family)[1]
 
 
-def verify_duality(family: Family, limit: int | None = None) -> bool:
+def verify_duality(family: Family) -> bool:
     """Check nu* = tau* by a primal–dual certificate from one solve.
 
     The solve yields a fractional matching x and a fractional cover y; the
@@ -181,5 +175,5 @@ def verify_duality(family: Family, limit: int | None = None) -> bool:
     By weak duality that proves both optimal, so nu* = tau*.  Returns True;
     a failed certificate raises ContradictionError.
     """
-    fractional_pair(family, limit)
+    fractional_pair(family)
     return True

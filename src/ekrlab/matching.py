@@ -67,22 +67,18 @@ def _greedy_cover_bound(avail: int, through: Sequence[int]) -> int:
     return size
 
 
-def matching_number(
-    family: Family,
-    at_least: int | None = None,
-    node_limit: int | None = None,
-) -> tuple[int, Matching]:
+def matching_number(family: Family, at_least: int | None = None) -> tuple[int, Matching]:
     """Exact matching number with a witness, by branch and bound.
 
     Edge sets are bitsets over the edge indices.  Branches on the
     minimum-positive-degree vertex: either one of its edges is matched, or
     none is and all of them are discarded.  Pruned by support-size/k and
-    by a greedy cover bound.  With ``at_least`` the search stops as soon as
-    a matching of that size is found (the result is then a certified lower
-    bound; it is exact whenever it is smaller).  At k = 0 the only edge is
-    the empty one, a matching by itself, so nu is the edge count.
+    by a greedy cover bound; stops once a matching reaches the lower of the
+    two at the root, or ``at_least`` (then a certified lower bound, exact
+    whenever smaller).  At k = 0 the only edge is the empty one, a matching
+    by itself, so nu is the edge count.
     """
-    cap = limits.resolve(node_limit, limits.MATCHING_NODE_LIMIT)
+    cap = limits.resolve(limits.MATCHING_NODE_LIMIT)
     edges, k = family.edge_tuples(), family.k
     if k == 0:
         return len(edges), Matching.from_family(family, edges)
@@ -90,6 +86,9 @@ def matching_number(
     best: list[int] = []
     current: list[int] = []
     nodes = 0
+    full = (1 << len(edges)) - 1
+    goal = min(sum(map(bool, through)) // k, _greedy_cover_bound(full, through),
+               len(edges) if at_least is None else at_least)
 
     def recurse(avail: int) -> bool:
         """Returns True when the search can stop early."""
@@ -99,7 +98,7 @@ def matching_number(
             raise ResourceLimitError(f"matching search exceeded {cap} nodes")
         if len(current) > len(best):
             best = current.copy()
-            if at_least is not None and len(best) >= at_least:
+            if len(best) >= goal:
                 return True
         degrees = [(avail & star).bit_count() for star in through]
         cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
@@ -119,7 +118,7 @@ def matching_number(
             current.pop()
         return recurse(avail & ~through[v])
 
-    recurse((1 << len(edges)) - 1)
+    recurse(full)
     return len(best), Matching.from_family(family, [edges[i] for i in best])
 
 
@@ -340,12 +339,12 @@ class ThresholdReport:
     conclusion_holds: bool
 
 
-def threshold_report(family: Family, s: int, limit: int | None = None) -> ThresholdReport:
+def threshold_report(family: Family, s: int) -> ThresholdReport:
     """Evaluate the d = 1 degree threshold against the exact nu* of a family."""
     n, k = family.n, family.k
     threshold = _degree_threshold(n, k, s)
     delta = min(vertex_degrees(family), default=0)
-    nu_star = fractional_matching(family, limit=limit).objective
+    nu_star = fractional_matching(family).objective
     return ThresholdReport(
         n=n, k=k, d=1, s=s, threshold=threshold, delta=delta,
         hypothesis_met=delta > threshold, nu_star=nu_star,
@@ -353,7 +352,7 @@ def threshold_report(family: Family, s: int, limit: int | None = None) -> Thresh
     )
 
 
-def corollary33_check(family: Family, s: int, limit: int | None = None) -> bool:
+def corollary33_check(family: Family, s: int) -> bool:
     """Exact LP check that the degree hypothesis forces nu* >= s.
 
     Requires n >= (2s-1)(k-1) - s + 2 and delta_1 > C(n-1,k-1) - C(n-s,k-1).
@@ -362,7 +361,7 @@ def corollary33_check(family: Family, s: int, limit: int | None = None) -> bool:
     floor = (2 * s - 1) * (k - 1) - s + 2
     if n < floor:
         raise DomainError(f"need n >= (2s-1)(k-1) - s + 2 = {floor}, got n={n}")
-    report = threshold_report(family, s, limit=limit)
+    report = threshold_report(family, s)
     if not report.hypothesis_met:
         raise DomainError(f"need delta_1 > {report.threshold}, got {report.delta}")
     return report.conclusion_holds

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, iter_bits, meet_rows
+from .families import Family, binomial, iter_bits, kset_count, meet_rows
 from .matching import matching_number
 
 from .constructions import erdos_extremal
@@ -64,17 +64,18 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
     return stars, meet, tuple(full ^ m for m in reach)
 
 
-def _check_enum_size(n: int, k: int, limit: int | None) -> int:
+def _check_enum_size(n: int, k: int) -> int:
     if k < 1 or k > n:
         raise DomainError(f"enumeration needs 1 <= k <= n, got k={k}, n={n}")
-    cap = limits.resolve(limit, limits.ENUM_KSET_LIMIT)
-    count = binomial(n, k)
-    if count > cap:
-        raise ResourceLimitError(f"C({n},{k}) = {count} k-sets exceeds enumeration limit {cap}")
+    cap = limits.resolve(limits.ENUM_KSET_LIMIT)
+    count = kset_count(n, k)
+    if count is None or count > cap:
+        shown = "" if count is None else f" = {count}"  # too large to print: shape only
+        raise ResourceLimitError(f"C({n},{k}){shown} k-sets exceeds enumeration limit {cap}")
     return count
 
 
-def maximal_intersecting(n: int, k: int, limit: int | None = None):
+def maximal_intersecting(n: int, k: int):
     """Yield every maximal intersecting family on [n] exactly once.
 
     Bron-Kerbosch over the meet graph; the pivot maximizes the candidate
@@ -83,7 +84,7 @@ def maximal_intersecting(n: int, k: int, limit: int | None = None):
     an explicit stack of [r, p, x, candidates] frames.  Size gating happens
     before the generator is returned.
     """
-    count = _check_enum_size(n, k, limit)
+    count = _check_enum_size(n, k)
     _, meet, _ = _kneser_tables(n, k)
 
     def bron_kerbosch():
@@ -121,7 +122,7 @@ def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
 
 def greedy_complete(family: Family) -> Family:
     """Extend a pairwise-intersecting family to a maximal one, in rank order."""
-    count = _check_enum_size(family.n, family.k, None)
+    count = _check_enum_size(family.n, family.k)
     _, meet, _ = _kneser_tables(family.n, family.k)
     bits = family.edges
     for r in iter_bits(((1 << count) - 1) & ~bits):
@@ -130,7 +131,7 @@ def greedy_complete(family: Family) -> Family:
     return Family.from_ranks(family.n, family.k, bits)
 
 
-def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
+def ekr_degree_scan(n: int, k: int) -> ScanReport:
     """Exhaustively check the degree dichotomy over maximal families.
 
     Asserts that the maximum minimum-degree equals C(n-2,k-2), attained
@@ -139,7 +140,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    _check_enum_size(n, k, limit)
+    _check_enum_size(n, k)
     stars = _kneser_tables(n, k)[0]
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
@@ -150,7 +151,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     nonstar_max = -1
     violations = []
     records = []
-    for examined, fam in enumerate(maximal_intersecting(n, k, limit=limit)):
+    for examined, fam in enumerate(maximal_intersecting(n, k)):
         e, delta, common = _family_stats(fam.edges, stars)
         is_star = e == star_size and common != 0
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
@@ -186,7 +187,7 @@ def ekr_degree_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     )
 
 
-def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
+def cross_pair_scan(n: int, k: int) -> ScanReport:
     """Check the degree product bound over cross-intersecting ordered pairs of
     maximal intersecting families.
 
@@ -201,7 +202,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    full = (1 << _check_enum_size(n, k, limit)) - 1
+    full = (1 << _check_enum_size(n, k)) - 1
     stars, _, disjoint = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
@@ -209,7 +210,7 @@ def cross_pair_scan(n: int, k: int, limit: int | None = None) -> ScanReport:
     seen: set[int] = set()
     deltas: list[int] = []
     centers: list[int] = []  # common vertex of a full star, else 0
-    for i, fam in enumerate(maximal_intersecting(n, k, limit=limit)):
+    for i, fam in enumerate(maximal_intersecting(n, k)):
         forb = 0
         for r in iter_bits(fam.edges):
             forb |= disjoint[r]
@@ -285,7 +286,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         raise DomainError(f"need s <= n/k, got s={s}, n/k={n}/{k}")
     if budget < 0:
         raise DomainError(f"need budget >= 0, got {budget}")
-    full = (1 << _check_enum_size(n, k, None)) - 1
+    full = (1 << _check_enum_size(n, k)) - 1
     stars, _, disjoint = _kneser_tables(n, k)
 
     threshold = binomial(n - 1, k - 1) - binomial(n - s, k - 1)

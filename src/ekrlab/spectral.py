@@ -154,7 +154,7 @@ def _subset_degree_sums(family: Family) -> list[int]:
     return sums
 
 
-def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
+def eigen_mass_full(family: Family) -> SpectralMass:
     """All eigenspace masses F_0..F_k of the family, exactly.
 
     Uses the triangular recurrence of the module docstring, at a cost
@@ -168,7 +168,7 @@ def eigen_mass_full(family: Family, limit: int | None = None) -> SpectralMass:
     if n < 2 * k:
         raise DomainError(f"eigen_mass_full needs n >= 2k, got n={n}, k={k}")
     e = family.edge_count
-    cap = limits.resolve(limit, limits.EIGEN_SUBSET_LIMIT)
+    cap = limits.resolve(limits.EIGEN_SUBSET_LIMIT)
     if e << k > cap:
         raise ResourceLimitError(
             f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} exceed limit {cap}"

@@ -439,8 +439,9 @@ def mask_list_matching_number(
 
     The same branching, bounds and tie-breaks as ``matching.matching_number``
     (minimum-positive-degree branch vertex, lowest id on ties; support/k and
-    greedy cover bounds), with every degree recounted from the mask list at
-    each node.  ``edges`` must be in colex order, as ``Family.edge_tuples``.
+    greedy cover bounds, and the stop once a matching reaches their minimum
+    at the root), with every degree recounted from the mask list at each
+    node.  ``edges`` must be in colex order, as ``Family.edge_tuples``.
     """
     masks = [_mask(e) for e in edges]
     k = max(k, 1)
@@ -467,12 +468,20 @@ def mask_list_matching_number(
             size += 1
         return size
 
+    # nu is at most min(support/k, greedy cover) at the root: reaching it ends the search
+    support = 0
+    for m in masks:
+        support |= m
+    goal = min(bin(support).count("1") // k, greedy(masks))
+    if at_least is not None:
+        goal = min(goal, at_least)
+
     def recurse(avail: list[int]) -> bool:
         nonlocal nodes, best
         nodes += 1
         if len(current) > len(best):
             best = current.copy()
-            if at_least is not None and len(best) >= at_least:
+            if len(best) >= goal:
                 return True
         if not avail:
             return False

@@ -1,5 +1,6 @@
 """Core substrate: binomials, colex ranking, predicates, degrees, links."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from ekrlab.families import (
     degree_profile,
     is_intersecting,
     iter_bits,
+    kset_count,
     link,
     meet_rows,
     min_degree,
@@ -283,6 +285,33 @@ def test_family_validation():
         Family.from_edges(6, 3, [(1, 1, 2)])
     # unsorted input is normalized, not rejected
     assert Family.from_edges(6, 3, [(3, 1, 2)]).edge_tuples() == [(1, 2, 3)]
+
+
+def test_edge_count_is_derived_from_the_bitset():
+    assert [field.name for field in dataclasses.fields(Family)] == ["n", "k", "edges"]
+    fam = Family.from_ranks(7, 3, 0b1011)
+    assert len(fam) == fam.edge_count == 3 and "edge_count" in vars(fam)
+    assert fam == Family.from_edges(7, 3, fam.edge_tuples())
+    assert Family.empty(7, 3).edge_count == 0
+    # the rank range ends at C(7,3) = 35: rank 34 is the last k-set
+    Family.from_ranks(7, 3, 1 << 34)
+    with pytest.raises(DomainError, match="outside the valid rank range"):
+        Family.from_ranks(7, 3, 1 << 35)
+
+
+def test_kset_count_is_exact_up_to_its_cap():
+    for n in range(14):
+        for k in range(n + 1):
+            assert kset_count(n, k) == binomial(n, k)
+    assert kset_count(13_000, 6_500) == binomial(13_000, 6_500)  # 3912 digits
+    assert kset_count(14_000, 7_000) is None  # 4213 digits
+    # math.comb takes seconds here; the count stops once it passes 2^13288
+    assert kset_count(4 * 10**6, 2 * 10**6) is None
+    assert kset_count(10**12, 5 * 10**11) is None
+    Family.from_ranks(10**6, 5 * 10**5, 1 << 10**6)  # no full count for the rank check
+    with pytest.raises(ResourceLimitError) as huge:
+        Family.from_edges(100000, 50000, [])
+    assert str(huge.value) == "C(n,k) = C(100000,50000) k-sets exceed FAMILY_KSET_LIMIT = 16777216"
 
 
 def test_edge_ranks_sparse_and_empty():

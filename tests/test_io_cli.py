@@ -9,11 +9,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ekrlab.cli import dispatch
 from ekrlab.errors import FormatError, ResourceLimitError
-from ekrlab.families import Family, binomial
+from ekrlab.families import Family, binomial, kset_count
 from ekrlab.io import (
     emit_report,
     format_rational,
@@ -202,6 +202,62 @@ def test_cli_exit_code_contract(tmp_path_factory, data):
         assert err.getvalue().startswith("contradiction:"), (argv, err.getvalue())
 
 
+@st.composite
+def huge_shapes(draw):
+    """(n, k) with C(n,k) > 2^24 and n up to 10^12: k near 0, near n/2 or anywhere."""
+    n = draw(st.integers(min_value=25, max_value=10 ** 12))
+    k = draw(st.integers(1, 40) | st.integers(0, n) | st.just(n // 2))
+    count = kset_count(n, k)
+    assume(count is None or count > 1 << 24)
+    return n, k
+
+
+@st.composite
+def file_byte_argvs(draw, directory):
+    """argv of every command on random bytes, huge shapes and over-long integers."""
+    big = "9" * draw(st.integers(min_value=4301, max_value=6000))
+    shape = draw(huge_shapes())
+    source = draw(st.sampled_from(["bytes", "file", "digits", "construct", "scan"]))
+    if source in ("construct", "scan"):
+        n, k = draw(st.sampled_from([[str(v) for v in shape], [big, "3"], ["9", big]]))
+        if source == "construct":
+            kind = draw(st.sampled_from(KINDS))
+            return ["construct", kind, "--n", n, "--k", k, "--s", "2", "--i", "1"]
+        scan = draw(st.sampled_from(["ekr", "cross", "conjecture"]))
+        extra = ["--s", "1", "--budget", "1"] if scan == "conjecture" else []
+        return ["scan", scan, "--n", n, "--k", k, *extra]
+    if source == "bytes":
+        data = draw(st.binary(max_size=64))
+    elif source == "file":
+        data = json.dumps({"n": shape[0], "k": shape[1], "edges": [[1, 2]]}).encode()
+    else:
+        data = draw(st.sampled_from([f'{{"n": {big}, "k": 3, "edges": []}}',
+                                     f'{{"n": 9, "k": 3, "edges": [[1, 2, {big}]]}}'])).encode()
+    path = directory / "f.json"
+    path.write_bytes(data)
+    return draw(st.sampled_from([["spectrum", str(path)], ["spectrum", str(path), "--full"],
+                                 ["certify", "ekr", str(path)], ["certify", "witness", str(path)],
+                                 ["certify", "cross", str(path), str(path)], ["matching", str(path)],
+                                 ["matching", str(path), "--cover"]]))
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.data())
+def test_cli_file_bytes_exit_code_contract(tmp_path_factory, data):
+    # bad bytes exit 2 and oversized shapes exit 3, each within the 2 s deadline
+    directory = tmp_path_factory.mktemp("bytes")
+    argv = data.draw(file_byte_argvs(directory))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv + ["--out", str(directory / "out")])
+        except SystemExit as exc:  # argparse refuses an over-long --n with exit 2
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    if code == 1:
+        assert err.getvalue().startswith("contradiction:"), (argv, err.getvalue())
+
+
 def test_cli_spectrum_json(tmp_path, capsys):
     star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
     assert dispatch(["spectrum", star_path, "--full", "--json"]) == 0
@@ -374,7 +430,7 @@ def test_memory_error_exits_3(monkeypatch, capsys):
     # stage the allocation failure; real inputs that big now meet the gate
     from ekrlab import cli
 
-    def boom(n, k, limit=None):
+    def boom(n, k):
         raise MemoryError
 
     monkeypatch.setattr(cli, "ekr_degree_scan", boom)
@@ -404,7 +460,7 @@ def test_exit_code_1_on_contradiction(monkeypatch, capsys):
     from ekrlab import cli
     from ekrlab.errors import ContradictionError
 
-    def boom(n, k, limit=None):
+    def boom(n, k):
         raise ContradictionError("staged")
 
     monkeypatch.setattr(cli, "ekr_degree_scan", boom)

@@ -88,9 +88,10 @@ def test_cover_feasible():
             assert sum(sol.weights[v] for v in edge) >= 1
 
 
-def test_lp_size_limit():
-    with pytest.raises(ResourceLimitError):
-        fractional_matching(complete(8, 3), limit=10)
+def test_lp_size_limit(monkeypatch):
+    monkeypatch.setenv("EKRLAB_LIMIT", "10")
+    with pytest.raises(ResourceLimitError, match="edge count 56 exceeds LP limit 10"):
+        fractional_matching(complete(8, 3))
 
 
 def test_lp_rejects_k0():

@@ -81,20 +81,22 @@ def test_matching_number_matches_brute_force_property(fam):
 @pytest.mark.parametrize("fam, at_least, nodes", [
     (fano(), None, 8),
     (remark_family(), None, 7),
-    (erdos_extremal(12, 3, 3, 1), None, 29),
-    (erdos_extremal(8, 3, 2, 1), None, 8),
-    (complete(10, 3), None, 58),
-    (complete(9, 4), None, 63),
+    (erdos_extremal(12, 3, 3, 1), None, 4),
+    (erdos_extremal(8, 3, 2, 1), None, 2),
+    (complete(10, 3), None, 4),
+    (complete(9, 4), None, 3),
     (complete(12, 2), 2, 3),
 ], ids=["fano", "remark", "erdos(12,3,3,1)", "erdos(8,3,2,1)", "complete(10,3)",
         "complete(9,4)", "complete(12,2)-at-least-2"])
-def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes):
+def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes, monkeypatch):
     # machine-independent regression guard: the search visits exactly `nodes` nodes
     assert nodes <= limits.MATCHING_NODE_LIMIT
     result = matching_number(fam, at_least=at_least)
-    assert matching_number(fam, at_least=at_least, node_limit=nodes) == result
+    monkeypatch.setenv("EKRLAB_LIMIT", str(nodes))
+    assert matching_number(fam, at_least=at_least) == result
+    monkeypatch.setenv("EKRLAB_LIMIT", str(nodes - 1))
     with pytest.raises(ResourceLimitError):
-        matching_number(fam, at_least=at_least, node_limit=nodes - 1)
+        matching_number(fam, at_least=at_least)
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,9 +110,14 @@ def test_matching_number_matches_mask_list_oracle(fam, at_least):
         return
     nu, witness, nodes = mask_list_matching_number(fam.edge_tuples(), fam.k, at_least)
     assert matching_number(fam, at_least=at_least) == (nu, Matching(tuple(witness)))
-    matching_number(fam, at_least=at_least, node_limit=nodes)
-    with pytest.raises(ResourceLimitError):
-        matching_number(fam, at_least=at_least, node_limit=nodes - 1)
+    brute = brute_matching_number(fam.edge_tuples())
+    assert nu == brute or at_least is not None and brute >= nu >= at_least  # stopped at at_least
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("EKRLAB_LIMIT", str(nodes))
+        matching_number(fam, at_least=at_least)
+        patch.setenv("EKRLAB_LIMIT", str(nodes - 1))
+        with pytest.raises(ResourceLimitError):
+            matching_number(fam, at_least=at_least)
 
 
 def test_matching_number_at_least_short_circuit():

@@ -94,10 +94,14 @@ def test_family_stats_match_per_edge_count():
     assert search._family_stats(0, stars) == per_edge_family_stats([], 7) == (0, 0, 0b1111111)
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         maximal_intersecting(9, 4)  # C(9,4) = 126 > 64
-    families = maximal_intersecting(9, 4, limit=200)  # explicit limit lifts the gate
+    # a count too large to print is named by its shape; math.comb would take seconds
+    with pytest.raises(ResourceLimitError, match=r"^C\(100001,50000\) k-sets exceeds enumeration limit 64$"):
+        ekr_degree_scan(100001, 50000)
+    monkeypatch.setenv("EKRLAB_LIMIT", "200")  # a higher limit lifts the gate
+    families = maximal_intersecting(9, 4)
     # the gate ran at call time; the search itself waits for next(), and
     # full enumeration at (9,4) runs for minutes, so one family comes lazily
     assert inspect.getgeneratorstate(families) == inspect.GEN_CREATED
@@ -149,8 +153,8 @@ def test_cross_pair_scan_matches_quadratic_oracle(n, k):
 def test_cross_pair_scan_checks_its_certificate(fault, message, monkeypatch, capsys):
     real = search.maximal_intersecting
 
-    def faulty(n, k, limit=None):
-        families = list(real(n, k, limit=limit))
+    def faulty(n, k):
+        families = list(real(n, k))
         if fault == "non-maximal":
             families[3] = families[3].without_rank(next(families[3].edge_ranks()))
         else:

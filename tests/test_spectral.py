@@ -168,9 +168,10 @@ def test_eigenvalue_lower_bound_grid():
                     assert lam >= floor
 
 
-def test_resource_limit():
+def test_resource_limit(monkeypatch):
+    monkeypatch.setenv("EKRLAB_LIMIT", "10")
     with pytest.raises(ResourceLimitError):
-        eigen_mass_full(star(9, 4, 1), limit=10)
+        eigen_mass_full(star(9, 4, 1))
 
 
 def test_rejects_n_below_2k():
@@ -235,9 +236,7 @@ def test_masses_at_24_6():
 
 def test_subset_update_limit(tmp_path, monkeypatch, capsys):
     fam = star(7, 3, 1)  # 15 edges: 15 * 2^3 = 120 subset-degree updates
-    assert eigen_mass_full(fam, limit=120).masses == (Fraction(45, 7), Fraction(60, 7), 0, 0)
-    with pytest.raises(ResourceLimitError):
-        eigen_mass_full(fam, limit=119)
+    assert eigen_mass_full(fam).masses == (Fraction(45, 7), Fraction(60, 7), 0, 0)
     path = tmp_path / "star.json"
     path.write_bytes(serialize_family(fam))
     monkeypatch.setenv("EKRLAB_LIMIT", "119")
