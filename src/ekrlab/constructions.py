@@ -100,11 +100,10 @@ def random_halved(k: int, seed: int) -> Family:
 
 
 def complete(n: int, k: int) -> Family:
-    """All k-subsets of [n]."""
+    """All k-subsets of [n]: every colex rank below C(n,k), with no edge built."""
     if k < 0 or k > n:
         raise DomainError(f"complete needs 0 <= k <= n, got k={k}, n={n}")
-    gated_kset_count(n, k)
-    return Family.from_edges(n, k, combinations(range(1, n + 1), k))
+    return Family(n, k, (1 << gated_kset_count(n, k)) - 1)
 
 
 FANO_EDGES = (

@@ -16,7 +16,8 @@ matching of size s is assembled by one of three moves per level:
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
 Edge sets are bitsets over edge indices and degrees are popcounts against
-the family's own ``through`` bitsets (the edges through each vertex).  The
+``through`` bitsets (the edges through each vertex), the family's own or,
+in the scans, the complete family's over colex ranks.  The
 constructive algorithm decodes its family once, transposes it only from
 s >= 3, and deletes a vertex by clearing its bitset; no edge is relabelled.
 """
@@ -68,27 +69,38 @@ def _greedy_cover_bound(avail: int, through: Sequence[int]) -> int:
 
 
 def matching_number(family: Family, at_least: int | None = None) -> tuple[int, Matching]:
-    """Exact matching number with a witness, by branch and bound.
-
-    Edge sets are bitsets over the edge indices.  Branches on the
-    minimum-positive-degree vertex: either one of its edges is matched, or
-    none is and all of them are discarded.  Pruned by support-size/k and
-    by a greedy cover bound; stops once a matching reaches the lower of the
-    two at the root, or ``at_least`` (then a certified lower bound, exact
-    whenever smaller).  At k = 0 the only edge is the empty one, a matching
-    by itself, so nu is the edge count.
+    """Exact matching number with a witness, by branch and bound
+    (:func:`_max_matching` on the whole family), re-validated against the
+    family.  Stops once a matching reaches ``at_least`` (then a certified
+    lower bound, exact whenever smaller).  At k = 0 the only edge is the
+    empty one, a matching by itself, so nu is the edge count.
     """
-    cap = limits.resolve(limits.MATCHING_NODE_LIMIT)
     edges, k = family.edge_tuples(), family.k
     if k == 0:
         return len(edges), Matching.from_family(family, edges)
-    through = family.through
+    best = _max_matching((1 << len(edges)) - 1, family.through, edges, k, at_least)
+    return len(best), Matching.from_family(family, [edges[i] for i in best])
+
+
+def _max_matching(
+    avail: int, through: Sequence[int], edges: Sequence[KSubset], k: int, at_least: int | None
+) -> list[int]:
+    """Indices of a maximum matching among the edge indices in ``avail``.
+
+    ``edges[i]`` is the k-set of index i and ``through[v-1]`` the indices
+    through v, for a family or for all k-sets of a shape (then indices are
+    colex ranks).  Branches on the minimum-positive-degree vertex: either
+    one of its edges is matched, or none is and all of them are discarded.
+    Pruned by support-size/k and by a greedy cover bound; stops once a
+    matching reaches the lower of the two at the root, or ``at_least``.
+    """
+    cap = limits.resolve(limits.MATCHING_NODE_LIMIT)
     best: list[int] = []
     current: list[int] = []
     nodes = 0
-    full = (1 << len(edges)) - 1
-    goal = min(sum(map(bool, through)) // k, _greedy_cover_bound(full, through),
-               len(edges) if at_least is None else at_least)
+    goal = min(sum(bool(avail & star) for star in through) // k,
+               _greedy_cover_bound(avail, through),
+               avail.bit_count() if at_least is None else at_least)
 
     def recurse(avail: int) -> bool:
         """Returns True when the search can stop early."""
@@ -118,8 +130,8 @@ def matching_number(family: Family, at_least: int | None = None) -> tuple[int, M
             current.pop()
         return recurse(avail & ~through[v])
 
-    recurse(full)
-    return len(best), Matching.from_family(family, [edges[i] for i in best])
+    recurse(avail)
+    return best
 
 
 def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
 from .families import Family, binomial, iter_bits, kset_count, meet_rows
-from .matching import matching_number
+from .matching import _degree_threshold, _max_matching, matching_number
 
 from .constructions import erdos_extremal
 
@@ -48,20 +48,21 @@ class ScanReport:
 
 
 @lru_cache(maxsize=None)
-def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
-    """(stars, meet-adjacency bitsets, disjointness bitsets) over the colex
-    ranks of the k-subsets of [n].
+def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """(stars, meet-adjacency bitsets, disjointness bitsets, k-sets) over
+    the colex ranks of the k-subsets of [n].
 
     ``stars`` is the complete family's ``through`` (``stars[v-1]`` holds the
-    ranks containing v); :func:`meet_rows` ORs them into the ranks meeting
-    rank r, and ``meet[r]`` leaves r itself out.
+    ranks containing v) and ``ksets[r]`` its edge of rank r; :func:`meet_rows`
+    ORs the stars into the ranks meeting rank r, and ``meet[r]`` leaves r
+    itself out.
     """
     full = (1 << binomial(n, k)) - 1
     complete = Family.from_ranks(n, k, full)
-    stars = complete.through
-    reach = tuple(meet_rows(stars, complete.edge_tuples()))
+    stars, ksets = complete.through, tuple(complete.edge_tuples())
+    reach = tuple(meet_rows(stars, ksets))
     meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
-    return stars, meet, tuple(full ^ m for m in reach)
+    return stars, meet, tuple(full ^ m for m in reach), ksets
 
 
 def _check_enum_size(n: int, k: int) -> int:
@@ -85,7 +86,7 @@ def maximal_intersecting(n: int, k: int):
     before the generator is returned.
     """
     count = _check_enum_size(n, k)
-    _, meet, _ = _kneser_tables(n, k)
+    meet = _kneser_tables(n, k)[1]
 
     def bron_kerbosch():
         frames = []
@@ -123,7 +124,7 @@ def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
 def greedy_complete(family: Family) -> Family:
     """Extend a pairwise-intersecting family to a maximal one, in rank order."""
     count = _check_enum_size(family.n, family.k)
-    _, meet, _ = _kneser_tables(family.n, family.k)
+    meet = _kneser_tables(family.n, family.k)[1]
     bits = family.edges
     for r in iter_bits(((1 << count) - 1) & ~bits):
         if bits & ~meet[r] == 0:
@@ -203,7 +204,7 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     full = (1 << _check_enum_size(n, k)) - 1
-    stars, _, disjoint = _kneser_tables(n, k)
+    stars, _, disjoint, _ = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
@@ -255,22 +256,6 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
     )
 
 
-def _nu_below(bits: int, new_rank: int, s: int, disjoint: tuple, n: int, k: int) -> bool:
-    """True iff adding new_rank keeps every matching below size s.
-
-    Since the current family has no s-matching, one could only appear
-    through the new edge; that needs an (s-1)-matching among current edges
-    disjoint from it.
-    """
-    if s <= 1:
-        return False
-    away = bits & disjoint[new_rank]
-    if not away:
-        return True
-    nu, _ = matching_number(Family.from_ranks(n, k, away), at_least=s - 1)
-    return nu < s - 1
-
-
 def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanReport:
     """Hill-climb the minimum degree over families with matching number < s.
 
@@ -287,9 +272,9 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     if budget < 0:
         raise DomainError(f"need budget >= 0, got {budget}")
     full = (1 << _check_enum_size(n, k)) - 1
-    stars, _, disjoint = _kneser_tables(n, k)
+    stars, _, disjoint, ksets = _kneser_tables(n, k)
 
-    threshold = binomial(n - 1, k - 1) - binomial(n - s, k - 1)
+    threshold = _degree_threshold(n, k, s)
     assert_mode = n > k * s
     rng = random.Random(seed)
     base = erdos_extremal(n, k, s, 1).edges
@@ -323,7 +308,9 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
             absent = list(iter_bits(full ^ current))
             if absent:
                 r = absent[rng.randrange(len(absent))]
-                if _nu_below(current, r, s, disjoint, n, k):
+                # an s-matching could only appear through r: with s - 1 edges
+                # of the family disjoint from it
+                if s > 1 and len(_max_matching(current & disjoint[r], stars, ksets, k, s - 1)) < s - 1:
                     candidate = current | (1 << r)
         else:
             present = list(iter_bits(current))

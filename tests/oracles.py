@@ -1,7 +1,7 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately naive: Pascal recursion for binomials,
-a linear walk down the ground set for colex unranking,
+a linear walk down the ground set and reversed lex order for colex unranking,
 exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
 lemma, full powerset filtering for maximal families, a ``Fraction``
@@ -35,6 +35,12 @@ def pascal_binomial(n: int, r: int) -> int:
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row[r]
+
+
+def colex_list(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of [n] in colex order: lex order on the vertices taken
+    from n down is colex order reversed."""
+    return [tuple(sorted(c)) for c in combinations(range(n, 0, -1), k)][::-1]
 
 
 def linear_unrank(r: int, k: int, n: int) -> tuple[int, ...]:

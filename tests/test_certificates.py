@@ -171,6 +171,27 @@ def test_ekr_certificate_star_9_4():
     assert cert.is_star
 
 
+def test_ekr_certificate_and_witness_take_k_2():
+    # k = 2 is the smallest uniformity either accepts; the star(5,2) chain is tight
+    cert = ekr_certificate(star(5, 2))
+    assert (cert.e, cert.delta1) == (4, 1)
+    assert cert.lower_bound_rhs == cert.f1 == cert.upper_bound_rhs == Fraction(12, 5)
+    assert cert.eq4_holds and cert.eq6_holds and cert.is_star
+    assert cert.dichotomy is Dichotomy.AT_LEAST_STAR_COUNT
+    w = simplex_witness(star(5, 2))
+    assert w == cert.witness
+    assert w.holds and w.equality and (w.lhs, w.rhs_squared) == (Fraction(-3, 5), Fraction(9, 25))
+
+
+def test_dichotomy_at_exactly_the_threshold_edge_count():
+    # 21 edges of the star at (9,3) sit on e = (n/k) C(n-2,k-2) = 3 * 7
+    sub = Family.from_edges(9, 3, star(9, 3).edge_tuples()[:21])
+    cert = ekr_certificate(sub)
+    assert cert.e == 21 == Fraction(9, 3) * binomial(7, 1)
+    assert cert.lower_bound_rhs == 0 and cert.eq4_holds
+    assert cert.dichotomy is Dichotomy.AT_MOST_THRESHOLD
+
+
 def test_ekr_certificate_evaluates_level_masses_once(monkeypatch):
     calls = []
     original = certificates.level_masses

@@ -34,6 +34,7 @@ from ekrlab.spectral import disjoint_pairs
 
 from conftest import count_transpositions, random_family, random_family_edge_count, small_families
 from oracles import (
+    colex_list,
     linear_unrank,
     pairwise_are_cross_intersecting,
     pairwise_disjoint_pairs,
@@ -86,11 +87,11 @@ def test_unrank_out_of_range():
     assert str(bad_k.value) == "unrank_colex: need 0 <= k <= n, got k=4, n=3"
 
 
-def test_unrank_matches_linear_walk_on_every_rank_up_to_n_20():
+def test_unrank_matches_colex_list_on_every_rank_up_to_n_20():
     for n in range(21):
         for k in range(n + 1):
-            ranks = range(binomial(n, k))
-            assert [unrank_colex(r, k, n) for r in ranks] == [linear_unrank(r, k, n) for r in ranks]
+            colex = colex_list(n, k)
+            assert [unrank_colex(r, k, n) for r in range(len(colex))] == colex
 
 
 def test_unrank_matches_linear_walk_on_random_ranks_below_n_60():

@@ -507,6 +507,17 @@ def test_oversized_construct_exits_3_at_once(args):
     )
 
 
+@pytest.mark.parametrize("n", [300_000_000, 10**12])
+def test_complete_k0_builds_no_ground_set(n):
+    # one empty edge: the rank bitset is written directly, with no n-tuple of vertices
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", "construct", "complete", "--n", str(n), "--k", "0"],
+        capture_output=True, text=True, timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f'{{"edges": [[]], "k": 0, "n": {n}}}\n'
+
+
 def _cap_address_space_512():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 

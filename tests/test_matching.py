@@ -7,13 +7,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab import limits
+from ekrlab import limits, search
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, min_degree, vertex_degrees
 from ekrlab.constructions import complete, erdos_extremal, fano, remark_family, star
 from ekrlab.lp import FractionalSolution, fractional_cover, fractional_matching
 from ekrlab.matching import (
     Matching,
+    _max_matching,
     corollary33_check,
     find_matching_by_degree,
     matching_number,
@@ -118,6 +119,35 @@ def test_matching_number_matches_mask_list_oracle(fam, at_least):
         patch.setenv("EKRLAB_LIMIT", str(nodes - 1))
         with pytest.raises(ResourceLimitError):
             matching_number(fam, at_least=at_least)
+
+
+@st.composite
+def shape_bitsets(draw):
+    n, k = draw(st.sampled_from([(7, 3), (8, 3), (9, 2), (11, 2)]))
+    return n, k, draw(st.integers(min_value=0, max_value=(1 << binomial(n, k)) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_bitsets(), st.sampled_from([None, 1, 2, 3]))
+def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
+    # the scans' question: the same search on a rank bitset with the complete
+    # family's stars and k-sets, node for node
+    n, k, bits = shape
+    stars, _, _, ksets = search._kneser_tables(n, k)
+    fam = Family.from_ranks(n, k, bits)
+    nu, witness = matching_number(fam, at_least=at_least)
+    ranks = _max_matching(bits, stars, ksets, k, at_least)
+    assert (len(ranks), tuple(ksets[r] for r in ranks)) == (nu, witness.edges)
+    nodes = mask_list_matching_number(fam.edge_tuples(), k, at_least)[2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("EKRLAB_LIMIT", str(nodes))
+        assert matching_number(fam, at_least=at_least)[0] == nu
+        assert len(_max_matching(bits, stars, ksets, k, at_least)) == nu
+        patch.setenv("EKRLAB_LIMIT", str(nodes - 1))
+        with pytest.raises(ResourceLimitError):
+            matching_number(fam, at_least=at_least)
+        with pytest.raises(ResourceLimitError):
+            _max_matching(bits, stars, ksets, k, at_least)
 
 
 def test_matching_number_at_least_short_circuit():

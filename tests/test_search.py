@@ -22,9 +22,10 @@ from ekrlab.search import (
     maximal_intersecting,
 )
 
-from conftest import random_family_edge_count
+from conftest import count_transpositions, random_family_edge_count
 from oracles import (
     brute_maximal_intersecting,
+    colex_list,
     per_edge_family_stats,
     quadratic_cross_pair_scan,
     quadratic_kneser_tables,
@@ -80,7 +81,9 @@ def test_emission_order_is_pinned(n, k, count, digest):
 
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
 def test_kneser_tables_match_quadratic_oracle(n, k):
-    assert search._kneser_tables(n, k) == quadratic_kneser_tables(n, k)
+    stars, meet, disjoint, ksets = search._kneser_tables(n, k)
+    assert (stars, meet, disjoint) == quadratic_kneser_tables(n, k)
+    assert list(ksets) == colex_list(n, k)
 
 
 def test_family_stats_match_per_edge_count():
@@ -228,6 +231,23 @@ def test_conjecture_scan_boundary_report_only():
     report = conjecture_scan(6, 3, 2, budget=400, seed=5)
     assert not report.notes["assert_mode"]
     assert not report.violations  # over-bound families are notes, not violations
+
+
+@pytest.mark.parametrize("shape, seed", [
+    ((9, 2, 3, 1000), 0), ((10, 2, 3, 1667), 0), ((8, 3, 2, 2333), 0), ((11, 2, 4, 3000), 0),
+    ((6, 3, 2, 1000), 4),  # three over-bound families, reported at n = ks
+])
+def test_conjecture_scan_transposes_only_to_reverify(shape, seed, monkeypatch):
+    # add moves ask the matching search on rank bitsets with the shape's tables;
+    # only the over-bound families and the final one become Family objects,
+    # so without over-bound families Family.through is computed once
+    search._kneser_tables(*shape[:2])
+    transposed = count_transpositions(monkeypatch)
+    report = conjecture_scan(*shape, seed=seed)
+    over = [entry["edges"] for entry in report.violations + report.notes["over_bound_examples"]]
+    seen = [f.edge_tuples() for f in transposed]
+    assert seen[-1] == report.best["edges"]
+    assert all(edges in over for edges in seen[:-1]) and all(edges in seen for edges in over)
 
 
 def test_conjecture_scan_rejects_s_above_nk():
