@@ -152,6 +152,8 @@ def build_construction(
         return remark_family()
     if kind == "random-halved":
         need(k=k)
+        if n is not None and n != 2 * k:
+            raise DomainError(f"random-halved lives on [2k], got n={n} for k={k}")
         return random_halved(k, seed)
     if kind == "complete":
         need(n=n, k=k)

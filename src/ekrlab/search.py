@@ -1,10 +1,10 @@
 """Exhaustive and heuristic searches over intersecting families.
 
 Maximal intersecting families are the maximal cliques of the meet graph on
-k-subsets (two k-sets adjacent iff they share a vertex), enumerated by
-Bron-Kerbosch with pivoting.  Adding edges never decreases any degree, so
-scanning only maximal families suffices to bound minimum degrees over all
-intersecting families.
+k-subsets (two k-sets adjacent iff they share a vertex), enumerated as rank
+bitsets by Bron-Kerbosch with pivoting; the exhaustive scans read those ints.
+Adding edges never decreases any degree, so scanning only maximal families
+suffices to bound minimum degrees over all intersecting families.
 
 The conjecture scan is exploration tooling, not proof: a seeded
 simulated-annealing walk over families with matching number below s,
@@ -76,41 +76,51 @@ def _check_enum_size(n: int, k: int) -> int:
     return count
 
 
+def _maximal_cliques(count: int, meet: tuple):
+    """Yield the maximal cliques of the graph on ranks 0..count-1, in which
+    ``meet[u]`` is the adjacency bitset of u (u left out), as rank bitsets.
+
+    Bron-Kerbosch with pivoting on an explicit stack of [r, p, x, candidates]
+    frames; the pivot maximizes the candidate coverage (lowest rank on ties)
+    and candidates leave lowest bit first.  The bitsets are at most
+    ``ENUM_KSET_LIMIT`` bits wide, so their bits are popped inline
+    (``c & -c``): a generator per node costs more than the work it yields.
+    """
+    frames = []
+    r, p, x = 0, (1 << count) - 1, 0
+    while True:
+        if p:
+            best, rest = -1, p | x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cover = (p & meet[low.bit_length() - 1]).bit_count()
+                if cover > best:
+                    best, pivot = cover, low
+            frames.append([r, p, x, p & ~meet[pivot.bit_length() - 1]])
+        elif not x:
+            yield r
+        while frames and not frames[-1][3]:
+            frames.pop()
+        if not frames:
+            return
+        frame = frames[-1]
+        r, p, x, candidates = frame
+        low = candidates & -candidates
+        adjacent = meet[low.bit_length() - 1]
+        frame[1], frame[2], frame[3] = p ^ low, x | low, candidates ^ low  # the candidate leaves p for x
+        r, p, x = r | low, p & adjacent, x & adjacent
+
+
 def maximal_intersecting(n: int, k: int):
     """Yield every maximal intersecting family on [n] exactly once.
 
-    Bron-Kerbosch over the meet graph; the pivot maximizes the candidate
-    coverage (lowest rank on ties), and candidates are visited in rank
-    order, so the emission order is deterministic.  The recursion runs on
-    an explicit stack of [r, p, x, candidates] frames.  Size gating happens
-    before the generator is returned.
+    The maximal cliques of the meet graph, in the emission order of
+    :func:`_maximal_cliques`, each as a :class:`Family`.  Size gating
+    happens before the generator is returned.
     """
     count = _check_enum_size(n, k)
-    meet = _kneser_tables(n, k)[1]
-
-    def bron_kerbosch():
-        frames = []
-        r, p, x = 0, (1 << count) - 1, 0
-        while True:
-            if p:
-                best = -1
-                for u in iter_bits(p | x):
-                    cover = (p & meet[u]).bit_count()
-                    if cover > best:
-                        best, pivot = cover, u
-                frames.append([r, p, x, iter_bits(p & ~meet[pivot])])
-            elif not x:
-                yield Family.from_ranks(n, k, r)
-            while frames and (v := next(frames[-1][3], None)) is None:
-                frames.pop()
-            if not frames:
-                return
-            frame = frames[-1]
-            r, p, x, _ = frame
-            frame[1], frame[2] = p & ~(1 << v), x | 1 << v  # v leaves p for x
-            r, p, x = r | 1 << v, p & meet[v], x & meet[v]
-
-    return bron_kerbosch()
+    return (Family.from_ranks(n, k, r) for r in _maximal_cliques(count, _kneser_tables(n, k)[1]))
 
 
 def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
@@ -122,12 +132,14 @@ def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
 
 
 def greedy_complete(family: Family) -> Family:
-    """Extend a pairwise-intersecting family to a maximal one, in rank order."""
+    """Extend an intersecting family to a maximal one, in rank order; refuse any other."""
     count = _check_enum_size(family.n, family.k)
-    meet = _kneser_tables(family.n, family.k)[1]
+    disjoint = _kneser_tables(family.n, family.k)[2]
     bits = family.edges
+    if any(bits & disjoint[r] for r in iter_bits(bits)):
+        raise DomainError("greedy completion needs an intersecting family")
     for r in iter_bits(((1 << count) - 1) & ~bits):
-        if bits & ~meet[r] == 0:
+        if not bits & disjoint[r]:
             bits |= 1 << r
     return Family.from_ranks(family.n, family.k, bits)
 
@@ -141,8 +153,8 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    _check_enum_size(n, k)
-    stars = _kneser_tables(n, k)[0]
+    count = _check_enum_size(n, k)
+    stars, meet = _kneser_tables(n, k)[:2]
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
@@ -152,8 +164,8 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     nonstar_max = -1
     violations = []
     records = []
-    for examined, fam in enumerate(maximal_intersecting(n, k)):
-        e, delta, common = _family_stats(fam.edges, stars)
+    for examined, bits in enumerate(_maximal_cliques(count, meet)):
+        e, delta, common = _family_stats(bits, stars)
         is_star = e == star_size and common != 0
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
         if is_star:
@@ -166,9 +178,8 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
         elif delta == max_delta:
             at_max.append(examined)
         if delta >= expected_max and not is_star:
-            violations.append(
-                {"delta1": delta, "edges": fam.edge_tuples(), "reason": "non-star at or above C(n-2,k-2)"}
-            )
+            edges = Family.from_ranks(n, k, bits).edge_tuples()
+            violations.append({"delta1": delta, "edges": edges, "reason": "non-star at or above C(n-2,k-2)"})
 
     best = {
         "max_delta1": max_delta,
@@ -203,24 +214,27 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    full = (1 << _check_enum_size(n, k)) - 1
-    stars, _, disjoint, _ = _kneser_tables(n, k)
+    count = _check_enum_size(n, k)
+    full = (1 << count) - 1
+    stars, meet, disjoint, _ = _kneser_tables(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
     seen: set[int] = set()
     deltas: list[int] = []
     centers: list[int] = []  # common vertex of a full star, else 0
-    for i, fam in enumerate(maximal_intersecting(n, k)):
-        forb = 0
-        for r in iter_bits(fam.edges):
-            forb |= disjoint[r]
-        if forb != full & ~fam.edges:
+    for i, bits in enumerate(_maximal_cliques(count, meet)):
+        forb, rest = 0, bits
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            forb |= disjoint[low.bit_length() - 1]
+        if forb != full & ~bits:
             raise ContradictionError(f"maximal family {i} is not self-dual: F^perp != F")
-        if fam.edges in seen:
+        if bits in seen:
             raise ContradictionError(f"maximal family {i} repeats an earlier one")
-        seen.add(fam.edges)
-        e, delta, common = _family_stats(fam.edges, stars)
+        seen.add(bits)
+        e, delta, common = _family_stats(bits, stars)
         deltas.append(delta)
         centers.append(common.bit_length() if (e == star_size and common) else 0)
 
@@ -294,6 +308,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     best_bits, best_delta = current, cur_delta
     violations = []
     over_bound: list[dict] = []
+    recorded: set[int] = set()  # over-bound bitsets already re-verified
     restart_every = max(1, budget // 4)
     t0, t1 = 2.0, 0.05
 
@@ -326,17 +341,14 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
             cur_delta = new_delta
         if cur_delta > best_delta:
             best_bits, best_delta = current, cur_delta
-        if cur_delta > threshold:
+        if cur_delta > threshold and current not in recorded:
+            recorded.add(current)
             fam = Family.from_ranks(n, k, current)
             nu, _ = matching_number(fam, at_least=s)
             if nu >= s:
                 raise ContradictionError("scan state invariant broken: matching of size s appeared")
             entry = {"delta1": cur_delta, "edges": fam.edge_tuples(), "nu": nu}
-            if assert_mode:
-                if entry not in violations:
-                    violations.append(entry)
-            elif entry not in over_bound:
-                over_bound.append(entry)
+            (violations if assert_mode else over_bound).append(entry)
 
     best_family = Family.from_ranks(n, k, best_bits)
     nu_best, _ = matching_number(best_family, at_least=s)

@@ -4,9 +4,9 @@ Everything here is deliberately naive: Pascal recursion for binomials,
 a linear walk down the ground set and reversed lex order for colex unranking,
 exhaustive recursion for matchings, dense floating-point linear algebra
 for eigenspace masses, a floating-point QR simplex frame for the simplex
-lemma, full powerset filtering for maximal families, a ``Fraction``
-tableau simplex and the dense integer tableau (every edge column stored)
-for the packing LP, pair-by-pair loops for the meet
+lemma, full powerset filtering for maximal families and maximal cliques,
+a ``Fraction`` tableau simplex and the dense integer tableau (every edge
+column stored) for the packing LP, pair-by-pair loops for the meet
 predicates and the Kneser tables, per-edge degree counts, a
 branch-and-bound matching search on lists of vertex masks, the
 degree-driven constructive matching that rebuilds and relabels each level,
@@ -188,6 +188,17 @@ def brute_maximal_intersecting(n: int, k: int) -> list[frozenset]:
         if not any(other != bits and other & bits == bits for other in good):
             maximal.append(frozenset(ksets[i] for i in range(size) if bits >> i & 1))
     return maximal
+
+
+def brute_maximal_cliques(count: int, edges: set[tuple[int, int]]) -> list[int]:
+    """Maximal cliques of the graph on 0..count-1 with the given (u, v)
+    pairs, as vertex bitsets, by filtering every vertex subset."""
+    cliques = [
+        bits for bits in range(1 << count)
+        if all((u, v) in edges or (v, u) in edges
+               for u, v in combinations([i for i in range(count) if bits >> i & 1], 2))
+    ]
+    return [c for c in cliques if not any(d != c and d & c == c for d in cliques)]
 
 
 def fractional_matching_value(n: int, edges: list[tuple[int, ...]]) -> float:

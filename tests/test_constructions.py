@@ -134,6 +134,14 @@ def test_build_construction_dispatch():
         build_construction("nonesuch", n=7, k=3)
 
 
+def test_random_halved_refuses_a_ground_set_other_than_2k():
+    # the family lives on [2k]; any other --n is refused, not ignored
+    assert build_construction("random-halved", n=6, k=3, seed=5) == random_halved(3, 5)
+    assert build_construction("random-halved", k=3, seed=5) == random_halved(3, 5)
+    with pytest.raises(DomainError, match=r"\[2k\], got n=8475 for k=11$"):
+        build_construction("random-halved", n=8475, k=11)
+
+
 # C(12,4) = 495 and C(10,5) = 252 k-sets, above a gate lowered to 100
 OVERSIZED = {
     "star": {"n": 12, "k": 4},

@@ -6,6 +6,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ekrlab import search
 from ekrlab.cli import dispatch
@@ -24,6 +25,7 @@ from ekrlab.search import (
 
 from conftest import count_transpositions, random_family_edge_count
 from oracles import (
+    brute_maximal_cliques,
     brute_maximal_intersecting,
     colex_list,
     per_edge_family_stats,
@@ -77,6 +79,55 @@ def test_emission_order_is_pinned(n, k, count, digest):
         h.update(f"{fam.edges}\n".encode())
         emitted += 1
     assert (emitted, h.hexdigest()) == (count, digest)
+
+
+@st.composite
+def small_graphs(draw):
+    count = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for v in range(count) for u in range(v)]
+    return count, draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_maximal_cliques_match_brute_force(graph):
+    count, edges = graph
+    meet = [0] * count
+    for u, v in edges:
+        meet[u] |= 1 << v
+        meet[v] |= 1 << u
+    cliques = list(search._maximal_cliques(count, tuple(meet)))
+    assert len(set(cliques)) == len(cliques)
+    assert sorted(cliques) == sorted(brute_maximal_cliques(count, edges))
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (8, 3)])
+def test_exhaustive_scans_build_no_family(n, k, monkeypatch):
+    # the scans read the enumeration's rank ints; a Family is built only for a
+    # violation record, and there is none; the public generator builds one each
+    search._kneser_tables(n, k)
+    built = []
+    post_init = Family.__post_init__
+
+    def counting(family):
+        built.append(family)
+        post_init(family)
+
+    monkeypatch.setattr(Family, "__post_init__", counting)
+    report = ekr_degree_scan(n, k)
+    cross_pair_scan(n, k)
+    assert built == []
+    assert sum(1 for _ in maximal_intersecting(n, k)) == len(built) == report.families_examined
+
+
+@pytest.mark.parametrize("scan, digest", [
+    ("ekr", "767e73e32a442e359cc0627b0fe337f89bbdbc1a501d0f246d8d4843eda20015"),
+    ("cross", "88c3b149950c8e8ed643d5356d1b8817ba01158da073b837b3a082ceaacb699d"),
+])
+def test_scan_json_output_is_pinned(scan, digest, capsys):
+    # the records and maximizers carry emission indices, so the bytes pin them
+    assert dispatch(["scan", scan, "--n", "7", "--k", "3", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
@@ -154,17 +205,17 @@ def test_cross_pair_scan_matches_quadratic_oracle(n, k):
 @pytest.mark.parametrize("fault,message", [("non-maximal", "not self-dual"),
                                            ("duplicate", "repeats an earlier one")])
 def test_cross_pair_scan_checks_its_certificate(fault, message, monkeypatch, capsys):
-    real = search.maximal_intersecting
+    real = search._maximal_cliques
 
-    def faulty(n, k):
-        families = list(real(n, k))
+    def faulty(count, meet):
+        cliques = list(real(count, meet))
         if fault == "non-maximal":
-            families[3] = families[3].without_rank(next(families[3].edge_ranks()))
+            cliques[3] &= cliques[3] - 1  # drop its lowest rank
         else:
-            families.append(families[3])
-        return iter(families)
+            cliques.append(cliques[3])
+        return iter(cliques)
 
-    monkeypatch.setattr(search, "maximal_intersecting", faulty)
+    monkeypatch.setattr(search, "_maximal_cliques", faulty)
     with pytest.raises(ContradictionError, match=message):
         cross_pair_scan(5, 2)
     assert dispatch(["scan", "cross", "--n", "5", "--k", "2"]) == 1
@@ -182,6 +233,13 @@ def test_greedy_complete_monotone():
         assert completed.edges & fam.edges == fam.edges
         assert is_maximal_intersecting(completed)
         assert min_degree(fam, 1) <= min_degree(completed, 1)
+
+
+def test_greedy_complete_refuses_a_non_intersecting_family():
+    # {12, 34} has two disjoint edges, so no completion of it is intersecting
+    with pytest.raises(DomainError, match="intersecting"):
+        greedy_complete(Family.from_edges(5, 2, [(1, 2), (3, 4)]))
+    assert greedy_complete(Family.empty(5, 2)) == Family.from_edges(5, 2, [(1, 2), (1, 3), (2, 3)])
 
 
 def test_maximality_argument_subfamilies():
@@ -235,12 +293,13 @@ def test_conjecture_scan_boundary_report_only():
 
 @pytest.mark.parametrize("shape, seed", [
     ((9, 2, 3, 1000), 0), ((10, 2, 3, 1667), 0), ((8, 3, 2, 2333), 0), ((11, 2, 4, 3000), 0),
-    ((6, 3, 2, 1000), 4),  # three over-bound families, reported at n = ks
+    ((6, 3, 2, 1000), 4), ((6, 3, 2, 3000), 0),  # over-bound families, reported at n = ks
 ])
 def test_conjecture_scan_transposes_only_to_reverify(shape, seed, monkeypatch):
     # add moves ask the matching search on rank bitsets with the shape's tables;
     # only the over-bound families and the final one become Family objects,
-    # so without over-bound families Family.through is computed once
+    # each distinct one once, so without over-bound families Family.through
+    # is computed once
     search._kneser_tables(*shape[:2])
     transposed = count_transpositions(monkeypatch)
     report = conjecture_scan(*shape, seed=seed)
@@ -248,6 +307,7 @@ def test_conjecture_scan_transposes_only_to_reverify(shape, seed, monkeypatch):
     seen = [f.edge_tuples() for f in transposed]
     assert seen[-1] == report.best["edges"]
     assert all(edges in over for edges in seen[:-1]) and all(edges in seen for edges in over)
+    assert len(seen) == len(over) + 1
 
 
 def test_conjecture_scan_rejects_s_above_nk():
