@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import random
 from itertools import chain, combinations
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .families import Family, binomial, gated_kset_count
+
+
+def _subsets(pool: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
+    """``combinations(pool, r)``, except that r = 0 gives () without reading
+    the pool: combinations copies its whole pool first, all of [n] at k = 1,
+    where the C(n,k) gate still lets n reach 2^24."""
+    return combinations(pool, r) if r else iter([()])
 
 
 def star(n: int, k: int, center: int = 1) -> Family:
@@ -22,8 +30,8 @@ def star(n: int, k: int, center: int = 1) -> Family:
     if center < 1 or center > n:
         raise DomainError(f"star center {center} outside [1, {n}]")
     gated_kset_count(n, k)  # before any O(n) vertex list is built
-    rest = [v for v in range(1, n + 1) if v != center]
-    edges = (tuple(sorted((center,) + c)) for c in combinations(rest, k - 1))
+    rest = (v for v in range(1, n + 1) if v != center)
+    edges = (tuple(sorted((center,) + c)) for c in _subsets(rest, k - 1))
     return Family.from_edges(n, k, edges)
 
 
@@ -42,8 +50,10 @@ def erdos_extremal(n: int, k: int, s: int, i: int) -> Family:
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
     gated_kset_count(n, k)
-    bound = s * i - 1
-    edges = (e for e in combinations(range(1, n + 1), k) if sum(1 for v in e if v <= bound) >= i)
+    inside, outside = range(1, s * i), range(s * i, n + 1)
+    edges = (
+        a + b for j in range(i, k + 1) for a in combinations(inside, j) for b in _subsets(outside, k - j)
+    )
     return Family.from_edges(n, k, edges)
 
 
@@ -59,7 +69,7 @@ def hilton_milner(n: int, k: int) -> Family:
         raise DomainError(f"hilton-milner needs k >= 1, got k={k}")
     gated_kset_count(n, k)
     blocker = set(range(2, k + 2))
-    through_1 = ((1,) + c for c in combinations(range(2, n + 1), k - 1) if blocker.intersection(c))
+    through_1 = ((1,) + c for c in _subsets(range(2, n + 1), k - 1) if blocker.intersection(c))
     return Family.from_edges(n, k, chain([tuple(sorted(blocker))], through_1))
 
 

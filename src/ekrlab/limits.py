@@ -18,7 +18,8 @@ ENV_VAR = "EKRLAB_LIMIT"
 # 2^24 k-sets is a 2 MB bitset, where one edge at (40,20) would need 17 GB.
 FAMILY_KSET_LIMIT = 1 << 24
 
-# Largest e * 2^k subset-degree updates done by the eigenspace-mass code.
+# Largest e * 2^k for the eigenspace masses: it bounds the subsets of edges
+# that the subset-degree walk can visit.
 EIGEN_SUBSET_LIMIT = 1 << 20
 # Largest edge count accepted by the exact rational LP solver.
 LP_EDGE_LIMIT = 5000

@@ -21,8 +21,10 @@ substitution gives F_0..F_t from N_0..N_t:
 
 * :func:`level_masses` uses N_0 = e^2 and N_1 = sum_v deg(v)^2 for F_0
   and F_1;
-* :func:`eigen_mass_full` gets N_0..N_k from the 2^k subsets of each edge
-  and returns every F_j; by inclusion-exclusion h^T A h = sum_t (-1)^t N_t
+* :func:`eigen_mass_full` gets N_0..N_k from one depth-first walk over
+  the vertex subsets of nonzero degree, each degree the popcount of an AND
+  of rows of the family's cached transposition :attr:`Family.through`, and
+  returns every F_j; by inclusion-exclusion h^T A h = sum_t (-1)^t N_t
   counts the ordered disjoint edge pairs.
 
 Floating point appears nowhere: the verdicts downstream hinge on exact
@@ -31,9 +33,9 @@ sign comparisons at equality boundaries.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
@@ -139,26 +141,46 @@ class SpectralMass:
 def _subset_degree_sums(family: Family) -> list[int]:
     """N_t = sum of deg(U)^2 over the t-subsets U of [n], t = 0..k.
 
-    Each edge adds one to the degree of each of its 2^k vertex submasks.
+    N_0 = e^2, and N_k = e since every k-set has degree 0 or 1.  Sizes
+    1..k-1 come from a depth-first walk over the vertex subsets U of
+    nonzero degree, in increasing vertex order: the edges through U are
+    the AND of U's rows of ``family.through``, a child adds one vertex
+    above U's last, and a zero AND ends the branch.  A U of degree 1 lies
+    in one edge E; its extensions by j of the m vertices of E above its
+    last add C(m, j) to N_{|U|+j}, so the walk stops there.
     """
-    deg: Counter[int] = Counter()
-    for edge in family.edge_tuples():
-        subsets = [0]
-        for v in edge:
-            bit = 1 << (v - 1)
-            subsets += [s | bit for s in subsets]
-        deg.update(subsets)
-    sums = [0] * (family.k + 1)
-    for subset, d in deg.items():
-        sums[subset.bit_count()] += d * d
+    k, e = family.k, family.edge_count
+    sums = [0] * (k + 1)
+    sums[0], sums[k] = e * e, e
+    if k < 2 or not e:
+        return sums
+    n, rows, masks, top = family.n, family.through, family.vertex_masks(), k - 1
+    pascal = [[comb(m, j) for j in range(m + 1)] for m in range(k)]
+
+    def walk(size: int, edges: int, start: int) -> None:
+        for v in range(start, n):
+            below = edges & rows[v]
+            if not below:
+                continue
+            if below & (below - 1):
+                sums[size] += below.bit_count() ** 2
+                if size < top:
+                    walk(size + 1, below, v + 1)
+            else:
+                m = (masks[below.bit_length() - 1] >> (v + 1)).bit_count()
+                for j, c in enumerate(pascal[m][: top - size + 1]):
+                    sums[size + j] += c
+
+    walk(1, (1 << e) - 1, 0)
     return sums
 
 
 def eigen_mass_full(family: Family) -> SpectralMass:
     """All eigenspace masses F_0..F_k of the family, exactly.
 
-    Uses the triangular recurrence of the module docstring, at a cost
-    of e * 2^k subset-degree updates.  Needs n >= 2k so that the k+1 level
+    Uses the triangular recurrence of the module docstring on the subset
+    degrees of one walk over ``family.through``, which visits at most
+    e * 2^k subsets.  Needs n >= 2k so that the k+1 level
     decomposition exists; raises ResourceLimitError when e * 2^k exceeds
     the subset limit.
     """

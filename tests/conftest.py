@@ -107,15 +107,25 @@ def small_families(draw, n: int | None = None, k: int | None = None, max_edges: 
     return Family.from_ranks(n, k, sum(1 << r for r in ranks))
 
 
-def count_transpositions(monkeypatch) -> list[Family]:
-    """Record every family whose ``Family.through`` is computed from now on."""
-    transposed: list[Family] = []
-    cached = Family.__dict__["through"]
+def _count_computations(monkeypatch, name: str) -> list[Family]:
+    """Record every family whose cached ``Family.<name>`` is computed from now on."""
+    computed: list[Family] = []
+    cached = Family.__dict__[name]
     original = cached.func
 
     def counting(family):
-        transposed.append(family)
+        computed.append(family)
         return original(family)
 
     monkeypatch.setattr(cached, "func", counting)
-    return transposed
+    return computed
+
+
+def count_transpositions(monkeypatch) -> list[Family]:
+    """Record every family whose ``Family.through`` is computed from now on."""
+    return _count_computations(monkeypatch, "through")
+
+
+def count_decodes(monkeypatch) -> list[Family]:
+    """Record every family whose ``Family._decoded`` is computed from now on."""
+    return _count_computations(monkeypatch, "_decoded")

@@ -1,22 +1,25 @@
 """Independent oracles used to freeze expected values.
 
-Everything here is deliberately naive: Pascal recursion for binomials,
-a linear walk down the ground set and reversed lex order for colex unranking,
-exhaustive recursion for matchings, dense floating-point linear algebra
-for eigenspace masses, a floating-point QR simplex frame for the simplex
-lemma, full powerset filtering for maximal families and maximal cliques,
-a ``Fraction`` tableau simplex and the dense integer tableau (every edge
-column stored) for the packing LP, pair-by-pair loops for the meet
-predicates and the Kneser tables, per-edge degree counts, a
-branch-and-bound matching search on lists of vertex masks, the
-degree-driven constructive matching that rebuilds and relabels each level,
-and the hand-derived sign-and-squaring comparators for the square-root
-inequalities of the certificates.
+Everything here is deliberately naive: Pascal recursion for binomials, a
+linear walk down the ground set and reversed lex order for colex
+unranking, exhaustive recursion for matchings, dense floating-point
+linear algebra for eigenspace masses, the 2^k submasks of every edge
+counted into a ``Counter`` for the squared subset degrees, a
+floating-point QR simplex frame for the simplex lemma, full powerset
+filtering for maximal families and maximal cliques, a ``Fraction``
+tableau simplex and the dense integer tableau (every edge column stored)
+for the packing LP, pair-by-pair loops for the meet predicates and the
+Kneser tables, per-edge degree counts, a branch-and-bound matching
+search on lists of vertex masks, the degree-driven constructive matching
+that rebuilds and relabels each level, and the hand-derived
+sign-and-squaring comparators for the square-root inequalities of the
+certificates.
 None of it shares code with the library paths it checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -25,6 +28,7 @@ from math import comb
 import numpy as np
 
 from ekrlab.errors import ContradictionError, DomainError
+from ekrlab.families import Family
 
 
 def pascal_binomial(n: int, r: int) -> int:
@@ -126,6 +130,24 @@ def eigenspace_masses_incidence(n: int, k: int, char_vectors: np.ndarray) -> np.
         out.append(norm - prev)
         prev = norm
     return np.array(out).T
+
+
+def subset_degree_sums_by_submasks(family: Family) -> list[int]:
+    """N_t = sum of deg(U)^2 over the t-subsets U of [n], t = 0..k.
+
+    Each edge adds one to the degree of each of its 2^k vertex submasks.
+    """
+    deg: Counter[int] = Counter()
+    for edge in family.edge_tuples():
+        subsets = [0]
+        for v in edge:
+            bit = 1 << (v - 1)
+            subsets += [s | bit for s in subsets]
+        deg.update(subsets)
+    sums = [0] * (family.k + 1)
+    for subset, d in deg.items():
+        sums[subset.bit_count()] += d * d
+    return sums
 
 
 def star_span_mass(n: int, k: int, char_vectors: np.ndarray) -> np.ndarray:

@@ -522,6 +522,21 @@ def _cap_address_space_512():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
 
+@pytest.mark.parametrize("args, edge", [
+    (["star", "--n", "16000000", "--k", "1"], 1),
+    (["hilton-milner", "--n", "16000000", "--k", "1"], 2),
+    (["erdos-extremal", "--n", "16000000", "--k", "1", "--s", "2", "--i", "1"], 1),
+], ids=["star", "hilton-milner", "erdos-extremal"])
+def test_k1_constructions_build_no_ground_set(args, edge):
+    # C(n,1) = n passes the 2^24 k-set gate; the one edge is built without a list of [n]
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", "construct", *args],
+        capture_output=True, text=True, timeout=10, preexec_fn=_cap_address_space_512,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == f'{{"edges": [[{edge}]], "k": 1, "n": 16000000}}\n'
+
+
 @pytest.fixture(scope="module")
 def complete_81_3(tmp_path_factory):
     path = tmp_path_factory.mktemp("c81") / "complete-81-3.json"

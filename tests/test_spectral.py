@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ekrlab.cli import dispatch
 from ekrlab.errors import DomainError, ResourceLimitError
@@ -13,6 +13,7 @@ from ekrlab.families import Family, binomial, is_intersecting
 from ekrlab.constructions import complete, remark_family, star
 from ekrlab.io import serialize_family
 from ekrlab.spectral import (
+    _subset_degree_sums,
     disjoint_pairs,
     eigen_mass_full,
     kneser_spectrum,
@@ -20,13 +21,14 @@ from ekrlab.spectral import (
     quadratic_form,
 )
 
-from conftest import random_family, random_family_edge_count
+from conftest import count_decodes, count_transpositions, random_family, random_family_edge_count
 from oracles import (
     char_vector,
     eigenspace_masses_dense,
     eigenspace_masses_incidence,
     kneser_adjacency,
     star_span_mass,
+    subset_degree_sums_by_submasks,
 )
 
 
@@ -217,7 +219,9 @@ def test_empty_and_complete_masses():
 
 @st.composite
 def small_families(draw):
-    n, k = draw(st.sampled_from([(2, 1), (5, 1), (4, 2), (6, 2), (7, 3), (6, 3), (8, 3), (8, 4)]))
+    n, k = draw(st.sampled_from([
+        (2, 1), (5, 1), (4, 2), (6, 2), (7, 3), (6, 3), (8, 3), (8, 4), (10, 5), (11, 5), (12, 6),
+    ]))
     bits = draw(st.integers(min_value=0, max_value=(1 << binomial(n, k)) - 1))
     return Family.from_ranks(n, k, bits)
 
@@ -226,6 +230,44 @@ def small_families(draw):
 @given(small_families())
 def test_mass_identities_property(fam):
     check_mass_identities(fam, eigen_mass_full(fam))
+
+
+# k = 1..7; (40,4) and (60,3) are sparse, so most subsets there have degree 1
+WALK_SHAPES = [(3, 1), (9, 1), (6, 2), (8, 3), (9, 4), (12, 5), (13, 6), (14, 7), (40, 4), (60, 3)]
+
+
+@st.composite
+def walk_families(draw):
+    n, k = draw(st.sampled_from(WALK_SHAPES))
+    total = binomial(n, k)
+    if total <= binomial(14, 7) and draw(st.booleans()):
+        bits = draw(st.integers(min_value=0, max_value=(1 << total) - 1))  # about half the k-sets
+    else:
+        ranks = draw(st.sets(st.integers(min_value=0, max_value=total - 1), max_size=12))
+        bits = sum(1 << r for r in ranks)
+    return Family.from_ranks(n, k, bits)
+
+
+@settings(max_examples=120, deadline=None)
+@given(walk_families())
+@example(Family.empty(40, 4))
+@example(Family.from_ranks(14, 7, 1))
+@example(Family.from_ranks(40, 4, 1 << binomial(40, 4) - 1))
+@example(complete(9, 1))
+@example(complete(12, 5))
+@example(complete(14, 7))
+def test_subset_walk_matches_submask_expansion(fam):
+    assert _subset_degree_sums(fam) == subset_degree_sums_by_submasks(fam)
+
+
+def test_eigen_mass_full_transposes_and_decodes_once(monkeypatch):
+    transposed, decoded = count_transpositions(monkeypatch), count_decodes(monkeypatch)
+    fam = random_family_edge_count(random.Random(18), 18, 5, 300)
+    first = eigen_mass_full(fam)
+    assert len(transposed) == len(decoded) == 1
+    assert transposed[0] is fam and decoded[0] is fam
+    assert eigen_mass_full(fam) == first
+    assert len(transposed) == len(decoded) == 1
 
 
 def test_masses_at_24_6():
