@@ -268,12 +268,12 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     delta_1(B) delta_1(C) <= C(n-2,k-2)^2 as integers.
     """
     n, k = left.n, left.k
-    if not are_cross_intersecting(left, right):
-        raise DomainError("families are not cross-intersecting")
     if k < 2:
         raise DomainError(f"cross_certificate needs k >= 2, got k={k}")
     if n < 2 * k + 1:
         raise DomainError(f"cross_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
+    if not are_cross_intersecting(left, right):  # transposes left: the costly check last
+        raise DomainError("families are not cross-intersecting")
 
     _, b1, _ = level_masses(left)
     _, c1, _ = level_masses(right)

@@ -136,7 +136,7 @@ def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: 
 def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:
     """(maximum fractional matching, minimum fractional cover) from one
     packing LP solve, returned only once their primal–dual certificate holds."""
-    cap = limits.resolve(limits.LP_EDGE_LIMIT)
+    cap = limits.LP_EDGE_LIMIT
     if family.edge_count > cap:
         raise ResourceLimitError(f"edge count {family.edge_count} exceeds LP limit {cap}")
     if family.k < 1:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
 from . import limits
@@ -93,45 +93,46 @@ def _max_matching(
     one of its edges is matched, or none is and all of them are discarded.
     Pruned by support-size/k and by a greedy cover bound; stops once a
     matching reaches the lower of the two at the root, or ``at_least``.
+
+    Depth-first on an explicit stack of [avail, v, candidate iterator,
+    matched count] frames, one per branched node, so the depth is not
+    bounded by Python's recursion limit: a frame yields its matched
+    children in index order, then gives way to its discard child.
     """
-    cap = limits.resolve(limits.MATCHING_NODE_LIMIT)
+    cap = limits.MATCHING_NODE_LIMIT
     best: list[int] = []
     current: list[int] = []
-    nodes = 0
+    frames: list[list] = []
     goal = min(sum(bool(avail & star) for star in through) // k,
                _greedy_cover_bound(avail, through),
                avail.bit_count() if at_least is None else at_least)
-
-    def recurse(avail: int) -> bool:
-        """Returns True when the search can stop early."""
-        nonlocal nodes, best
-        nodes += 1
+    for nodes in count(1):
         if nodes > cap:
             raise ResourceLimitError(f"matching search exceeded {cap} nodes")
         if len(current) > len(best):
             best = current.copy()
             if len(best) >= goal:
-                return True
+                return best
         degrees = [(avail & star).bit_count() for star in through]
         cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
-        if len(current) + cheap <= len(best) or (
-            len(current) + _greedy_cover_bound(avail, through) <= len(best)
+        if len(current) + cheap > len(best) and (
+            len(current) + _greedy_cover_bound(avail, through) > len(best)
         ):
-            return False
-        # branch vertex: minimum positive degree, lowest id on ties
-        _, v = min((d, v) for v, d in enumerate(degrees) if d)
-        for i in iter_bits(avail & through[v]):
-            rest = avail
+            # branch vertex: minimum positive degree, lowest id on ties
+            _, v = min((d, v) for v, d in enumerate(degrees) if d)
+            frames.append([avail, v, iter_bits(avail & through[v]), len(current)])
+        if not frames:
+            return best
+        avail, v, candidates, depth = frames[-1]
+        del current[depth:]
+        i = next(candidates, None)
+        if i is None:  # every edge through v tried: discard them all
+            frames.pop()
+            avail &= ~through[v]
+        else:
             for u in edges[i]:
-                rest &= ~through[u - 1]
+                avail &= ~through[u - 1]
             current.append(i)
-            if recurse(rest):
-                return True
-            current.pop()
-        return recurse(avail & ~through[v])
-
-    recurse(avail)
-    return best
 
 
 def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:

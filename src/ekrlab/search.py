@@ -68,7 +68,7 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
 def _check_enum_size(n: int, k: int) -> int:
     if k < 1 or k > n:
         raise DomainError(f"enumeration needs 1 <= k <= n, got k={k}, n={n}")
-    cap = limits.resolve(limits.ENUM_KSET_LIMIT)
+    cap = limits.ENUM_KSET_LIMIT
     count = kset_count(n, k)
     if count is None or count > cap:
         shown = "" if count is None else f" = {count}"  # too large to print: shape only

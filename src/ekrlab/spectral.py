@@ -190,7 +190,7 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     if n < 2 * k:
         raise DomainError(f"eigen_mass_full needs n >= 2k, got n={n}, k={k}")
     e = family.edge_count
-    cap = limits.resolve(limits.EIGEN_SUBSET_LIMIT)
+    cap = limits.EIGEN_SUBSET_LIMIT
     if e << k > cap:
         raise ResourceLimitError(
             f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} exceed limit {cap}"

@@ -23,7 +23,7 @@ from ekrlab.errors import ContradictionError, DomainError
 from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, hilton_milner, remark_family, star
 
-from conftest import random_family, random_sum_zero
+from conftest import count_transpositions, random_family, random_sum_zero
 from oracles import (
     float_simplex_min,
     geq_sqrt_gap,
@@ -301,6 +301,17 @@ def test_cross_certificate_errors():
     with pytest.raises(DomainError):
         cross_certificate(remark_family(), remark_family())
 
+
+
+@pytest.mark.parametrize("n, k, why", [(5, 1, "needs k >= 2"), (6, 3, "needs n >= 2k")])
+def test_cross_certificate_checks_the_shape_before_transposing(monkeypatch, n, k, why):
+    # the pair is not cross-intersecting either, but that test transposes left
+    left = Family.from_edges(n, k, [tuple(range(1, k + 1))])
+    right = Family.from_edges(n, k, [tuple(range(n - k + 1, n + 1))])
+    transposed = count_transpositions(monkeypatch)
+    with pytest.raises(DomainError, match=why):
+        cross_certificate(left, right)
+    assert transposed == []
 
 SIGN_TABLE = [
     # (a, b, c, sign of a + b sqrt(c)); c = 0 leaves the sign of a

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ekrlab import limits
 from ekrlab.cli import dispatch
 from ekrlab.errors import FormatError, ResourceLimitError
 from ekrlab.families import Family, binomial, kset_count
@@ -159,8 +160,9 @@ def test_parse_serialize_round_trip_property(fam):
 
 @st.composite
 def cli_argvs(draw, directory):
-    """argv of construct, spectrum, certify and matching on small random files."""
-    command = draw(st.sampled_from(["construct", "spectrum", "certify", "matching"]))
+    """argv of construct and scan, and of spectrum, certify and matching on
+    small random files."""
+    command = draw(st.sampled_from(["construct", "scan", "spectrum", "certify", "matching"]))
     if command == "construct":
         argv = ["construct", draw(st.sampled_from(KINDS))]
         for flag in ("--n", "--k", "--s", "--i", "--center"):
@@ -168,6 +170,14 @@ def cli_argvs(draw, directory):
             if value is not None:
                 argv += [flag, str(value)]
         return argv + ["--seed", str(draw(st.integers(0, 3)))]
+    if command == "scan":
+        kind = draw(st.sampled_from(["ekr", "cross", "conjecture"]))
+        if kind != "conjecture":
+            return ["scan", kind, "--n", str(draw(st.integers(-1, 7))),
+                    "--k", str(draw(st.integers(-1, 3)))]
+        return ["scan", kind, "--n", str(draw(st.integers(-1, 8))),
+                *(arg for flag in ("--k", "--s") for arg in (flag, str(draw(st.integers(-1, 3))))),
+                "--budget", str(draw(st.integers(-1, 30))), "--seed", str(draw(st.integers(0, 3)))]
 
     def family_file(name):
         k = draw(st.integers(min_value=0, max_value=3))
@@ -395,13 +405,6 @@ def test_cli_scan_csv(capsys):
     assert len(lines) == 16  # header + 15 families
 
 
-def test_bad_limit_env_is_a_domain_error(tmp_path, monkeypatch, capsys):
-    star_path = write_family(tmp_path, "star.json", star(7, 3, 1))
-    monkeypatch.setenv("EKRLAB_LIMIT", "abc")
-    assert dispatch(["spectrum", star_path, "--full"]) == 2
-    assert "EKRLAB_LIMIT" in capsys.readouterr().err
-
-
 def test_out_of_memory_input_exits_3(tmp_path, capsys):
     # the one edge {31..60} has colex rank C(60,30) - 1, so its bitset
     # could not be allocated; the C(n,k) gate refuses it before any shift
@@ -415,15 +418,17 @@ def test_out_of_memory_input_exits_3(tmp_path, capsys):
 
 
 def test_one_edge_file_above_the_kset_limit_exits_3(tmp_path, monkeypatch, capsys):
-    # C(30,15) = 155117520 k-sets: a 19 MB bitset without the gate; the
-    # EKRLAB_LIMIT override does not reach the gate
-    monkeypatch.setenv("EKRLAB_LIMIT", str(10 ** 12))
+    # C(30,15) = 155117520 k-sets: a 19 MB bitset without the gate, which
+    # refuses any C(n,k) above FAMILY_KSET_LIMIT
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", binomial(30, 15) - 1)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"n": 30, "k": 15, "edges": [list(range(16, 31))]}))
     assert dispatch(["spectrum", str(path)]) == 3
     assert "FAMILY_KSET_LIMIT" in capsys.readouterr().err
     with pytest.raises(ResourceLimitError):
         Family.from_edges(30, 15, [])
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", binomial(30, 15))
+    assert Family.from_edges(30, 15, []).edge_count == 0
 
 
 def test_memory_error_exits_3(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab import lp
+from ekrlab import limits, lp
 from ekrlab.cli import dispatch
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial
@@ -89,7 +89,7 @@ def test_cover_feasible():
 
 
 def test_lp_size_limit(monkeypatch):
-    monkeypatch.setenv("EKRLAB_LIMIT", "10")
+    monkeypatch.setattr(limits, "LP_EDGE_LIMIT", 10)
     with pytest.raises(ResourceLimitError, match="edge count 56 exceeds LP limit 10"):
         fractional_matching(complete(8, 3))
 

@@ -1,6 +1,8 @@
 """Exact matching number, rainbow step, constructive algorithm, reduction."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,9 +95,9 @@ def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes, monkeypat
     # machine-independent regression guard: the search visits exactly `nodes` nodes
     assert nodes <= limits.MATCHING_NODE_LIMIT
     result = matching_number(fam, at_least=at_least)
-    monkeypatch.setenv("EKRLAB_LIMIT", str(nodes))
+    monkeypatch.setattr(limits, "MATCHING_NODE_LIMIT", nodes)
     assert matching_number(fam, at_least=at_least) == result
-    monkeypatch.setenv("EKRLAB_LIMIT", str(nodes - 1))
+    monkeypatch.setattr(limits, "MATCHING_NODE_LIMIT", nodes - 1)
     with pytest.raises(ResourceLimitError):
         matching_number(fam, at_least=at_least)
 
@@ -114,9 +116,9 @@ def test_matching_number_matches_mask_list_oracle(fam, at_least):
     brute = brute_matching_number(fam.edge_tuples())
     assert nu == brute or at_least is not None and brute >= nu >= at_least  # stopped at at_least
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("EKRLAB_LIMIT", str(nodes))
+        patch.setattr(limits, "MATCHING_NODE_LIMIT", nodes)
         matching_number(fam, at_least=at_least)
-        patch.setenv("EKRLAB_LIMIT", str(nodes - 1))
+        patch.setattr(limits, "MATCHING_NODE_LIMIT", nodes - 1)
         with pytest.raises(ResourceLimitError):
             matching_number(fam, at_least=at_least)
 
@@ -140,10 +142,10 @@ def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
     assert (len(ranks), tuple(ksets[r] for r in ranks)) == (nu, witness.edges)
     nodes = mask_list_matching_number(fam.edge_tuples(), k, at_least)[2]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("EKRLAB_LIMIT", str(nodes))
+        patch.setattr(limits, "MATCHING_NODE_LIMIT", nodes)
         assert matching_number(fam, at_least=at_least)[0] == nu
         assert len(_max_matching(bits, stars, ksets, k, at_least)) == nu
-        patch.setenv("EKRLAB_LIMIT", str(nodes - 1))
+        patch.setattr(limits, "MATCHING_NODE_LIMIT", nodes - 1)
         with pytest.raises(ResourceLimitError):
             matching_number(fam, at_least=at_least)
         with pytest.raises(ResourceLimitError):
@@ -154,6 +156,18 @@ def test_matching_number_at_least_short_circuit():
     nu, witness = matching_number(complete(12, 2), at_least=2)
     assert nu >= 2 and len(witness) >= 2
     assert_valid_matching(complete(12, 2), witness)
+
+
+def test_matching_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 150 disjoint pairs: the search matches one pair per level, 150 deep
+    fam = Family.from_edges(300, 2, [(2 * i - 1, 2 * i) for i in range(1, 151)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        nu, witness = matching_number(fam)
+    finally:
+        sys.setrecursionlimit(old)
+    assert nu == len(witness) == 150
 
 
 def test_matching_validation():

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ekrlab import search
+from ekrlab import limits, search
 from ekrlab.cli import dispatch
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, is_intersecting, min_degree
@@ -154,7 +154,7 @@ def test_enumeration_limit(monkeypatch):
     # a count too large to print is named by its shape; math.comb would take seconds
     with pytest.raises(ResourceLimitError, match=r"^C\(100001,50000\) k-sets exceeds enumeration limit 64$"):
         ekr_degree_scan(100001, 50000)
-    monkeypatch.setenv("EKRLAB_LIMIT", "200")  # a higher limit lifts the gate
+    monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 200)  # a higher limit lifts the gate
     families = maximal_intersecting(9, 4)
     # the gate ran at call time; the search itself waits for next(), and
     # full enumeration at (9,4) runs for minutes, so one family comes lazily
@@ -165,10 +165,9 @@ def test_enumeration_limit(monkeypatch):
 
 
 def test_env_limit_override(monkeypatch):
-    monkeypatch.setenv("EKRLAB_LIMIT", "10")
+    monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 10)
     with pytest.raises(ResourceLimitError):
         maximal_intersecting(6, 2)
-    monkeypatch.delenv("EKRLAB_LIMIT")
 
 
 def test_ekr_degree_scan_5_2():

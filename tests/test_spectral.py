@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ekrlab import limits
 from ekrlab.cli import dispatch
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, is_intersecting
@@ -171,7 +172,7 @@ def test_eigenvalue_lower_bound_grid():
 
 
 def test_resource_limit(monkeypatch):
-    monkeypatch.setenv("EKRLAB_LIMIT", "10")
+    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 10)
     with pytest.raises(ResourceLimitError):
         eigen_mass_full(star(9, 4, 1))
 
@@ -281,8 +282,8 @@ def test_subset_update_limit(tmp_path, monkeypatch, capsys):
     assert eigen_mass_full(fam).masses == (Fraction(45, 7), Fraction(60, 7), 0, 0)
     path = tmp_path / "star.json"
     path.write_bytes(serialize_family(fam))
-    monkeypatch.setenv("EKRLAB_LIMIT", "119")
+    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 119)
     assert dispatch(["spectrum", str(path), "--full"]) == 3
-    monkeypatch.setenv("EKRLAB_LIMIT", "120")
+    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 120)
     assert dispatch(["spectrum", str(path), "--full"]) == 0
     capsys.readouterr()
