@@ -8,13 +8,16 @@ equal families produce byte-identical files.
 Reports are plain dicts of the shape ``{"kind", "fields", "columns",
 "rows"}``; exact rationals appear as ``"p/q"`` strings next to an advisory
 ``*_decimal`` field rounded to 10 significant digits.  Emission is
-byte-deterministic for all three formats.
+byte-deterministic for all three formats; ``csv.writer`` quotes a CSV
+cell holding a comma, a double quote or a newline.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from fractions import Fraction
+from io import StringIO
 
 from .errors import DomainError, FormatError
 from .families import Family
@@ -65,10 +68,7 @@ def serialize_family(family: Family) -> bytes:
 
 def format_rational(value: Fraction | int) -> str:
     """Exact string form: "p/q", or just "p" for integers."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def rational_decimal(value: Fraction | int) -> float:
@@ -91,7 +91,8 @@ def emit_report(report: dict, fmt: str = "text") -> bytes:
     """Render a report deterministically as text, JSON, or CSV.
 
     JSON output sorts keys; CSV uses the report's fixed ``columns`` order
-    (falling back to the field names for row-less reports).
+    (falling back to the field names for row-less reports), quoted by
+    ``csv.writer``'s defaults.
     """
     kind = report.get("kind", "report")
     fields = report.get("fields", {})
@@ -102,16 +103,13 @@ def emit_report(report: dict, fmt: str = "text") -> bytes:
         return (json.dumps(report, sort_keys=True, indent=2, default=str) + "\n").encode("utf-8")
 
     if fmt == "csv":
-        lines = []
         if rows is not None and columns:
-            lines.append(",".join(columns))
-            for row in rows:
-                lines.append(",".join(_text_value(row.get(c, "")) for c in columns))
+            table = [columns, *([row.get(c, "") for c in columns] for row in rows)]
         else:
-            names = list(fields)
-            lines.append(",".join(names))
-            lines.append(",".join(_text_value(fields[c]) for c in names))
-        return ("\n".join(lines) + "\n").encode("utf-8")
+            table = [fields.keys(), fields.values()]
+        out = StringIO()
+        csv.writer(out, lineterminator="\n").writerows(map(_text_value, line) for line in table)
+        return out.getvalue().encode("utf-8")
 
     if fmt == "text":
         lines = [f"[{kind}]"]

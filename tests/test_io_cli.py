@@ -1,6 +1,7 @@
 """File format, report determinism, CLI dispatch and exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import resource
@@ -22,7 +23,7 @@ from ekrlab.io import (
     rational_decimal,
     serialize_family,
 )
-from ekrlab.constructions import KINDS, complete, remark_family, star
+from ekrlab.constructions import KINDS, complete, erdos_extremal, remark_family, star
 
 from conftest import small_families
 
@@ -71,6 +72,16 @@ def test_emit_report_deterministic():
     csv = emit_report(report, "csv").decode()
     assert csv.splitlines()[0] == "x,y"
     assert csv.splitlines()[1] == "1,2"
+
+
+@pytest.mark.parametrize("report", [
+    {"kind": "demo", "fields": {"n": 1, "note": 'a, "b"\nc'}},
+    {"kind": "demo", "fields": {}, "columns": ["n", "note"],
+     "rows": [{"n": 1, "note": 'a, "b"\nc'}]},
+], ids=["fields", "rows"])
+def test_emit_report_csv_quotes_commas_quotes_and_newlines(report):
+    text = emit_report(report, "csv").decode()
+    assert list(csv.DictReader(io.StringIO(text, newline=""))) == [{"n": "1", "note": 'a, "b"\nc'}]
 
 
 def write_family(tmp_path, name, family):
@@ -396,6 +407,44 @@ def test_cli_scan_conjecture_deterministic(capsys):
     assert dispatch(args) == 0
     assert capsys.readouterr().out == first
     assert json.loads(first)["fields"]["delta1"] == 5
+
+
+@pytest.mark.parametrize("flags, cell", [
+    ([], "witness"),
+    (["--construct-degree", "2"], "matching"),
+])
+def test_cli_matching_csv_quotes_the_witness(tmp_path, capsys, flags, cell):
+    # the witness "{1,3,4} {2,5,6}" holds commas: one cell, not five
+    path = write_family(tmp_path, "h1.json", erdos_extremal(12, 3, 3, 1))
+    assert dispatch(["matching", path, *flags, "--json"]) == 0
+    expected = json.loads(capsys.readouterr().out)["fields"][cell]
+    assert dispatch(["matching", path, *flags, "--csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    assert dict(zip(header, rows[0]))[cell] == expected == "{1,3,4} {2,5,6}"
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "{h}"],
+    ["spectrum", "{h}", "--full"],
+    ["certify", "ekr", "{s}"],
+    ["certify", "witness", "{s}"],
+    ["certify", "cross", "{s}", "{s}"],
+    ["matching", "{h}"],
+    ["matching", "{h}", "--fractional"],
+    ["matching", "{h}", "--cover"],
+    ["matching", "{h}", "--construct-degree", "2"],
+    ["scan", "ekr", "--n", "5", "--k", "2"],
+    ["scan", "cross", "--n", "5", "--k", "2"],
+    ["scan", "conjecture", "--n", "7", "--k", "2", "--s", "2", "--budget", "50"],
+])
+def test_every_csv_report_reads_back_into_rows_of_the_header_width(tmp_path, capsys, command):
+    paths = {"h": write_family(tmp_path, "h1.json", erdos_extremal(12, 3, 3, 1)),
+             "s": write_family(tmp_path, "star.json", star(7, 3, 1))}
+    assert dispatch([arg.format(**paths) for arg in command] + ["--csv"]) == 0
+    # a conjecture scan that finds no counterexample writes the header alone
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert all(len(row) == len(header) for row in rows)
 
 
 def test_cli_scan_csv(capsys):

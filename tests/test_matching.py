@@ -89,8 +89,11 @@ def test_matching_number_matches_brute_force_property(fam):
     (complete(10, 3), None, 4),
     (complete(9, 4), None, 3),
     (complete(12, 2), 2, 3),
+    # the only row that needs the per-node greedy cover bound: without it
+    # the search visits 49,686 nodes here
+    (erdos_extremal(20, 3, 5, 1), None, 58),
 ], ids=["fano", "remark", "erdos(12,3,3,1)", "erdos(8,3,2,1)", "complete(10,3)",
-        "complete(9,4)", "complete(12,2)-at-least-2"])
+        "complete(9,4)", "complete(12,2)-at-least-2", "erdos(20,3,5,1)"])
 def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes, monkeypatch):
     # machine-independent regression guard: the search visits exactly `nodes` nodes
     assert nodes <= limits.MATCHING_NODE_LIMIT
