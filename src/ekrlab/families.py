@@ -93,31 +93,46 @@ def kset_count(n: int, k: int) -> int | None:
     return total if total <= cap else None
 
 
-def gated_kset_count(n: int, k: int) -> int:
-    """C(n,k) for 0 <= k <= n; ResourceLimitError above FAMILY_KSET_LIMIT."""
-    total = kset_count(n, k)
-    if total is None or total > limits.FAMILY_KSET_LIMIT:
+def gated_kset_count(n: int, k: int, limit: str = "FAMILY_KSET_LIMIT") -> int:
+    """C(n,k) for 0 <= k <= n; above ``limits.<limit>``, a ResourceLimitError naming it."""
+    total, cap = kset_count(n, k), getattr(limits, limit)
+    if total is None or total > cap:
         count = "" if total is None else f" = {total}"  # too large to print: shape only
-        raise ResourceLimitError(f"C(n,k) = C({n},{k}){count} k-sets exceed "
-                                 f"FAMILY_KSET_LIMIT = {limits.FAMILY_KSET_LIMIT}")
+        raise ResourceLimitError(f"C(n,k) = C({n},{k}){count} k-sets exceed {limit} = {cap}")
     return total
 
 
 @lru_cache(maxsize=64)
-def _colex_columns(n: int, k: int) -> tuple[int, int, tuple[int, ...]]:
-    """(C(n,k), w, columns) for unranking the k-subsets of [n]; w = n - k + 1.
+def _colex_columns(n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(w, columns) for unranking the k-subsets of [n]; w = n - k + 1.
 
     The level-i coordinate b = a_i - 1 of a k-subset lies in [i-1, n-k+i-1],
     a window of w values, so ``columns[(k-i)*w + j]`` = C(i-1+j, i) for the
     levels i = k..2, ascending within each level.  Level 1 needs no column:
-    C(b,1) = b.  The table is refused with ResourceLimitError above
-    FAMILY_KSET_LIMIT, the gate every family built from edges passes, which
-    keeps it to about 17k entries; one flat tuple keeps k >= n-1 at the size
-    of at most two decoded edges.
+    C(b,1) = b.  The table does not gate: its callers, :func:`unrank_colex`
+    and ``Family._decoded``, pass :func:`gated_kset_count` on every call
+    first, cached table or not, which keeps it to about 17k entries; one
+    flat tuple keeps k >= n-1 at the size of at most two decoded edges.
     """
-    total = gated_kset_count(n, k)
     w = n - k + 1
-    return total, w, tuple(comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w))
+    return w, tuple(comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w))
+
+
+def _unrank_each(ranks: Iterable[int], k: int, n: int) -> Iterator[KSubset]:
+    """The k-subsets of [n] at ``ranks``, unchecked: each below C(n,k), the gate passed."""
+    w, columns = _colex_columns(n, k)
+    for r in ranks:
+        out = [0] * k
+        lo, hi = 0, w
+        for i in range(k, 1, -1):
+            at = bisect_right(columns, r, lo, hi) - 1
+            r -= columns[at]
+            out[i - 1] = at - lo + i
+            lo += w
+            hi = at + w + 1
+        if k:
+            out[0] = r + 1
+        yield tuple(out)
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
@@ -126,25 +141,15 @@ def unrank_colex(r: int, k: int, n: int) -> KSubset:
     The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): from level
     k down, a_i - 1 is the largest b with C(b, i) <= r, found by one
     bisection of the tabulated column below the previous coordinate, and
-    C(b, i) is taken off r.  Raises ResourceLimitError when C(n,k) exceeds
-    FAMILY_KSET_LIMIT.
+    C(b, i) is taken off r.  Gates on every call: raises ResourceLimitError
+    when C(n,k) exceeds FAMILY_KSET_LIMIT, whether or not the table is cached.
     """
     if k < 0 or k > n:
         raise DomainError(f"unrank_colex: need 0 <= k <= n, got k={k}, n={n}")
-    total, w, columns = _colex_columns(n, k)
+    total = gated_kset_count(n, k)
     if r < 0 or r >= total:
         raise DomainError(f"rank {r} out of range [0, {total}) at (n={n}, k={k})")
-    out = [0] * k
-    lo, hi = 0, w
-    for i in range(k, 1, -1):
-        at = bisect_right(columns, r, lo, hi) - 1
-        r -= columns[at]
-        out[i - 1] = at - lo + i
-        lo += w
-        hi = at + w + 1
-    if k:
-        out[0] = r + 1
-    return tuple(out)
+    return next(_unrank_each((r,), k, n))
 
 
 @dataclass(frozen=True)
@@ -211,9 +216,10 @@ class Family:
         """(edge tuples, vertex masks) in colex-rank order, decoded once.
 
         Kept in the instance dict, not in a field, so equality and hashing
-        still see only (n, k, edges).
+        still see only (n, k, edges).  Gated once, like :func:`unrank_colex`.
         """
-        tuples = tuple(unrank_colex(r, self.k, self.n) for r in self.edge_ranks())
+        gated_kset_count(self.n, self.k)
+        tuples = tuple(_unrank_each(self.edge_ranks(), self.k, self.n))
         return tuples, tuple(_vertex_mask(e) for e in tuples)
 
     @cached_property

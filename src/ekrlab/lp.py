@@ -136,9 +136,9 @@ def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: 
 def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:
     """(maximum fractional matching, minimum fractional cover) from one
     packing LP solve, returned only once their primal–dual certificate holds."""
-    cap = limits.LP_EDGE_LIMIT
-    if family.edge_count > cap:
-        raise ResourceLimitError(f"edge count {family.edge_count} exceeds LP limit {cap}")
+    if family.edge_count > limits.LP_EDGE_LIMIT:
+        raise ResourceLimitError(
+            f"{family.edge_count} edges exceed LP_EDGE_LIMIT = {limits.LP_EDGE_LIMIT}")
     if family.k < 1:
         raise DomainError("fractional programs need k >= 1")
     x, y, d = _solve_packing(family.edge_tuples(), family.n)

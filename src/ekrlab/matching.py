@@ -103,21 +103,23 @@ def _max_matching(
     best: list[int] = []
     current: list[int] = []
     frames: list[list] = []
-    goal = min(sum(bool(avail & star) for star in through) // k,
-               _greedy_cover_bound(avail, through),
-               avail.bit_count() if at_least is None else at_least)
+    degrees = [(avail & star).bit_count() for star in through]
+    cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
+    cover = _greedy_cover_bound(avail, through)
+    goal = min(cheap, cover, avail.bit_count() if at_least is None else at_least)
     for nodes in count(1):
         if nodes > cap:
-            raise ResourceLimitError(f"matching search exceeded {cap} nodes")
+            raise ResourceLimitError(f"{nodes} search nodes exceed MATCHING_NODE_LIMIT = {cap}")
         if len(current) > len(best):
             best = current.copy()
             if len(best) >= goal:
                 return best
-        degrees = [(avail & star).bit_count() for star in through]
-        cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
-        if len(current) + cheap > len(best) and (
-            len(current) + _greedy_cover_bound(avail, through) > len(best)
-        ):
+        if nodes > 1:  # node 1 is the root: its bounds are the goal's
+            degrees = [(avail & star).bit_count() for star in through]
+            cheap = (len(degrees) - degrees.count(0)) // k
+        if len(current) + cheap > len(best) and len(current) + (
+            cover if nodes == 1 else _greedy_cover_bound(avail, through)
+        ) > len(best):
             # branch vertex: minimum positive degree, lowest id on ties
             _, v = min((d, v) for v, d in enumerate(degrees) if d)
             frames.append([avail, v, iter_bits(avail & through[v]), len(current)])

@@ -22,9 +22,8 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import limits
-from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, iter_bits, kset_count, meet_rows
+from .errors import ContradictionError, DomainError
+from .families import Family, binomial, gated_kset_count, iter_bits, meet_rows
 from .matching import _degree_threshold, _max_matching, matching_number
 
 from .constructions import erdos_extremal
@@ -68,12 +67,7 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
 def _check_enum_size(n: int, k: int) -> int:
     if k < 1 or k > n:
         raise DomainError(f"enumeration needs 1 <= k <= n, got k={k}, n={n}")
-    cap = limits.ENUM_KSET_LIMIT
-    count = kset_count(n, k)
-    if count is None or count > cap:
-        shown = "" if count is None else f" = {count}"  # too large to print: shape only
-        raise ResourceLimitError(f"C({n},{k}){shown} k-sets exceeds enumeration limit {cap}")
-    return count
+    return gated_kset_count(n, k, "ENUM_KSET_LIMIT")
 
 
 def _maximal_cliques(count: int, meet: tuple):

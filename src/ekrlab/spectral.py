@@ -182,7 +182,7 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     degrees of one walk over ``family.through``, which visits at most
     e * 2^k subsets.  Needs n >= 2k so that the k+1 level
     decomposition exists; raises ResourceLimitError when e * 2^k exceeds
-    the subset limit.
+    EIGEN_SUBSET_LIMIT.
     """
     n, k = family.n, family.k
     if k < 1:
@@ -190,11 +190,9 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     if n < 2 * k:
         raise DomainError(f"eigen_mass_full needs n >= 2k, got n={n}, k={k}")
     e = family.edge_count
-    cap = limits.EIGEN_SUBSET_LIMIT
-    if e << k > cap:
-        raise ResourceLimitError(
-            f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} exceed limit {cap}"
-        )
+    if e << k > limits.EIGEN_SUBSET_LIMIT:
+        raise ResourceLimitError(f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} "
+                                 f"exceed EIGEN_SUBSET_LIMIT = {limits.EIGEN_SUBSET_LIMIT}")
     sums = _subset_degree_sums(family)
     masses = _masses(n, k, sums)
     quad = sum((-1) ** t * n_t for t, n_t in enumerate(sums))

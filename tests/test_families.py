@@ -30,9 +30,12 @@ from ekrlab.families import (
 from ekrlab.constructions import complete, hilton_milner, remark_family, star
 from ekrlab.lp import fractional_cover
 from ekrlab.matching import matching_number
-from ekrlab.spectral import disjoint_pairs
+from ekrlab.search import maximal_intersecting
+from ekrlab.spectral import disjoint_pairs, eigen_mass_full
 
-from conftest import count_transpositions, random_family, random_family_edge_count, small_families
+from conftest import (
+    count_decodes, count_transpositions, random_family, random_family_edge_count, small_families,
+)
 from oracles import (
     colex_list,
     linear_unrank,
@@ -116,10 +119,37 @@ def test_unrank_is_gated_like_families():
         Family.from_ranks(40, 20, 1).edge_tuples()
     # k = 1 decodes by a closed form, with no column of n entries
     assert unrank_colex(cap - 1, 1, cap) == (cap,)
-    assert ekrlab.families._colex_columns(cap, 1) == (cap, cap, ())
+    assert ekrlab.families._colex_columns(cap, 1) == (cap, ())
     # at k >= n - 1 the table is no larger than two decoded edges
-    assert len(ekrlab.families._colex_columns(5000, 5000)[2]) == 4999
-    assert len(ekrlab.families._colex_columns(5000, 4999)[2]) == 2 * 4998
+    assert len(ekrlab.families._colex_columns(5000, 5000)[1]) == 4999
+    assert len(ekrlab.families._colex_columns(5000, 4999)[1]) == 2 * 4998
+
+
+def test_a_lowered_family_limit_gates_decodes_of_a_cached_shape(monkeypatch):
+    # the unrank table is cached per shape, but the gate runs on every call
+    assert len(Family.from_ranks(12, 4, (1 << 495) - 1).edge_tuples()) == 495
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 100)
+    refused = r"^C\(n,k\) = C\(12,4\) = 495 k-sets exceed FAMILY_KSET_LIMIT = 100$"
+    with pytest.raises(ResourceLimitError, match=refused):
+        unrank_colex(0, 4, 12)
+    with pytest.raises(ResourceLimitError, match=refused):
+        Family.from_ranks(12, 4, 1).edge_tuples()
+    with pytest.raises(ResourceLimitError, match=refused):
+        Family.from_edges(12, 4, [(1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("name, value, call", [
+    ("FAMILY_KSET_LIMIT", 100, lambda: Family.from_edges(12, 4, [])),
+    ("EIGEN_SUBSET_LIMIT", 10, lambda: eigen_mass_full(star(9, 4, 1))),
+    ("LP_EDGE_LIMIT", 10, lambda: fractional_cover(complete(8, 3))),
+    ("ENUM_KSET_LIMIT", 10, lambda: maximal_intersecting(6, 2)),
+    ("MATCHING_NODE_LIMIT", 1, lambda: matching_number(complete(7, 3))),
+], ids=["FAMILY", "EIGEN", "LP", "ENUM", "MATCHING"])
+def test_every_limit_refusal_names_its_constant(name, value, call, monkeypatch):
+    call()  # passes at the default
+    monkeypatch.setattr(limits, name, value)
+    with pytest.raises(ResourceLimitError, match=f" exceed {name} = {value}$"):
+        call()
 
 
 def test_is_intersecting():
@@ -163,6 +193,11 @@ def test_min_degree_counts_isolated_vertices():
     fam = Family.from_edges(9, 3, [(1, 2, 3)])
     assert min_degree(fam, 1) == 0
     assert min_degree(fam, 2) == 0
+
+
+def test_min_degree_when_every_subset_is_covered():
+    # each pair of [6] lies in the C(4,1) = 4 triples that add one more vertex
+    assert min_degree(complete(6, 3), 2) == 4
 
 
 def test_link():
@@ -382,15 +417,17 @@ def test_decode_cache_leaves_equality_and_hash_alone():
     assert {decoded: 1}[fresh] == 1
 
 
-def _count_unranks(monkeypatch) -> list[int]:
+def _count_unranked_edges(monkeypatch) -> list[int]:
+    """Count the edges that the private unrank loop yields from now on."""
     calls = [0]
-    original = ekrlab.families.unrank_colex
+    original = ekrlab.families._unrank_each
 
     def counting(*args):
-        calls[0] += 1
-        return original(*args)
+        for edge in original(*args):
+            calls[0] += 1
+            yield edge
 
-    monkeypatch.setattr(ekrlab.families, "unrank_colex", counting)
+    monkeypatch.setattr(ekrlab.families, "_unrank_each", counting)
     return calls
 
 
@@ -416,15 +453,17 @@ def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
     whole = star(13, 5, 1).edge_tuples()
     edges = rng.sample(whole, len(whole) * 9 // 10)
     fam = Family.from_edges(13, 5, edges)
-    calls = _count_unranks(monkeypatch)
+    decodes, calls = count_decodes(monkeypatch), _count_unranked_edges(monkeypatch)
     ekr_certificate(fam)
+    assert decodes == [fam]
     assert calls[0] == fam.edge_count == 445
 
 
 def test_fractional_cover_decodes_each_edge_once(monkeypatch):
     fam = random_family_edge_count(random.Random(93), 9, 3, 24)
-    calls = _count_unranks(monkeypatch)
+    decodes, calls = count_decodes(monkeypatch), _count_unranked_edges(monkeypatch)
     fractional_cover(fam)
+    assert decodes == [fam]
     assert calls[0] == fam.edge_count == 24
 
 

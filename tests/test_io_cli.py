@@ -23,7 +23,7 @@ from ekrlab.io import (
     rational_decimal,
     serialize_family,
 )
-from ekrlab.constructions import KINDS, complete, erdos_extremal, remark_family, star
+from ekrlab.constructions import KINDS, complete, erdos_extremal, hilton_milner, remark_family, star
 
 from conftest import small_families
 
@@ -99,6 +99,20 @@ def test_cli_construct_and_certify(tmp_path, capsys):
     out2 = str(tmp_path / "star2.json")
     dispatch(["construct", "star", "--n", "7", "--k", "3", "--out", out2])
     assert open(out).read() == open(out2).read()
+
+
+def test_cli_certify_ekr_upper_bound_not_applicable(tmp_path, capsys):
+    # delta1(HM(11,4)) = 26 < C(9,2) = 36: the mass upper bound does not apply
+    path = write_family(tmp_path, "hm.json", hilton_milner(11, 4))
+    assert dispatch(["certify", "ekr", path]) == 0
+    text = dict(line.split() for line in capsys.readouterr().out.splitlines()[1:])
+    assert dispatch(["certify", "ekr", path, "--json"]) == 0
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert dispatch(["certify", "ekr", path, "--csv"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    for report in (text, fields, row):
+        assert report["delta1"] in (26, "26")
+        assert report["mass_upper_bound"] == report["mass_upper_bound_holds"] == "not-applicable"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -16,7 +16,9 @@ from ekrlab.constructions import complete, erdos_extremal, fano, remark_family, 
 from ekrlab.lp import FractionalSolution, fractional_cover, fractional_matching
 from ekrlab.matching import (
     Matching,
+    _greedy_cover_bound,
     _max_matching,
+    _rainbow,
     corollary33_check,
     find_matching_by_degree,
     matching_number,
@@ -103,6 +105,22 @@ def test_branch_and_bound_node_counts_are_pinned(fam, at_least, nodes, monkeypat
     monkeypatch.setattr(limits, "MATCHING_NODE_LIMIT", nodes - 1)
     with pytest.raises(ResourceLimitError):
         matching_number(fam, at_least=at_least)
+
+
+@pytest.mark.parametrize("fam, calls", [(erdos_extremal(20, 3, 5, 1), 43), (fano(), 2)],
+                         ids=["erdos(20,3,5,1)", "fano"])
+def test_the_root_greedy_cover_sets_the_goal_and_bounds_node_1(fam, calls, monkeypatch):
+    # one greedy cover at the root serves both; each later node that passes
+    # the support bound computes its own
+    counted = [0]
+
+    def counting(*args):
+        counted[0] += 1
+        return _greedy_cover_bound(*args)
+
+    monkeypatch.setattr("ekrlab.matching._greedy_cover_bound", counting)
+    matching_number(fam)
+    assert counted[0] == calls
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,6 +235,16 @@ def test_rainbow_precondition_errors():
         rainbow_extension(complete(6, 3), [1, 2])  # ks = n
     with pytest.raises(DomainError):
         rainbow_extension(complete(7, 3), [1, 1])
+
+
+def test_rainbow_search_backtracks_and_exhausts():
+    # {1,3}, taken first for vertex 1, blocks {2,3}: the search backs up to {1,4}
+    fam = Family.from_edges(4, 2, [(1, 3), (2, 3), (1, 4)])
+    chosen = _rainbow(fam.vertex_masks(), fam.through, (1 << len(fam)) - 1, [1, 2])
+    assert [fam.edge_tuples()[i] for i in chosen] == [(1, 4), (2, 3)]
+    fam = Family.from_edges(4, 2, [(1, 3), (2, 3)])
+    with pytest.raises(ContradictionError, match="rainbow search exhausted"):
+        _rainbow(fam.vertex_masks(), fam.through, (1 << len(fam)) - 1, [1, 2])
 
 
 def test_find_matching_complete_graph():

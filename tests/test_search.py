@@ -2,8 +2,10 @@
 
 import hashlib
 import inspect
+import json
 import os
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,7 +154,8 @@ def test_enumeration_limit(monkeypatch):
     with pytest.raises(ResourceLimitError):
         maximal_intersecting(9, 4)  # C(9,4) = 126 > 64
     # a count too large to print is named by its shape; math.comb would take seconds
-    with pytest.raises(ResourceLimitError, match=r"^C\(100001,50000\) k-sets exceeds enumeration limit 64$"):
+    with pytest.raises(ResourceLimitError,
+                       match=r"^C\(n,k\) = C\(100001,50000\) k-sets exceed ENUM_KSET_LIMIT = 64$"):
         ekr_degree_scan(100001, 50000)
     monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 200)  # a higher limit lifts the gate
     families = maximal_intersecting(9, 4)
@@ -178,6 +181,24 @@ def test_ekr_degree_scan_5_2():
     assert report.best["all_at_max_are_stars"]
     assert report.best["nonstar_max_delta1"] == 0
     assert not report.violations
+
+
+def test_ekr_degree_scan_records_each_violation(monkeypatch, capsys):
+    # a fault that lowers the expected maximum C(n-2,k-2) = C(3,0) from 1 to 0
+    # makes each non-star maximal family at (5,2), the ten triangles, a violation
+    real = search.binomial
+    monkeypatch.setattr(search, "binomial", lambda n, r: real(n, r) - ((n, r) == (3, 0)))
+    report = ekr_degree_scan(5, 2)
+    cliques = [family.edge_tuples() for family in maximal_intersecting(5, 2)]
+    assert [v["edges"] for v in report.violations] == [e for e in cliques if len(e) == 3]
+    assert sorted(v["edges"] for v in report.violations) == sorted(
+        list(combinations(t, 2)) for t in combinations(range(1, 6), 3))
+    assert {(v["delta1"], v["reason"]) for v in report.violations} == {
+        (0, "non-star at or above C(n-2,k-2)")}
+    assert dispatch(["scan", "ekr", "--n", "5", "--k", "2", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fields"]["violations"] == 10
+    assert [v["edges"] for v in payload["violations"]] == [str(v["edges"]) for v in report.violations]
 
 
 def test_ekr_degree_scan_rejects_n_2k():
