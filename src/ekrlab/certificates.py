@@ -60,6 +60,8 @@ def star_frame_checks(n: int, k: int) -> StarFrameReport:
     to the all-ones direction; both closed forms are checked against the
     raw Gram entries in exact rationals.
     """
+    if n < 2 or k < 0 or k > n:
+        raise DomainError(f"star_frame_checks needs n >= 2 and 0 <= k <= n, got k={k}, n={n}")
     nk = binomial(n, k)
     s_norm = binomial(n - 1, k - 1)
     norm_sq = s_norm - Fraction(s_norm * s_norm, nk)

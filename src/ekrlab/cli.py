@@ -33,9 +33,12 @@ def _read_family(path: str) -> Family:
 def _write(data: bytes, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.buffer.write(data)
-    else:
+        return
+    try:
         with open(out, "wb") as handle:
             handle.write(data)
+    except OSError as exc:
+        raise FormatError(f"cannot write '{out}': {exc}") from exc
 
 
 def cmd_construct(args: argparse.Namespace) -> int:

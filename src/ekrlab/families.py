@@ -9,7 +9,6 @@ Vertices are 1-based, edges are increasing vertex tuples, counting is exact.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -102,54 +101,63 @@ def gated_kset_count(n: int, k: int, limit: str = "FAMILY_KSET_LIMIT") -> int:
     return total
 
 
-@lru_cache(maxsize=64)
-def _colex_columns(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """(w, columns) for unranking the k-subsets of [n]; w = n - k + 1.
-
-    The level-i coordinate b = a_i - 1 of a k-subset lies in [i-1, n-k+i-1],
-    a window of w values, so ``columns[(k-i)*w + j]`` = C(i-1+j, i) for the
-    levels i = k..2, ascending within each level.  Level 1 needs no column:
-    C(b,1) = b.  The table does not gate: its callers, :func:`unrank_colex`
-    and ``Family._decoded``, pass :func:`gated_kset_count` on every call
-    first, cached table or not, which keeps it to about 17k entries; one
-    flat tuple keeps k >= n-1 at the size of at most two decoded edges.
+def _decode_blocks(bits: int, k: int, n: int) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
+    """(edge tuples, vertex masks) at the set bits of ``bits``, each below
+    C(n,k), in colex-rank order.  Ranks [C(t-1,i), C(t,i)) are the i-sets
+    with top vertex t, offset by the rank of the rest in [t-1] (Knuth, TAOCP
+    4A, 7.2.1.3).  A frame holds the bits of ranks [C(a-1,i), C(b-1,i)), top
+    vertex in [a, b), shifted down by C(a-1,i), and halves them by top vertex
+    with one comb until one is left; at level 1 bit j is vertex j+1 and its
+    mask bit.  ``top[i:]`` holds the frame's upper vertices, so an edge costs
+    O(k + n/64), not O(k^2).
     """
-    w = n - k + 1
-    return w, tuple(comb(b, i) for i in range(k, 1, -1) for b in range(i - 1, i - 1 + w))
-
-
-def _unrank_each(ranks: Iterable[int], k: int, n: int) -> Iterator[KSubset]:
-    """The k-subsets of [n] at ``ranks``, unchecked: each below C(n,k), the gate passed."""
-    w, columns = _colex_columns(n, k)
-    for r in ranks:
-        out = [0] * k
-        lo, hi = 0, w
-        for i in range(k, 1, -1):
-            at = bisect_right(columns, r, lo, hi) - 1
-            r -= columns[at]
-            out[i - 1] = at - lo + i
-            lo += w
-            hi = at + w + 1
-        if k:
-            out[0] = r + 1
-        yield tuple(out)
+    if k == 0:
+        return (((),), (0,)) if bits else ((), ())
+    tuples, masks, top = [], [], [0] * k
+    stack = [(bits, k, k, n + 1, 0, 0)]
+    while stack:
+        x, i, a, b, base, upper = stack.pop()
+        if i == 1:
+            while x:
+                bit = x & -x
+                top[0] = bit.bit_length()
+                tuples.append(tuple(top))
+                masks.append(upper | bit)
+                x ^= bit
+        elif b - a > 1:
+            mid = (a + b) // 2
+            cut = comb(mid - 1, i) - base
+            if high := x >> cut:
+                stack.append((high, i, mid, b, base + cut, upper))
+            if low := x & ((1 << cut) - 1):
+                stack.append((low, i, a, mid, base, upper))
+        else:
+            top[i - 1] = a
+            stack.append((x, i - 1, i - 1, a, 0, upper | 1 << (a - 1)))
+    return tuple(tuples), tuple(masks)
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
     """Inverse of :func:`rank_colex` on the k-subsets of [n].
 
     The combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): from level
-    k down, a_i - 1 is the largest b with C(b, i) <= r, found by one
-    bisection of the tabulated column below the previous coordinate, and
-    C(b, i) is taken off r.  Gates on every call: raises ResourceLimitError
-    when C(n,k) exceeds FAMILY_KSET_LIMIT, whether or not the table is cached.
+    k down, a_i - 1 is the largest b below the previous coordinate with
+    C(b, i) <= r, stepping C(b-1, i) = C(b, i)(b-i)/b down, and C(b, i) is
+    taken off r; level 1 is r.  Gated by FAMILY_KSET_LIMIT on every call.
     """
     if k < 0 or k > n:
         raise DomainError(f"unrank_colex: need 0 <= k <= n, got k={k}, n={n}")
     total = gated_kset_count(n, k)
     if r < 0 or r >= total:
         raise DomainError(f"rank {r} out of range [0, {total}) at (n={n}, k={k})")
-    return next(_unrank_each((r,), k, n))
+    out, b = [], n
+    for i in range(k, 1, -1):
+        b, c = b - 1, comb(b - 1, i)
+        while c > r:
+            b, c = b - 1, c * (b - i) // b
+        r -= c
+        out.append(b + 1)
+    return (r + 1, *out[::-1]) if k else ()
 
 
 @dataclass(frozen=True)
@@ -219,8 +227,7 @@ class Family:
         still see only (n, k, edges).  Gated once, like :func:`unrank_colex`.
         """
         gated_kset_count(self.n, self.k)
-        tuples = tuple(_unrank_each(self.edge_ranks(), self.k, self.n))
-        return tuples, tuple(_vertex_mask(e) for e in tuples)
+        return _decode_blocks(self.edges, self.k, self.n)
 
     @cached_property
     def through(self) -> tuple[int, ...]:
@@ -264,13 +271,6 @@ class Family:
         return Family.from_ranks(self.n, self.k, self.edges & ~(1 << rank))
 
 
-def _vertex_mask(edge: KSubset) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << (v - 1)
-    return m
-
-
 def meet_rows(through: Sequence[int], edges: Iterable[KSubset]) -> Iterator[int]:
     """For each edge, the OR of its vertices' bitsets in ``through``: the
     edges of the transposed family that meet it, one row at a time."""
@@ -302,7 +302,7 @@ def degree(family: Family, subset: Iterable[int]) -> int:
     s = validate_ksubset(subset, family.n)
     if len(s) >= family.k:
         raise DomainError(f"degree: |S| = {len(s)} must be smaller than k = {family.k}")
-    smask = _vertex_mask(s)
+    smask = sum(1 << (v - 1) for v in s)
     return sum(1 for m in family.vertex_masks() if m & smask == smask)
 
 

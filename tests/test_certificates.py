@@ -100,10 +100,18 @@ def test_star_frame_checks_values():
 
 
 def test_star_frame_identity_grid():
-    for k in range(2, 15):
-        for n in range(2 * k + 1, 31):
+    for n in range(2, 31):
+        for k in range(n + 1):
             report = star_frame_checks(n, k)
             assert report.formulas_match and report.simplex_identity_holds
+
+
+@pytest.mark.parametrize("n, k", [(3, 5), (1, 1), (0, 0), (-1, 2), (5, -1)])
+def test_star_frame_checks_refuses_shapes_outside_its_domain(n, k):
+    # (3, 5) and (5, -1) divided by C(n,k) = 0; the others failed inside binomial
+    message = rf"^star_frame_checks needs n >= 2 and 0 <= k <= n, got k={k}, n={n}$"
+    with pytest.raises(DomainError, match=message):
+        star_frame_checks(n, k)
 
 
 def test_simplex_witness_fixtures():

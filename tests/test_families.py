@@ -117,12 +117,8 @@ def test_unrank_is_gated_like_families():
             unrank_colex(r, k, n)
     with pytest.raises(ResourceLimitError):
         Family.from_ranks(40, 20, 1).edge_tuples()
-    # k = 1 decodes by a closed form, with no column of n entries
+    # level 1 is the rank itself, so k = 1 decodes at the gate's largest n
     assert unrank_colex(cap - 1, 1, cap) == (cap,)
-    assert ekrlab.families._colex_columns(cap, 1) == (cap, ())
-    # at k >= n - 1 the table is no larger than two decoded edges
-    assert len(ekrlab.families._colex_columns(5000, 5000)[1]) == 4999
-    assert len(ekrlab.families._colex_columns(5000, 4999)[1]) == 2 * 4998
 
 
 def test_a_lowered_family_limit_gates_decodes_of_a_cached_shape(monkeypatch):
@@ -397,6 +393,40 @@ def test_rank_unrank_round_trip_property(nkr):
     assert rank_colex(s) == r
 
 
+@st.composite
+def decodable_ranks(draw):
+    """(n, k, sorted ranks): dense draws up to (18,5), k = 0 and empty sets
+    included, or a few ranks on a wide shape, where the bitset holds up to
+    2^24 bits and the walk must drop empty ranges, or at k >= n - 1."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=5))
+        n = draw(st.integers(min_value=k, max_value=18))
+        density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+        return n, k, [r for r in range(binomial(n, k)) if rng.random() < density]
+    # the oracle walks down from n: about 0.2 s per rank at (10^6, 1)
+    shape = [(465, 3, 40), (5793, 2, 40), (10**6, 1, 3), (5000, 4999, 40), (5000, 5000, 1)]
+    n, k, most = draw(st.sampled_from(shape))
+    total = binomial(n, k)
+    return n, k, sorted(rng.sample(range(total), draw(st.integers(0, most))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(decodable_ranks())
+@example((465, 3, []))
+@example((5000, 4999, [0]))
+@example((5000, 4999, [4999]))
+@example((5000, 5000, [0]))
+def test_decode_matches_linear_unrank(nkr):
+    n, k, ranks = nkr
+    bits = 0
+    for r in ranks:
+        bits |= 1 << r
+    tuples = tuple(linear_unrank(r, k, n) for r in ranks)
+    masks = tuple(sum(1 << (v - 1) for v in e) for e in tuples)
+    assert Family.from_ranks(n, k, bits)._decoded == (tuples, masks)
+
+
 def test_decoded_lists_are_fresh_copies():
     fam = Family.from_edges(7, 3, [(1, 2, 3), (2, 4, 6), (3, 5, 7)])
     tuples, masks = fam.edge_tuples(), fam.vertex_masks()
@@ -417,54 +447,23 @@ def test_decode_cache_leaves_equality_and_hash_alone():
     assert {decoded: 1}[fresh] == 1
 
 
-def _count_unranked_edges(monkeypatch) -> list[int]:
-    """Count the edges that the private unrank loop yields from now on."""
-    calls = [0]
-    original = ekrlab.families._unrank_each
-
-    def counting(*args):
-        for edge in original(*args):
-            calls[0] += 1
-            yield edge
-
-    monkeypatch.setattr(ekrlab.families, "_unrank_each", counting)
-    return calls
-
-
-def test_decoding_with_a_built_table_computes_no_binomial(monkeypatch):
-    rng = random.Random(543)
-    random_family_edge_count(rng, 54, 3, 1230).edge_tuples()
-    fam = random_family_edge_count(rng, 54, 3, 1230)
-    calls = [0]
-    for name in ("binomial", "comb"):
-        original = getattr(ekrlab.families, name)
-
-        def counting(*args, original=original):
-            calls[0] += 1
-            return original(*args)
-
-        monkeypatch.setattr(ekrlab.families, name, counting)
-    assert len(fam.edge_tuples()) == len(fam.vertex_masks()) == 1230
-    assert calls[0] == 0
-
-
 def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
     rng = random.Random(1305)
     whole = star(13, 5, 1).edge_tuples()
     edges = rng.sample(whole, len(whole) * 9 // 10)
     fam = Family.from_edges(13, 5, edges)
-    decodes, calls = count_decodes(monkeypatch), _count_unranked_edges(monkeypatch)
+    decodes = count_decodes(monkeypatch)
     ekr_certificate(fam)
     assert decodes == [fam]
-    assert calls[0] == fam.edge_count == 445
+    assert fam.edge_count == 445
 
 
 def test_fractional_cover_decodes_each_edge_once(monkeypatch):
     fam = random_family_edge_count(random.Random(93), 9, 3, 24)
-    decodes, calls = count_decodes(monkeypatch), _count_unranked_edges(monkeypatch)
+    decodes = count_decodes(monkeypatch)
     fractional_cover(fam)
     assert decodes == [fam]
-    assert calls[0] == fam.edge_count == 24
+    assert fam.edge_count == 24
 
 
 def test_edges_are_validated_once(monkeypatch):

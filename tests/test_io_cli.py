@@ -127,6 +127,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["construct", "star", "--n", "5", "--k", "2"],
+    ["spectrum", "{s}"],
+    ["certify", "ekr", "{s}"],
+    ["matching", "{s}"],
+    ["scan", "ekr", "--n", "5", "--k", "2"],
+])
+@pytest.mark.parametrize("target", ["dir", "missing/dir/x"])
+def test_cli_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, command, target):
+    (tmp_path / "dir").mkdir()
+    path = write_family(tmp_path, "star.json", star(7, 3, 1))
+    out = str(tmp_path / target)
+    assert dispatch([arg.format(s=path) for arg in command] + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write '{out}': ")
+
+
 def test_cli_rejects_negative_conjecture_budget(capsys):
     argv = ["scan", "conjecture", "--n", "9", "--k", "2", "--s", "3", "--budget"]
     assert dispatch(argv + ["-5"]) == 2
