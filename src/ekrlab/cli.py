@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and all certified inequalities hold), 1 a verdict
 failed or a scan found a counterexample, 2 usage or domain error, 3 a
-resource limit was exceeded or memory ran out.
+resource limit was exceeded or memory ran out, 4 an internal error (any
+other exception, reported on one line without a traceback).
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ def dispatch(argv: list[str]) -> int:
     except ContradictionError as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug, not a verdict: 1 stays for failed verdicts
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -101,18 +101,34 @@ def gated_kset_count(n: int, k: int, limit: str = "FAMILY_KSET_LIMIT") -> int:
     return total
 
 
-def _decode_blocks(bits: int, k: int, n: int) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
-    """(edge tuples, vertex masks) at the set bits of ``bits``, each below
-    C(n,k), in colex-rank order.  Ranks [C(t-1,i), C(t,i)) are the i-sets
-    with top vertex t, offset by the rank of the rest in [t-1] (Knuth, TAOCP
-    4A, 7.2.1.3).  A frame holds the bits of ranks [C(a-1,i), C(b-1,i)), top
-    vertex in [a, b), shifted down by C(a-1,i), and halves them by top vertex
-    with one comb until one is left; at level 1 bit j is vertex j+1 and its
-    mask bit.  ``top[i:]`` holds the frame's upper vertices, so an edge costs
-    O(k + n/64), not O(k^2).
+# Scan every rank when C(n,k) <= 32 e: at C/e = 32 the walk takes 1.0-3.0 times
+# as long for k = 3..8 and wins past C/e ~ 48-128; at k = 2 the scan at best ties
+# (crossover table in ROADMAP item 1).  2k <= n keeps the n powers of two small:
+# with k >= 3 and C(n,k) <= 2^24, n <= 466.
+_DENSE_RATIO = 32
+_BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _decode_blocks(bits: int, k: int, n: int, e: int) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
+    """(edge tuples, vertex masks) at the e set bits of ``bits``, each below
+    C(n,k), in colex-rank order.  A dense family at 3 <= k <= n/2 is one scan:
+    ``combinations`` of [n] listed downwards run in descending colex order,
+    as do the bitset's binary digits.  Otherwise a walk: ranks [C(t-1,i),
+    C(t,i)) are the i-sets with top vertex t, offset by the rank of the rest
+    in [t-1] (Knuth, TAOCP 4A, 7.2.1.3).  A frame holds the bits of ranks
+    [C(a-1,i), C(b-1,i)), top vertex in [a, b), shifted down by C(a-1,i),
+    and halves them by top vertex with one comb until one is left; at level
+    1 bit j is vertex j+1 and its mask bit.  ``top[i:]`` holds the frame's
+    upper vertices, so an edge costs O(k + n/64), not O(k^2).
     """
     if k == 0:
         return (((),), (0,)) if bits else ((), ())
+    if 3 <= k <= n - k and (total := comb(n, k)) <= _DENSE_RATIO * e:
+        picks = format(bits, f"0{total}b").encode().translate(_BITS_TO_BYTES)
+        tuples = [s[::-1] for s in compress(combinations(range(n, 0, -1), k), picks)]
+        powers = [1 << v for v in range(n - 1, -1, -1)]
+        masks = list(map(sum, compress(combinations(powers, k), picks)))[::-1]
+        return tuple(reversed(tuples)), tuple(masks)
     tuples, masks, top = [], [], [0] * k
     stack = [(bits, k, k, n + 1, 0, 0)]
     while stack:
@@ -227,7 +243,7 @@ class Family:
         still see only (n, k, edges).  Gated once, like :func:`unrank_colex`.
         """
         gated_kset_count(self.n, self.k)
-        return _decode_blocks(self.edges, self.k, self.n)
+        return _decode_blocks(self.edges, self.k, self.n, self.edge_count)
 
     @cached_property
     def through(self) -> tuple[int, ...]:

@@ -354,9 +354,15 @@ class ThresholdReport:
     conclusion_holds: bool
 
 
+def _check_matching_size(name: str, s: int, n: int) -> None:
+    if not 1 <= s <= n:
+        raise DomainError(f"{name}: need 1 <= s <= n = {n}, got s={s}")
+
+
 def threshold_report(family: Family, s: int) -> ThresholdReport:
     """Evaluate the d = 1 degree threshold against the exact nu* of a family."""
     n, k = family.n, family.k
+    _check_matching_size("threshold_report", s, n)
     threshold = _degree_threshold(n, k, s)
     delta = min(vertex_degrees(family), default=0)
     nu_star = fractional_matching(family).objective
@@ -373,6 +379,7 @@ def corollary33_check(family: Family, s: int) -> bool:
     Requires n >= (2s-1)(k-1) - s + 2 and delta_1 > C(n-1,k-1) - C(n-s,k-1).
     """
     n, k = family.n, family.k
+    _check_matching_size("corollary33_check", s, n)
     floor = (2 * s - 1) * (k - 1) - s + 2
     if n < floor:
         raise DomainError(f"need n >= (2s-1)(k-1) - s + 2 = {floor}, got n={n}")

@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +12,7 @@ from ekrlab.certificates import cross_certificate, ekr_certificate, simplex_witn
 from ekrlab import limits
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import (
+    _DENSE_RATIO as DENSE_RATIO,
     Family,
     are_cross_intersecting,
     binomial,
@@ -396,14 +397,24 @@ def test_rank_unrank_round_trip_property(nkr):
 @st.composite
 def decodable_ranks(draw):
     """(n, k, sorted ranks): dense draws up to (18,5), k = 0 and empty sets
-    included, or a few ranks on a wide shape, where the bitset holds up to
-    2^24 bits and the walk must drop empty ranges, or at k >= n - 1."""
+    included; at k = 3..8, one edge per about 32 ranks, on either side of
+    the cutoff between the scan and the walk; or a few ranks on a wide
+    shape, where the bitset holds up to 2^24 bits and the walk must drop
+    empty ranges, or at k >= n - 1."""
     rng = draw(st.randoms(use_true_random=False))
-    if draw(st.booleans()):
+    branch = draw(st.integers(min_value=0, max_value=2))
+    if branch == 0:
         k = draw(st.integers(min_value=0, max_value=5))
         n = draw(st.integers(min_value=k, max_value=18))
         density = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
         return n, k, [r for r in range(binomial(n, k)) if rng.random() < density]
+    if branch == 1:
+        k = draw(st.integers(min_value=3, max_value=8))
+        n = draw(st.integers(min_value=k, max_value=k + 10))
+        total = binomial(n, k)
+        dense = -(-total // DENSE_RATIO)  # the fewest edges the scan takes
+        e = min(total, max(0, dense + draw(st.integers(min_value=-2, max_value=2))))
+        return n, k, sorted(rng.sample(range(total), e))
     # the oracle walks down from n: about 0.2 s per rank at (10^6, 1)
     shape = [(465, 3, 40), (5793, 2, 40), (10**6, 1, 3), (5000, 4999, 40), (5000, 5000, 1)]
     n, k, most = draw(st.sampled_from(shape))
@@ -417,6 +428,11 @@ def decodable_ranks(draw):
 @example((5000, 4999, [0]))
 @example((5000, 4999, [4999]))
 @example((5000, 5000, [0]))
+@example((32, 3, list(range(0, 4960, 32))))  # C(n,k) = 32 e: scanned
+@example((21, 4, list(range(1, 5985, 32))))  # C(n,k) = 32 e + 1: walked
+@example((6, 3, [7]))
+@example((10, 4, list(range(210))))
+@example((5000, 4999, sorted(random.Random(23).sample(range(5000), 200))))
 def test_decode_matches_linear_unrank(nkr):
     n, k, ranks = nkr
     bits = 0
@@ -425,6 +441,40 @@ def test_decode_matches_linear_unrank(nkr):
     tuples = tuple(linear_unrank(r, k, n) for r in ranks)
     masks = tuple(sum(1 << (v - 1) for v in e) for e in tuples)
     assert Family.from_ranks(n, k, bits)._decoded == (tuples, masks)
+
+
+def count_scans(monkeypatch) -> list:
+    """Record each ``compress`` of the dense scan from now on."""
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return compress(*args)
+
+    monkeypatch.setattr(ekrlab.families, "compress", counted)
+    return scans
+
+
+@pytest.mark.parametrize("n,k,e,scanned", [
+    (32, 3, 155, True), (21, 4, 187, False), (6, 3, 1, True), (10, 4, 210, True),
+    (5000, 4999, 200, False), (5000, 4999, 156, False), (18, 2, 153, False),
+])
+def test_families_with_at_most_32_ranks_per_edge_are_scanned(n, k, e, scanned, monkeypatch):
+    total = binomial(n, k)
+    fam = Family.from_ranks(n, k, sum(1 << j * total // e for j in range(e)))
+    assert fam.edge_count == e
+    scans = count_scans(monkeypatch)
+    fam.edge_tuples()
+    assert len(scans) == (2 if scanned else 0)
+
+
+def test_a_family_past_half_the_ground_set_is_walked_not_scanned(monkeypatch):
+    # a scan at (n, n) would hold n powers of two, about n^2/16 bytes
+    n = 10**5
+    fam = complete(n, n)
+    scans = count_scans(monkeypatch)
+    assert fam._decoded == ((tuple(range(1, n + 1)),), ((1 << n) - 1,))
+    assert scans == []
 
 
 def test_decoded_lists_are_fresh_copies():
@@ -452,9 +502,10 @@ def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
     whole = star(13, 5, 1).edge_tuples()
     edges = rng.sample(whole, len(whole) * 9 // 10)
     fam = Family.from_edges(13, 5, edges)
-    decodes = count_decodes(monkeypatch)
+    decodes, scans = count_decodes(monkeypatch), count_scans(monkeypatch)
     ekr_certificate(fam)
     assert decodes == [fam]
+    assert len(scans) == 2  # 2.9 ranks per edge: the tuples and masks of one scan
     assert fam.edge_count == 445
 
 

@@ -554,6 +554,20 @@ def test_exit_code_1_on_contradiction(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_any_other_exception_exits_4_on_one_line(monkeypatch, capsys):
+    # a bug surfaces as exit 4, never as 1 (a failed verdict) or a traceback
+    from ekrlab import cli
+
+    def boom(n, k):
+        raise RuntimeError("staged")
+
+    monkeypatch.setattr(cli, "ekr_degree_scan", boom)
+    assert dispatch(["scan", "ekr", "--n", "7", "--k", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: staged\n"
+    assert captured.out == ""
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "fano.json"
     result = subprocess.run(

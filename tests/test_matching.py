@@ -478,3 +478,10 @@ def test_threshold_report():
     rep = threshold_report(erdos_extremal(7, 3, 2, 1), 2)
     assert not rep.hypothesis_met
     assert rep.nu_star == 1 and not rep.conclusion_holds
+
+
+@pytest.mark.parametrize("s", [100, 0, -1])
+@pytest.mark.parametrize("call", [threshold_report, corollary33_check])
+def test_a_matching_size_outside_1_to_n_is_refused_by_name(call, s):
+    with pytest.raises(DomainError, match=rf"^{call.__name__}: need 1 <= s <= n = 7, got s={s}$"):
+        call(star(7, 3, 1), s)
