@@ -137,8 +137,8 @@ def simplex_witness(family: Family) -> WitnessReport:
     characteristic vector under the vertex-incidence map.
     """
     n, k = family.n, family.k
-    if k < 2 or n < k:
-        raise DomainError(f"simplex_witness needs n >= k >= 2, got n={n}, k={k}")
+    if k < 2 or n <= k:  # at n = k, E_1 is empty
+        raise DomainError(f"simplex_witness needs n > k >= 2, got n={n}, k={k}")
     _, f1, _ = level_masses(family)
     return _degree_witness(family, f1)
 

@@ -9,6 +9,7 @@ Vertices are 1-based, edges are increasing vertex tuples, counting is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
@@ -103,54 +104,52 @@ def gated_kset_count(n: int, k: int, limit: str = "FAMILY_KSET_LIMIT") -> int:
 
 # Scan every rank when C(n,k) <= 32 e: at C/e = 32 the walk takes 1.0-3.0 times
 # as long for k = 3..8 and wins past C/e ~ 48-128; at k = 2 the scan at best ties
-# (crossover table in ROADMAP item 1).  2k <= n keeps the n powers of two small:
-# with k >= 3 and C(n,k) <= 2^24, n <= 466.
+# (crossover table in ROADMAP item 1).
 _DENSE_RATIO = 32
 _BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _decode_blocks(bits: int, k: int, n: int, e: int) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
-    """(edge tuples, vertex masks) at the e set bits of ``bits``, each below
-    C(n,k), in colex-rank order.  A dense family at 3 <= k <= n/2 is one scan:
-    ``combinations`` of [n] listed downwards run in descending colex order,
-    as do the bitset's binary digits.  Otherwise a walk: ranks [C(t-1,i),
-    C(t,i)) are the i-sets with top vertex t, offset by the rank of the rest
-    in [t-1] (Knuth, TAOCP 4A, 7.2.1.3).  A frame holds the bits of ranks
-    [C(a-1,i), C(b-1,i)), top vertex in [a, b), shifted down by C(a-1,i),
-    and halves them by top vertex with one comb until one is left; at level
-    1 bit j is vertex j+1 and its mask bit.  ``top[i:]`` holds the frame's
-    upper vertices, so an edge costs O(k + n/64), not O(k^2).
+def _decode_blocks(bits: int, k: int, n: int, e: int) -> tuple[KSubset, ...]:
+    """Edge tuples at the e set bits of ``bits``, each below C(n,k), in
+    colex-rank order.  At k = 1 rank r is {r+1}.  A dense family at k >= 3 is
+    one scan: ``combinations`` of [n] listed downwards run in descending colex
+    order, as do the bitset's binary digits.  Otherwise a walk: ranks
+    [C(t-1,i), C(t,i)) are the i-sets with top vertex t, offset by the rank of
+    the rest in [t-1] (Knuth, TAOCP 4A, 7.2.1.3).  A frame holds the bits of
+    ranks [C(a-1,i), C(b-1,i)), top vertex in [a, b), shifted down by
+    C(a-1,i), and halves them by top vertex with one comb until one is left;
+    at level 1 bit j is vertex j+1.  ``top[i:]`` holds the frame's upper
+    vertices, so an edge costs O(k), not O(k^2), beyond its level-1 pop.
     """
     if k == 0:
-        return (((),), (0,)) if bits else ((), ())
-    if 3 <= k <= n - k and (total := comb(n, k)) <= _DENSE_RATIO * e:
+        return ((),) if bits else ()
+    if k == 1:
+        return tuple((r + 1,) for r in iter_bits(bits))
+    if k >= 3 and (total := comb(n, k)) <= _DENSE_RATIO * e:
         picks = format(bits, f"0{total}b").encode().translate(_BITS_TO_BYTES)
         tuples = [s[::-1] for s in compress(combinations(range(n, 0, -1), k), picks)]
-        powers = [1 << v for v in range(n - 1, -1, -1)]
-        masks = list(map(sum, compress(combinations(powers, k), picks)))[::-1]
-        return tuple(reversed(tuples)), tuple(masks)
-    tuples, masks, top = [], [], [0] * k
-    stack = [(bits, k, k, n + 1, 0, 0)]
+        return tuple(reversed(tuples))
+    tuples, top = [], [0] * k
+    stack = [(bits, k, k, n + 1, 0)]
     while stack:
-        x, i, a, b, base, upper = stack.pop()
+        x, i, a, b, base = stack.pop()
         if i == 1:
             while x:
                 bit = x & -x
                 top[0] = bit.bit_length()
                 tuples.append(tuple(top))
-                masks.append(upper | bit)
                 x ^= bit
         elif b - a > 1:
             mid = (a + b) // 2
             cut = comb(mid - 1, i) - base
             if high := x >> cut:
-                stack.append((high, i, mid, b, base + cut, upper))
+                stack.append((high, i, mid, b, base + cut))
             if low := x & ((1 << cut) - 1):
-                stack.append((low, i, a, mid, base, upper))
+                stack.append((low, i, a, mid, base))
         else:
             top[i - 1] = a
-            stack.append((x, i - 1, i - 1, a, 0, upper | 1 << (a - 1)))
-    return tuple(tuples), tuple(masks)
+            stack.append((x, i - 1, i - 1, a, 0))
+    return tuple(tuples)
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
@@ -236,8 +235,8 @@ class Family:
         return iter_bits(self.edges)
 
     @cached_property
-    def _decoded(self) -> tuple[tuple[KSubset, ...], tuple[int, ...]]:
-        """(edge tuples, vertex masks) in colex-rank order, decoded once.
+    def _decoded(self) -> tuple[KSubset, ...]:
+        """Edge tuples in colex-rank order, decoded once.
 
         Kept in the instance dict, not in a field, so equality and hashing
         still see only (n, k, edges).  Gated once, like :func:`unrank_colex`.
@@ -248,28 +247,30 @@ class Family:
     @cached_property
     def through(self) -> tuple[int, ...]:
         """Bit i of entry v-1 is set iff edge i contains v (the star of v in the
-        complete family): column v of the vertex masks written as n-digit
-        binary rows, last edge first.  Cached in the instance dict."""
-        n = self.n
-        rows = "".join(format(m, f"0{n}b") for m in reversed(self.vertex_masks()))
-        return tuple(int(rows[n - 1 - v :: n] or "0", 2) for v in range(n))
+        complete family): each edge, last first, writes a "1" into the binary
+        row of each of its vertices.  Cached in the instance dict."""
+        blank, rows = b"0" * self.edge_count, defaultdict(lambda: bytearray(blank))
+        for i, edge in enumerate(reversed(self.edge_tuples())):
+            for v in edge:
+                rows[v][i] = 49  # ord("1"); a vertex on no edge gets no row
+        return tuple(int(rows[v], 2) if v in rows else 0 for v in range(1, self.n + 1))
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
         """Degree of every vertex 1..n, counted once from the decoded edges."""
         deg = [0] * self.n
-        for e in self._decoded[0]:
+        for e in self._decoded:
             for v in e:
                 deg[v - 1] += 1
         return tuple(deg)
 
     def edge_tuples(self) -> list[KSubset]:
         """Edges as vertex tuples, in colex-rank order (a fresh list)."""
-        return list(self._decoded[0])
+        return list(self._decoded)
 
     def vertex_masks(self) -> list[int]:
-        """Each edge as an n-bit vertex mask (bit v-1 set iff v in edge)."""
-        return list(self._decoded[1])
+        """Each edge as an n-bit vertex mask (bit v-1 set iff v in edge), built anew."""
+        return [sum(1 << (v - 1) for v in edge) for edge in self.edge_tuples()]
 
     def has_edge(self, elements: Iterable[int]) -> bool:
         s = validate_ksubset(elements, self.n)

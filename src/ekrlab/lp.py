@@ -8,8 +8,9 @@ leaving: lowest basic variable index among minimum-ratio rows), which
 terminates on every input.  The tableau is fraction-free (Edmonds 1967;
 Bareiss 1968): integer entries d*B^-1[A | I | b] over one running
 denominator d, the basis determinant, so pivots take no gcd.  Only the
-n slack columns and b are stored, as in the revised simplex method: edge
-j's column is the sum of the slack columns of its vertices, since A_j is.
+slack columns and b are stored, as in the revised simplex method: edge
+j's column is the sum of the slack columns of its vertices, since A_j is;
+a vertex on no edge takes no part in any pivot and gets no row.
 The fractional cover is the LP dual: its vertex weights y are the final
 objective-row entries at the slack columns.  Every solve is checked by a
 primal–dual certificate (x a feasible matching, y a feasible cover,
@@ -50,20 +51,24 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], 
     """Maximize sum(x) subject to sum of x_e over e containing v <= 1, x >= 0.
 
     Columns are the edges in the given order, then one slack per vertex
-    1..n.  Row i holds only the integers d*B^-1[I | b], d being the
-    determinant of the current basis (the last pivot, 1 at the all-slack
-    start), positive because every pivot is.  Edge j's column is the sum
-    of its vertices' slack columns, and its objective entry the sum of
-    the objective at those slacks, less d.  Bland's rule prices the edge
+    of the support (the vertices on some edge), ascending.  A vertex on no
+    edge has a zero row in every edge column, so its slack never leaves
+    the basis, and its objective entry stays 0, so it never enters: it is
+    left out, and its y is 0.  Row i holds only the integers d*B^-1[I | b],
+    d being the determinant of the current basis (the last pivot, 1 at the
+    all-slack start), positive because every pivot is.  Edge j's column is
+    the sum of its vertices' slack columns, and its objective entry the sum
+    of the objective at those slacks, less d.  Bland's rule prices the edge
     columns first, in order, then the slacks.  Returns the numerators of
-    the optimal x (one per edge) and of the dual y (one per vertex, the
-    objective row) over their shared denominator d.
+    the optimal x (one per edge) and of the dual y (one per vertex 1..n)
+    over their shared denominator d.
     """
-    e = len(edges)
-    tableau = [[int(v == w) for w in range(n)] + [1] for v in range(n)]
-    basis = list(range(e, e + n))
-    obj = [0] * n
-    picks = [itemgetter(*(v - 1 for v in edge)) for edge in edges]
+    e, support = len(edges), sorted({v for edge in edges for v in edge})
+    m, row_of = len(support), {v: i for i, v in enumerate(support)}
+    tableau = [[int(i == j) for j in range(m)] + [1] for i in range(m)]
+    basis = list(range(e, e + m))
+    obj = [0] * m
+    picks = [itemgetter(*(row_of[v] for v in edge)) for edge in edges]
     # an itemgetter of one index returns the entry itself, not a 1-tuple
     total = sum if e and len(edges[0]) > 1 else int
     d = 1
@@ -74,7 +79,7 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], 
                 column = [total(pick(line)) for line in tableau]
                 break
         else:
-            v = next((v for v in range(n) if obj[v] < 0), -1)
+            v = next((v for v in range(m) if obj[v] < 0), -1)
             if v < 0:
                 break
             entering, f_obj, column = e + v, obj[v], [line[v] for line in tableau]
@@ -90,11 +95,13 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], 
         _pivot(tableau, obj, column, f_obj, leaving, d)
         d = column[leaving]
         basis[leaving] = entering
-    x = [0] * e
+    x, y = [0] * e, [0] * n
     for i, b in enumerate(basis):
         if b < e:
             x[b] = tableau[i][-1]
-    return x, obj, d
+    for v, w in zip(support, obj):
+        y[v - 1] = w
+    return x, y, d
 
 
 @dataclass(frozen=True)

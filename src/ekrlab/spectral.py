@@ -154,7 +154,7 @@ def _subset_degree_sums(family: Family) -> list[int]:
     sums[0], sums[k] = e * e, e
     if k < 2 or not e:
         return sums
-    n, rows, masks, top = family.n, family.through, family.vertex_masks(), k - 1
+    n, rows, tuples, top = family.n, family.through, family.edge_tuples(), k - 1
     pascal = [[comb(m, j) for j in range(m + 1)] for m in range(k)]
 
     def walk(size: int, edges: int, start: int) -> None:
@@ -167,7 +167,7 @@ def _subset_degree_sums(family: Family) -> list[int]:
                 if size < top:
                     walk(size + 1, below, v + 1)
             else:
-                m = (masks[below.bit_length() - 1] >> (v + 1)).bit_count()
+                m = top - tuples[below.bit_length() - 1].index(v + 1)  # its vertices above v + 1
                 for j, c in enumerate(pascal[m][: top - size + 1]):
                     sums[size + j] += c
 

@@ -9,9 +9,11 @@ floating-point QR simplex frame for the simplex lemma, full powerset
 filtering for maximal families and maximal cliques, a ``Fraction``
 tableau simplex and the dense integer tableau (every edge column stored)
 for the packing LP, pair-by-pair loops for the meet predicates and the
-Kneser tables, per-edge degree counts, a branch-and-bound matching
-search on lists of vertex masks, the degree-driven constructive matching
-that rebuilds and relabels each level, and the hand-derived
+Kneser tables, the edges through each vertex read off the columns of the
+edge masks written as binary rows, per-edge degree counts, a
+branch-and-bound matching search on lists of vertex masks, the
+degree-driven constructive matching that rebuilds and relabels each
+level, and the hand-derived
 sign-and-squaring comparators for the square-root inequalities of the
 certificates.
 None of it shares code with the library paths it checks.
@@ -421,6 +423,13 @@ def quadratic_cross_pair_scan(n: int, k: int, families: list[list[tuple[int, ...
 
 def _mask(edge: tuple[int, ...]) -> int:
     return sum(1 << (v - 1) for v in edge)
+
+
+def transposed_masks(edges: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """Entry v-1 has bit i set iff edge i contains v: column v of the edge
+    masks written as n-digit binary rows, last edge first."""
+    rows = "".join(format(_mask(edge), f"0{n}b") for edge in reversed(edges))
+    return tuple(int(rows[n - 1 - v :: n] or "0", 2) for v in range(n))
 
 
 def pairwise_is_intersecting(edges: list[tuple[int, ...]]) -> bool:

@@ -130,6 +130,14 @@ def test_simplex_witness_fixtures():
     assert w.holds and w.equality
 
 
+@pytest.mark.parametrize("n, k", [(3, 3), (6, 6), (5, 1), (4, 0)])
+def test_simplex_witness_refuses_by_its_own_name(n, k):
+    # at n = k, E_1 is empty: the refusal is the witness's, not level_masses'
+    message = rf"^simplex_witness needs n > k >= 2, got n={n}, k={k}$"
+    with pytest.raises(DomainError, match=message):
+        simplex_witness(complete(n, k))
+
+
 def test_simplex_witness_every_family():
     rng = random.Random(30)
     for n, k in ((7, 3), (9, 4)):

@@ -169,3 +169,16 @@ def test_oversized_construction_draws_no_kset(kind, monkeypatch):
     monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 1 << 24)
     build_construction(kind, **OVERSIZED[kind])
     assert len(drawn) > 0  # the counter does see an enumeration below the gate
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: star(3, 0), "star needs 1 <= k <= n, got k=0, n=3"),
+    (lambda: star(3, 4), "star needs 1 <= k <= n, got k=4, n=3"),
+    (lambda: erdos_extremal(8, 3, 0, 1), "need s >= 1, got s=0"),
+    (lambda: erdos_extremal(4, 3, 3, 2), "need s*i - 1 <= n, got s*i-1=5, n=4"),
+    (lambda: erdos_extremal(4, 5, 2, 1), "need k <= n, got k=5, n=4"),
+], ids=["star-k0", "star-k-above-n", "erdos-s0", "erdos-s-i", "erdos-k-above-n"])
+def test_construction_refusals_name_their_bound(build, message):
+    with pytest.raises(DomainError) as raised:
+        build()
+    assert str(raised.value) == message

@@ -44,6 +44,7 @@ from oracles import (
     pairwise_disjoint_pairs,
     pairwise_is_intersecting,
     pascal_binomial,
+    transposed_masks,
 )
 
 
@@ -265,6 +266,28 @@ def test_incidence_and_meets_of_a_small_family():
     assert list(meet_rows((0, 0, 0), [])) == []
 
 
+@st.composite
+def small_rank_sets(draw):
+    """(n, k, ranks): any uniformity on at most 12 vertices, k = 0 and the
+    empty family included."""
+    k = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=k, max_value=12))
+    ranks = draw(st.sets(st.integers(min_value=0, max_value=binomial(n, k) - 1), max_size=40))
+    return n, k, sorted(ranks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rank_sets())
+@example((0, 0, []))
+@example((0, 0, [0]))
+@example((4, 0, [0]))
+@example((5, 3, []))
+def test_through_matches_the_transposed_masks(nkr):
+    n, k, ranks = nkr
+    fam = Family.from_ranks(n, k, sum(1 << r for r in ranks))
+    assert fam.through == transposed_masks(fam.edge_tuples(), n)
+
+
 def test_cross_intersecting_transposes_the_left_family_only(monkeypatch):
     transposed = count_transpositions(monkeypatch)
     left, right = hilton_milner(11, 4), hilton_milner(11, 4)
@@ -439,8 +462,10 @@ def test_decode_matches_linear_unrank(nkr):
     for r in ranks:
         bits |= 1 << r
     tuples = tuple(linear_unrank(r, k, n) for r in ranks)
-    masks = tuple(sum(1 << (v - 1) for v in e) for e in tuples)
-    assert Family.from_ranks(n, k, bits)._decoded == (tuples, masks)
+    masks = [sum(1 << (v - 1) for v in e) for e in tuples]
+    fam = Family.from_ranks(n, k, bits)
+    assert fam._decoded == tuples
+    assert fam.vertex_masks() == masks
 
 
 def count_scans(monkeypatch) -> list:
@@ -457,7 +482,8 @@ def count_scans(monkeypatch) -> list:
 
 @pytest.mark.parametrize("n,k,e,scanned", [
     (32, 3, 155, True), (21, 4, 187, False), (6, 3, 1, True), (10, 4, 210, True),
-    (5000, 4999, 200, False), (5000, 4999, 156, False), (18, 2, 153, False),
+    (5000, 4999, 200, True), (5000, 4999, 156, False), (40, 37, 400, True),
+    (18, 2, 153, False),
 ])
 def test_families_with_at_most_32_ranks_per_edge_are_scanned(n, k, e, scanned, monkeypatch):
     total = binomial(n, k)
@@ -465,16 +491,27 @@ def test_families_with_at_most_32_ranks_per_edge_are_scanned(n, k, e, scanned, m
     assert fam.edge_count == e
     scans = count_scans(monkeypatch)
     fam.edge_tuples()
-    assert len(scans) == (2 if scanned else 0)
+    assert len(scans) == (1 if scanned else 0)
 
 
-def test_a_family_past_half_the_ground_set_is_walked_not_scanned(monkeypatch):
-    # a scan at (n, n) would hold n powers of two, about n^2/16 bytes
+def test_a_family_past_half_the_ground_set_is_scanned(monkeypatch):
+    # the scan holds no per-vertex data, so 2k > n needs no guard
     n = 10**5
     fam = complete(n, n)
     scans = count_scans(monkeypatch)
-    assert fam._decoded == ((tuple(range(1, n + 1)),), ((1 << n) - 1,))
-    assert scans == []
+    assert fam._decoded == (tuple(range(1, n + 1)),)
+    assert fam.vertex_masks() == [(1 << n) - 1]
+    assert len(scans) == 1
+
+
+def test_a_million_singletons_decode_in_linear_time():
+    n = 10**6
+    fam = complete(n, 1)
+    assert fam.edge_count == n
+    edges = fam.edge_tuples()
+    assert len(edges) == n
+    assert edges[0] == (1,) and edges[-1] == (n,)
+    assert all(edge == (v,) for v, edge in enumerate(edges, start=1))
 
 
 def test_decoded_lists_are_fresh_copies():
@@ -505,7 +542,7 @@ def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
     decodes, scans = count_decodes(monkeypatch), count_scans(monkeypatch)
     ekr_certificate(fam)
     assert decodes == [fam]
-    assert len(scans) == 2  # 2.9 ranks per edge: the tuples and masks of one scan
+    assert len(scans) == 1  # 2.9 ranks per edge: one scan
     assert fam.edge_count == 445
 
 
@@ -560,3 +597,25 @@ def test_certificates_count_degrees_once_per_family(monkeypatch):
     assert calls[0] == 4
     cross_certificate(left, right)
     assert calls[0] == 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Family(3, 4, 0), "invalid uniformity (n=3, k=4)"),
+    (lambda: Family(3, -1, 0), "invalid uniformity (n=3, k=-1)"),
+    (lambda: Family.empty(5, 3).with_edge((1, 2)), "edge (1, 2) has size 2, expected 3"),
+    (lambda: degree_profile(complete(5, 3), 3), "degree profile needs 0 <= d < k, got d=3, k=3"),
+    (lambda: degree_profile(complete(5, 3), -1), "degree profile needs 0 <= d < k, got d=-1, k=3"),
+    (lambda: link(complete(5, 3), 0), "vertex 0 outside ground set [1, 5]"),
+    (lambda: link(complete(5, 3), 6), "vertex 6 outside ground set [1, 5]"),
+], ids=["k-above-n", "k-negative", "with-edge-size", "profile-d-k", "profile-d-negative",
+        "link-vertex-0", "link-vertex-above-n"])
+def test_family_refusals_name_their_bound(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+def test_an_edge_of_another_size_is_not_in_the_family():
+    fam = complete(5, 3)
+    assert not fam.has_edge((1, 2)) and not fam.has_edge((1, 2, 3, 4))
+    assert fam.has_edge((1, 2, 3))

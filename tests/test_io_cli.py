@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ekrlab import limits
 from ekrlab.cli import dispatch
-from ekrlab.errors import FormatError, ResourceLimitError
+from ekrlab.errors import DomainError, FormatError, ResourceLimitError
 from ekrlab.families import Family, binomial, kset_count
 from ekrlab.io import (
     emit_report,
@@ -637,6 +637,20 @@ def test_k1_constructions_build_no_ground_set(args, edge):
     assert result.stdout == f'{{"edges": [[{edge}]], "k": 1, "n": 16000000}}\n'
 
 
+@pytest.mark.parametrize("mode", ["--fractional", "--cover"])
+def test_packing_lp_on_a_wide_ground_set_fits_in_512_mib(tmp_path, mode):
+    # the LP has a row per vertex on some edge, not per vertex of [n]: an
+    # n x n tableau at n = 20000 would not fit
+    path = tmp_path / "k1-wide.json"
+    path.write_text('{"n": 20000, "k": 1, "edges": [[1], [5], [777], [12345], [20000]]}')
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", "matching", str(path), mode, "--json"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space_512,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["fields"]["objective"] == "5"
+
+
 @pytest.fixture(scope="module")
 def complete_81_3(tmp_path_factory):
     path = tmp_path_factory.mktemp("c81") / "complete-81-3.json"
@@ -691,3 +705,18 @@ def test_library_source_imports_no_numpy_or_scipy():
             found += [(path.name, name) for name in names
                       if name.split(".")[0] in ("numpy", "scipy")]
     assert not found
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_family("[1, 2]"), FormatError, "family file must be a JSON object"),
+    (lambda: parse_family('{"n": 3, "k": 1, "edges": [1]}'), FormatError,
+     "'edges' must be a list of vertex lists"),
+    (lambda: parse_family('{"n": 3, "k": 1, "edges": {}}'), FormatError,
+     "'edges' must be a list of vertex lists"),
+    (lambda: emit_report({"kind": "matching", "fields": {}}, "xml"), DomainError,
+     "unknown report format 'xml'"),
+], ids=["not-an-object", "edge-not-a-list", "edges-not-a-list", "unknown-format"])
+def test_io_refusals_name_what_is_wrong(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ekrlab import limits, lp
 from ekrlab.cli import dispatch
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
@@ -267,3 +269,29 @@ def test_single_vertex_edges():
     matching, cover = fractional_pair(fam)
     assert matching.objective == cover.objective == 3
     assert cover.weights == {1: 0, 2: 1, 3: 0, 4: 1, 5: 1}
+
+
+
+def test_vertices_on_no_edge_change_no_pivot(monkeypatch):
+    # the solve runs on the support only: the oracle's full tableau pivots
+    # the same way, keeps every isolated slack basic and gives it y = 0
+    pivots = {"lp": 0, "dense": 0}
+
+    def counted(key, pivot):
+        def run(*args):
+            pivots[key] += 1
+            pivot(*args)
+        return run
+
+    monkeypatch.setattr(lp, "_pivot", counted("lp", lp._pivot))
+    monkeypatch.setattr(oracles, "_dense_pivot", counted("dense", oracles._dense_pivot))
+    rng = random.Random(2410)
+    for _ in range(300):
+        n = rng.randrange(1, 15)
+        k = rng.randrange(1, min(n, 4) + 1)
+        support = sorted(rng.sample(range(1, n + 1), rng.randrange(k, n + 1)))
+        pool = list(combinations(support, k))
+        fam = Family.from_edges(n, k, rng.sample(pool, min(len(pool), rng.randrange(31))))
+        edges = fam.edge_tuples()
+        assert lp._solve_packing(edges, n) == dense_packing(edges, n)
+        assert pivots["lp"] == pivots["dense"]

@@ -485,3 +485,15 @@ def test_threshold_report():
 def test_a_matching_size_outside_1_to_n_is_refused_by_name(call, s):
     with pytest.raises(DomainError, match=rf"^{call.__name__}: need 1 <= s <= n = 7, got s={s}$"):
         call(star(7, 3, 1), s)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rainbow_extension(star(9, 2, 1), [0]), "rainbow vertices must lie in [1, 9]"),
+    (lambda: rainbow_extension(star(9, 2, 1), [1, 10]), "rainbow vertices must lie in [1, 9]"),
+    (lambda: reduce_cover(complete(6, 3), FractionalSolution("matching", {}, Fraction(0))),
+     "reduce_cover expects a fractional cover"),
+], ids=["rainbow-vertex-0", "rainbow-vertex-above-n", "reduce-a-matching"])
+def test_matching_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message

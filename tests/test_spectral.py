@@ -287,3 +287,13 @@ def test_subset_update_limit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 120)
     assert dispatch(["spectrum", str(path), "--full"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eigen_mass_full(complete(4, 0)), "eigen_mass_full needs k >= 1, got k=0"),
+    (lambda: eigen_mass_full(complete(5, 3)), "eigen_mass_full needs n >= 2k, got n=5, k=3"),
+], ids=["k0", "n-below-2k"])
+def test_spectral_refusals_name_their_bound(call, message):
+    with pytest.raises(DomainError) as raised:
+        call()
+    assert str(raised.value) == message
