@@ -16,7 +16,9 @@ objective-row entries at the slack columns.  Every solve is checked by a
 primal–dual certificate (x a feasible matching, y a feasible cover,
 sum x = sum y), which by weak duality proves both optimal; it is checked
 on the integer numerators over the final denominator, and only the
-weights of a checked solve become Fractions.
+weights of a checked solve become Fractions.  A family instance is solved
+and checked once: its checked numerators stay in its instance dict, and
+every entry point below builds its own side from them.
 """
 
 from __future__ import annotations
@@ -116,16 +118,17 @@ class FractionalSolution:
 def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: int) -> None:
     """The primal–dual certificate, in integers over the shared denominator
     d > 0: x (numerators by edge rank) is a feasible matching, 0 <= x_e <= d
-    and every vertex load <= d; y (numerators by vertex) is a feasible
-    cover, 0 <= y_v <= d and every edge sum >= d; and sum x = sum y."""
-    load = [0] * (family.n + 1)
+    and every vertex load <= d; y (numerators by vertex of the support) is a
+    feasible cover, 0 <= y_v <= d and every edge sum >= d; and sum x = sum y.
+    Loads are counted on the support only, so nothing is kept per vertex of [n]."""
+    load = dict.fromkeys(y, 0)
     for rank, edge in zip(family.edge_ranks(), family.edge_tuples()):
         w = x[rank]
         if not 0 <= w <= d:
             raise ContradictionError(f"matching weight {Fraction(w, d)} outside [0, 1]")
         for v in edge:
             load[v] += w
-    if any(total > d for total in load):
+    if any(total > d for total in load.values()):
         raise ContradictionError("fractional matching overloads a vertex")
     for v, w in y.items():
         if not 0 <= w <= d:
@@ -140,47 +143,68 @@ def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: 
         )
 
 
-def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:
-    """(maximum fractional matching, minimum fractional cover) from one
-    packing LP solve, returned only once their primal–dual certificate holds."""
+def _checked_packing(family: Family) -> tuple[dict[int, int], dict[int, int], int]:
+    """The checked numerators (x by edge rank, y by vertex of the support, d)
+    of the family's packing LP, solved once per instance.
+
+    The gates run on every call, before the cache is read.  Only a triple
+    whose certificate holds is kept, in the instance dict beside
+    ``_decoded``, so equality and hashing still see only (n, k, edges) and
+    an equal family built elsewhere solves again.  Callers must not mutate it.
+    """
     if family.edge_count > limits.LP_EDGE_LIMIT:
         raise ResourceLimitError(
             f"{family.edge_count} edges exceed LP_EDGE_LIMIT = {limits.LP_EDGE_LIMIT}")
     if family.k < 1:
         raise DomainError("fractional programs need k >= 1")
-    x, y, d = _solve_packing(family.edge_tuples(), family.n)
-    xs = dict(zip(family.edge_ranks(), x))
-    ys = dict(zip(range(1, family.n + 1), y))
-    _check_certificate(family, xs, ys, d)
-    return _over("matching", xs, d), _over("cover", ys, d)
+    packing = family.__dict__.get("_packing")
+    if packing is None:
+        edges = family.edge_tuples()
+        x, y, d = _solve_packing(edges, family.n)
+        xs = dict(zip(family.edge_ranks(), x))
+        ys = {v: y[v - 1] for v in sorted({v for edge in edges for v in edge})}
+        _check_certificate(family, xs, ys, d)
+        packing = family.__dict__["_packing"] = xs, ys, d
+    return packing
 
 
 def _over(kind: str, numerators: dict[int, int], d: int) -> FractionalSolution:
-    """The checked numerators as weights over d."""
+    """The checked numerators as weights over d, in fresh Fractions."""
     weights = {key: Fraction(a, d) for key, a in numerators.items()}
     return FractionalSolution(kind, weights, Fraction(sum(numerators.values()), d))
 
 
 def fractional_matching(family: Family) -> FractionalSolution:
     """Maximum fractional matching: max sum w(e), per-vertex load <= 1."""
-    return fractional_pair(family)[0]
+    x, _, d = _checked_packing(family)
+    return _over("matching", x, d)
 
 
 def fractional_cover(family: Family) -> FractionalSolution:
     """Minimum fractional cover: min sum f(v), per-edge load >= 1.
 
-    Read off the dual of the matching solve; vertices on no edge weigh 0.
+    Read off the dual of the matching solve; weights are keyed 1..n, and
+    vertices on no edge weigh 0.
     """
-    return fractional_pair(family)[1]
+    _, y, d = _checked_packing(family)
+    return _over("cover", {v: y.get(v, 0) for v in range(1, family.n + 1)}, d)
+
+
+def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:
+    """(maximum fractional matching, minimum fractional cover) from the
+    family's one checked packing LP solve."""
+    return fractional_matching(family), fractional_cover(family)
 
 
 def verify_duality(family: Family) -> bool:
-    """Check nu* = tau* by a primal–dual certificate from one solve.
+    """Check nu* = tau* by the primal–dual certificate of the family's solve.
 
     The solve yields a fractional matching x and a fractional cover y; the
     certificate holds when x is feasible, y is feasible and sum x = sum y.
-    By weak duality that proves both optimal, so nu* = tau*.  Returns True;
-    a failed certificate raises ContradictionError.
+    By weak duality that proves both optimal, so nu* = tau*.  The first LP
+    call on a family instance solves and checks; later calls on the same
+    instance reuse that checked solve, and the gates run every time.
+    Returns True; a failed certificate raises ContradictionError.
     """
-    fractional_pair(family)
+    _checked_packing(family)
     return True

@@ -15,6 +15,7 @@ from ekrlab.families import Family, binomial
 from ekrlab.constructions import complete, erdos_extremal, fano, star
 from ekrlab.io import serialize_family
 from ekrlab.lp import fractional_cover, fractional_matching, fractional_pair, verify_duality
+from ekrlab.matching import threshold_report
 
 from conftest import random_family_edge_count
 from oracles import dense_packing, fraction_packing, fractional_matching_value
@@ -91,9 +92,15 @@ def test_cover_feasible():
 
 
 def test_lp_size_limit(monkeypatch):
+    solved = complete(8, 3)
+    assert fractional_matching(solved).objective == Fraction(8, 3)
     monkeypatch.setattr(limits, "LP_EDGE_LIMIT", 10)
     with pytest.raises(ResourceLimitError, match="^56 edges exceed LP_EDGE_LIMIT = 10$"):
         fractional_matching(complete(8, 3))
+    # the gate runs on every call, also on a family whose solve is kept
+    for program in (fractional_matching, fractional_cover, fractional_pair, verify_duality):
+        with pytest.raises(ResourceLimitError, match="^56 edges exceed LP_EDGE_LIMIT = 10$"):
+            program(solved)
 
 
 def test_lp_rejects_k0():
@@ -132,15 +139,20 @@ def test_lp_pair_property(fam):
 )
 def test_failed_certificate_is_a_contradiction(delta, message, tmp_path, monkeypatch, capsys):
     # one more on a cover numerator leaves a duality gap; one less uncovers an edge
-    solve = lp._solve_packing
+    # a failed solve is not kept: each call on the same family solves again
+    solve, calls = lp._solve_packing, [0]
 
     def perturbed(edges, n):
+        calls[0] += 1
         x, y, d = solve(edges, n)
         return x, [y[0] + delta] + y[1:], d
 
     monkeypatch.setattr(lp, "_solve_packing", perturbed)
-    with pytest.raises(ContradictionError, match=message):
-        fractional_cover(fano())
+    fam = fano()
+    for _ in range(2):
+        with pytest.raises(ContradictionError, match=message):
+            fractional_cover(fam)
+    assert calls[0] == 2
     path = tmp_path / "fano.json"
     path.write_bytes(serialize_family(fano()))
     assert dispatch(["matching", str(path), "--cover"]) == 1
@@ -165,9 +177,33 @@ def test_fractional_pair_solves_once(monkeypatch):
         return solve(edges, n)
 
     monkeypatch.setattr(lp, "_solve_packing", counting)
-    matching, cover = fractional_pair(erdos_extremal(12, 3, 3, 1))
+    fam = erdos_extremal(12, 3, 3, 1)
+    matching, cover = fractional_pair(fam)
     assert calls[0] == 1
     assert matching.objective == cover.objective == 2
+    # every LP entry point reads the family's one kept solve
+    fractional_matching(fam)
+    fractional_cover(fam)
+    assert verify_duality(fam)
+    assert threshold_report(fam, 3).nu_star == 2
+    assert calls[0] == 1
+    # the solve is kept per instance, not per value: an equal family solves again
+    twin = Family.from_ranks(fam.n, fam.k, fam.edges)
+    assert twin == fam and hash(twin) == hash(fam)
+    assert fractional_pair(twin) == fractional_pair(fam)
+    assert calls[0] == 2
+
+
+def test_mutating_returned_weights_changes_no_later_result():
+    fam = erdos_extremal(12, 3, 3, 1)
+    matching, cover = fractional_pair(fam)
+    expected = fractional_pair(Family.from_ranks(fam.n, fam.k, fam.edges))
+    assert (matching, cover) == expected
+    for solution in (matching, cover):
+        for key in solution.weights:
+            solution.weights[key] = Fraction(7)
+        solution.weights[0] = Fraction(1)
+    assert fractional_pair(fam) == expected
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +237,8 @@ def count_pivots(monkeypatch, families):
 
     monkeypatch.setattr(lp, "_pivot", counting)
     for fam in families:
-        fractional_pair(fam)
+        # a copy, so that no solve kept on ``fam`` by an earlier test is read
+        fractional_pair(Family.from_ranks(fam.n, fam.k, fam.edges))
     return calls[0]
 
 
