@@ -201,19 +201,19 @@ class Family:
 
     @classmethod
     def from_edges(cls, n: int, k: int, edges: Iterable[Iterable[int]]) -> "Family":
-        """The family of the given edges; C(n,k) is gated before any bit is set."""
-        if n >= 0:
-            gated_kset_count(n, k)
-        bits = 0
+        """The family of the given edges; C(n,k) is gated before any bit is set.
+        The bits go into one bytearray, converted once: O(e + C(n,k)/8)."""
+        # at n < 0 no gate runs and only () validates: one byte holds its rank 0
+        buf = bytearray((gated_kset_count(n, k) + 7) // 8 if n >= 0 else 1)
         for e in edges:
             s = validate_ksubset(e, n)
             if len(s) != k:
                 raise DomainError(f"edge {s} has size {len(s)}, expected {k}")
-            bit = 1 << _rank_validated(s)
-            if bits & bit:
+            byte, bit = divmod(_rank_validated(s), 8)
+            if buf[byte] >> bit & 1:
                 raise DomainError(f"duplicate edge {s}")
-            bits |= bit
-        return cls(n, k, bits)
+            buf[byte] |= 1 << bit
+        return cls(n, k, int.from_bytes(buf, "little"))
 
     @classmethod
     def empty(cls, n: int, k: int) -> "Family":

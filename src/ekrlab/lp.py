@@ -12,13 +12,14 @@ slack columns and b are stored, as in the revised simplex method: edge
 j's column is the sum of the slack columns of its vertices, since A_j is;
 a vertex on no edge takes no part in any pivot and gets no row.
 The fractional cover is the LP dual: its vertex weights y are the final
-objective-row entries at the slack columns.  Every solve is checked by a
-primal–dual certificate (x a feasible matching, y a feasible cover,
-sum x = sum y), which by weak duality proves both optimal; it is checked
-on the integer numerators over the final denominator, and only the
-weights of a checked solve become Fractions.  A family instance is solved
-and checked once: its checked numerators stay in its instance dict, and
-every entry point below builds its own side from them.
+objective-row entries at the slack columns, one per vertex on some edge.
+Every solve is checked by a primal–dual certificate (x a feasible
+matching, y a feasible cover, sum x = sum y), which by weak duality proves
+both optimal; it is checked on the integer numerators over the final
+denominator, and only the weights of a checked solve become Fractions.  A
+family instance is solved and checked once: its numerators stay in its
+instance dict as the solve lays them out (x in edge order, y by vertex of
+the support), and each entry point below builds its own side from them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def _pivot(tableau: list[list[int]], obj: list[int], column: list[int], f_obj: i
     obj[:] = [(p * a - f_obj * b) // d for a, b in zip(obj, prow)]
 
 
-def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], int]:
+def _solve_packing(edges: list[KSubset]) -> tuple[list[int], dict[int, int], int]:
     """Maximize sum(x) subject to sum of x_e over e containing v <= 1, x >= 0.
 
     Columns are the edges in the given order, then one slack per vertex
@@ -62,8 +63,8 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], 
     the sum of its vertices' slack columns, and its objective entry the sum
     of the objective at those slacks, less d.  Bland's rule prices the edge
     columns first, in order, then the slacks.  Returns the numerators of
-    the optimal x (one per edge) and of the dual y (one per vertex 1..n)
-    over their shared denominator d.
+    the optimal x (a list in edge order) and of the dual y (a dict by vertex
+    of the support) over their shared denominator d.
     """
     e, support = len(edges), sorted({v for edge in edges for v in edge})
     m, row_of = len(support), {v: i for i, v in enumerate(support)}
@@ -97,13 +98,11 @@ def _solve_packing(edges: list[KSubset], n: int) -> tuple[list[int], list[int], 
         _pivot(tableau, obj, column, f_obj, leaving, d)
         d = column[leaving]
         basis[leaving] = entering
-    x, y = [0] * e, [0] * n
+    x = [0] * e
     for i, b in enumerate(basis):
         if b < e:
             x[b] = tableau[i][-1]
-    for v, w in zip(support, obj):
-        y[v - 1] = w
-    return x, y, d
+    return x, dict(zip(support, obj)), d
 
 
 @dataclass(frozen=True)
@@ -115,15 +114,14 @@ class FractionalSolution:
     objective: Fraction
 
 
-def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: int) -> None:
+def _check_certificate(family: Family, x: list[int], y: dict[int, int], d: int) -> None:
     """The primal–dual certificate, in integers over the shared denominator
-    d > 0: x (numerators by edge rank) is a feasible matching, 0 <= x_e <= d
+    d > 0: x (numerators in edge order) is a feasible matching, 0 <= x_e <= d
     and every vertex load <= d; y (numerators by vertex of the support) is a
     feasible cover, 0 <= y_v <= d and every edge sum >= d; and sum x = sum y.
     Loads are counted on the support only, so nothing is kept per vertex of [n]."""
     load = dict.fromkeys(y, 0)
-    for rank, edge in zip(family.edge_ranks(), family.edge_tuples()):
-        w = x[rank]
+    for w, edge in zip(x, family.edge_tuples()):
         if not 0 <= w <= d:
             raise ContradictionError(f"matching weight {Fraction(w, d)} outside [0, 1]")
         for v in edge:
@@ -136,16 +134,16 @@ def _check_certificate(family: Family, x: dict[int, int], y: dict[int, int], d: 
     for edge in family.edge_tuples():
         if sum(y[v] for v in edge) < d:
             raise ContradictionError(f"edge {edge} is not covered")
-    nu, tau = sum(x.values()), sum(y.values())
+    nu, tau = sum(x), sum(y.values())
     if nu != tau:
         raise ContradictionError(
             f"duality gap: matching {Fraction(nu, d)} != cover {Fraction(tau, d)}"
         )
 
 
-def _checked_packing(family: Family) -> tuple[dict[int, int], dict[int, int], int]:
-    """The checked numerators (x by edge rank, y by vertex of the support, d)
-    of the family's packing LP, solved once per instance.
+def _checked_packing(family: Family) -> tuple[list[int], dict[int, int], int]:
+    """The checked numerators (x in edge order, y by vertex of the support, d)
+    of the family's packing LP, as the solve returns them, once per instance.
 
     The gates run on every call, before the cache is read.  Only a triple
     whose certificate holds is kept, in the instance dict beside
@@ -159,12 +157,9 @@ def _checked_packing(family: Family) -> tuple[dict[int, int], dict[int, int], in
         raise DomainError("fractional programs need k >= 1")
     packing = family.__dict__.get("_packing")
     if packing is None:
-        edges = family.edge_tuples()
-        x, y, d = _solve_packing(edges, family.n)
-        xs = dict(zip(family.edge_ranks(), x))
-        ys = {v: y[v - 1] for v in sorted({v for edge in edges for v in edge})}
-        _check_certificate(family, xs, ys, d)
-        packing = family.__dict__["_packing"] = xs, ys, d
+        packing = _solve_packing(family.edge_tuples())
+        _check_certificate(family, *packing)
+        family.__dict__["_packing"] = packing
     return packing
 
 
@@ -177,17 +172,17 @@ def _over(kind: str, numerators: dict[int, int], d: int) -> FractionalSolution:
 def fractional_matching(family: Family) -> FractionalSolution:
     """Maximum fractional matching: max sum w(e), per-vertex load <= 1."""
     x, _, d = _checked_packing(family)
-    return _over("matching", x, d)
+    return _over("matching", dict(zip(family.edge_ranks(), x)), d)
 
 
 def fractional_cover(family: Family) -> FractionalSolution:
     """Minimum fractional cover: min sum f(v), per-edge load >= 1.
 
-    Read off the dual of the matching solve; weights are keyed 1..n, and
-    vertices on no edge weigh 0.
+    Read off the dual of the matching solve: one weight per vertex on some
+    edge, zeros included, as the matching has one per edge rank.
     """
     _, y, d = _checked_packing(family)
-    return _over("cover", {v: y.get(v, 0) for v in range(1, family.n + 1)}, d)
+    return _over("cover", y, d)
 
 
 def fractional_pair(family: Family) -> tuple[FractionalSolution, FractionalSolution]:

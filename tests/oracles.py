@@ -10,7 +10,8 @@ filtering for maximal families and maximal cliques, a ``Fraction``
 tableau simplex and the dense integer tableau (every edge column stored)
 for the packing LP, pair-by-pair loops for the meet predicates and the
 Kneser tables, the edges through each vertex read off the columns of the
-edge masks written as binary rows, per-edge degree counts, a
+edge masks written as binary rows, one ``|=`` into a growing int per
+edge for a family's colex bitset, per-edge degree counts, a
 branch-and-bound matching search on lists of vertex masks, the
 degree-driven constructive matching that rebuilds and relabels each
 level, and the hand-derived
@@ -47,6 +48,19 @@ def colex_list(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-subsets of [n] in colex order: lex order on the vertices taken
     from n down is colex order reversed."""
     return [tuple(sorted(c)) for c in combinations(range(n, 0, -1), k)][::-1]
+
+
+def or_loop_edge_bits(edges: list[tuple[int, ...]]) -> int:
+    """The colex bitset of distinct edges, OR-ed in one edge at a time (each
+    ``|=`` copies the growing int); a repeated edge is a DomainError."""
+    bits = 0
+    for edge in edges:
+        s = tuple(sorted(edge))
+        bit = 1 << sum(pascal_binomial(a - 1, i) for i, a in enumerate(s, start=1))
+        if bits & bit:
+            raise DomainError(f"duplicate edge {s}")
+        bits |= bit
+    return bits
 
 
 def linear_unrank(r: int, k: int, n: int) -> tuple[int, ...]:

@@ -40,6 +40,7 @@ from conftest import (
 from oracles import (
     colex_list,
     linear_unrank,
+    or_loop_edge_bits,
     pairwise_are_cross_intersecting,
     pairwise_disjoint_pairs,
     pairwise_is_intersecting,
@@ -341,6 +342,23 @@ def test_family_validation():
         Family.from_edges(6, 3, [(1, 1, 2)])
     # unsorted input is normalized, not rejected
     assert Family.from_edges(6, 3, [(3, 1, 2)]).edge_tuples() == [(1, 2, 3)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_families(), st.randoms(use_true_random=False))
+def test_from_edges_matches_the_or_loop(fam, rnd):
+    # any edge order and vertex order gives the bitset of one |= per edge
+    edges = [tuple(rnd.sample(edge, len(edge))) for edge in fam.edge_tuples()]
+    rnd.shuffle(edges)
+    built = Family.from_edges(fam.n, fam.k, edges)
+    assert built == fam and built.edges == or_loop_edge_bits(edges)
+    if edges:
+        edges.insert(rnd.randrange(len(edges) + 1), rnd.choice(edges))
+        with pytest.raises(DomainError, match="^duplicate edge ") as library:
+            Family.from_edges(fam.n, fam.k, edges)
+        with pytest.raises(DomainError) as oracle:
+            or_loop_edge_bits(edges)
+        assert str(library.value) == str(oracle.value)
 
 
 def test_edge_count_is_derived_from_the_bitset():

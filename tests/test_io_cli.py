@@ -638,13 +638,14 @@ def test_k1_constructions_build_no_ground_set(args, edge):
 
 
 @pytest.mark.parametrize("mode, n", [
-    ("--fractional", 20000), ("--cover", 20000), ("--fractional", 16_000_000),
-], ids=["--fractional", "--cover", "--fractional-16000000"])
+    ("--fractional", 20000), ("--cover", 20000),
+    ("--fractional", 16_000_000), ("--cover", 16_000_000),
+], ids=["--fractional", "--cover", "--fractional-16000000", "--cover-16000000"])
 def test_packing_lp_on_a_wide_ground_set_fits_in_512_mib(tmp_path, mode, n):
     # the LP has a row per vertex on some edge, not per vertex of [n]: an
-    # n x n tableau at n = 20000 would not fit; the certificate and the kept
-    # solve hold nothing per vertex of [n] either, so --fractional (which,
-    # unlike --cover, returns no weight per vertex) fits at n = 1.6 * 10^7
+    # n x n tableau at n = 20000 would not fit; the solve, the certificate,
+    # the kept solve and the cover's weights hold nothing per vertex of [n]
+    # either, so both modes fit at n = 1.6 * 10^7
     path = tmp_path / "k1-wide.json"
     path.write_text(f'{{"n": {n}, "k": 1, "edges": [[1], [5], [777], [12345], [{n}]]}}')
     result = subprocess.run(

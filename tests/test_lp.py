@@ -142,10 +142,10 @@ def test_failed_certificate_is_a_contradiction(delta, message, tmp_path, monkeyp
     # a failed solve is not kept: each call on the same family solves again
     solve, calls = lp._solve_packing, [0]
 
-    def perturbed(edges, n):
+    def perturbed(edges):
         calls[0] += 1
-        x, y, d = solve(edges, n)
-        return x, [y[0] + delta] + y[1:], d
+        x, y, d = solve(edges)
+        return x, {**y, 1: y[1] + delta}, d
 
     monkeypatch.setattr(lp, "_solve_packing", perturbed)
     fam = fano()
@@ -172,9 +172,9 @@ def test_fractional_pair_solves_once(monkeypatch):
     calls = [0]
     solve = lp._solve_packing
 
-    def counting(edges, n):
+    def counting(edges):
         calls[0] += 1
-        return solve(edges, n)
+        return solve(edges)
 
     monkeypatch.setattr(lp, "_solve_packing", counting)
     fam = erdos_extremal(12, 3, 3, 1)
@@ -242,12 +242,21 @@ def count_pivots(monkeypatch, families):
     return calls[0]
 
 
+def on_support(edges, y):
+    """An oracle's y over [n] as (vertex, y) pairs on the support, ascending,
+    after checking that it is 0 at every vertex on no edge."""
+    support = {v for edge in edges for v in edge}
+    assert all(w == 0 for v, w in enumerate(y, start=1) if v not in support)
+    return [(v, y[v - 1]) for v in sorted(support)]
+
+
 def assert_same_as_fraction_tableau(fam):
     edges = fam.edge_tuples()
-    x, y, d = lp._solve_packing(edges, fam.n)
-    assert d > 0 and all(type(a) is int for a in x + y)
-    over_d = [Fraction(a, d) for a in x], [Fraction(a, d) for a in y]
-    assert over_d == fraction_packing(edges, fam.n)
+    x, y, d = lp._solve_packing(edges)
+    assert d > 0 and all(type(a) is int for a in [*x, *y.values()])
+    fx, fy = fraction_packing(edges, fam.n)
+    assert [Fraction(a, d) for a in x] == fx
+    assert [(v, Fraction(a, d)) for v, a in y.items()] == on_support(edges, fy)
 
 
 @pytest.mark.parametrize("name", PINNED_LPS)
@@ -278,9 +287,12 @@ def test_integer_tableau_matches_fraction_tableau_property(fam):
 
 def assert_same_triple_as_dense_tableau(fam):
     # the slack-column solve must reproduce the full tableau's numerators
-    # and denominator exactly, not only the same values over d
+    # and denominator exactly, not only the same values over d: x in edge
+    # order, y on the support (the dense y is 0 off it)
     edges = fam.edge_tuples()
-    assert lp._solve_packing(edges, fam.n) == dense_packing(edges, fam.n)
+    x, y, d = lp._solve_packing(edges)
+    dense_x, dense_y, dense_d = dense_packing(edges, fam.n)
+    assert (x, list(y.items()), d) == (dense_x, on_support(edges, dense_y), dense_d)
 
 
 @pytest.mark.parametrize("name", PINNED_LPS)
@@ -305,7 +317,7 @@ def test_single_vertex_edges():
     assert_same_triple_as_dense_tableau(fam)
     matching, cover = fractional_pair(fam)
     assert matching.objective == cover.objective == 3
-    assert cover.weights == {1: 0, 2: 1, 3: 0, 4: 1, 5: 1}
+    assert cover.weights == {2: 1, 4: 1, 5: 1}
 
 
 
@@ -329,6 +341,5 @@ def test_vertices_on_no_edge_change_no_pivot(monkeypatch):
         support = sorted(rng.sample(range(1, n + 1), rng.randrange(k, n + 1)))
         pool = list(combinations(support, k))
         fam = Family.from_edges(n, k, rng.sample(pool, min(len(pool), rng.randrange(31))))
-        edges = fam.edge_tuples()
-        assert lp._solve_packing(edges, n) == dense_packing(edges, n)
+        assert_same_triple_as_dense_tableau(fam)
         assert pivots["lp"] == pivots["dense"]

@@ -453,6 +453,25 @@ def test_reduce_cover_contains_link_of_last_vertex():
         assert len(reduced) >= min_degree(fam, 1)
 
 
+def test_reduce_cover_reads_a_missing_vertex_as_weight_0():
+    # the cover has a key only for vertices on some edge; the same cover
+    # widened with explicit zeros over [n] reduces to the same family
+    rng = random.Random(56)
+    for k in (3, 4):
+        for _ in range(8):
+            n = rng.randrange(k + 2, 10)
+            support = sorted(rng.sample(range(1, n + 1), rng.randrange(k, n)))
+            pool = list(combinations(support, k))
+            fam = Family.from_edges(n, k, rng.sample(pool, rng.randrange(1, min(len(pool), 12) + 1)))
+            cover = fractional_cover(fam)
+            isolated = set(range(1, n + 1)).difference(*fam.edge_tuples())
+            assert isolated and set(cover.weights).isdisjoint(isolated)
+            widened = FractionalSolution(
+                "cover", {v: cover.weights.get(v, Fraction(0)) for v in range(1, n + 1)},
+                cover.objective)
+            assert reduce_cover(fam, cover) == reduce_cover(fam, widened)
+
+
 def test_reduce_cover_requires_k3():
     with pytest.raises(DomainError):
         reduce_cover(complete(6, 2), fractional_cover(complete(6, 2)))
