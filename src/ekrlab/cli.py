@@ -4,23 +4,20 @@ Exit codes: 0 success (and all certified inequalities hold), 1 a verdict
 failed or a scan found a counterexample, 2 usage or domain error, 3 a
 resource limit was exceeded or memory ran out, 4 an internal error (any
 other exception, reported on one line without a traceback).
+
+Each command imports its computing layer when it starts, so a cold
+process loads only the modules its command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .certificates import cross_certificate, ekr_certificate, simplex_witness
 from .constructions import KINDS, build_construction
 from .errors import ContradictionError, DomainError, FormatError, ResourceLimitError
 from .families import Family, vertex_degrees
 from .io import emit_report, parse_family, rational_fields, serialize_family
-from .lp import fractional_cover, fractional_matching
-from .matching import find_matching_by_degree, matching_number
-from .search import conjecture_scan, cross_pair_scan, ekr_degree_scan
-from .spectral import eigen_mass_full, kneser_spectrum, level_masses, quadratic_form
 
 
 def _read_family(path: str) -> Family:
@@ -52,6 +49,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectral import eigen_mass_full, kneser_spectrum, level_masses, quadratic_form
+
     family = _read_family(args.family)
     spectrum = kneser_spectrum(family.n, family.k)
     fields = {"n": family.n, "k": family.k, "edges": family.edge_count}
@@ -78,6 +77,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .certificates import cross_certificate, ekr_certificate, simplex_witness
+
     failed = False
     if args.certificate == "ekr":
         cert = ekr_certificate(_read_family(args.family))
@@ -135,6 +136,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_matching(args: argparse.Namespace) -> int:
+    from .lp import fractional_cover, fractional_matching
+    from .matching import find_matching_by_degree, matching_number
+
     family = _read_family(args.family)
     if args.fractional or args.cover:
         solution = fractional_cover(family) if args.cover else fractional_matching(family)
@@ -194,6 +198,8 @@ def _scan_report_dict(report) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .search import conjecture_scan, cross_pair_scan, ekr_degree_scan
+
     if args.scan == "ekr":
         report = ekr_degree_scan(args.n, args.k)
         columns = ["index", "edges", "delta1", "is_star"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from itertools import combinations, count
 from typing import Iterable, Sequence
 
@@ -59,12 +60,30 @@ class Matching:
 
 def _greedy_cover_bound(avail: int, through: Sequence[int]) -> int:
     """Size of a greedy vertex cover of the edge-index bitset ``avail``, taking
-    the lowest vertex of maximum degree each step; bounds the matching number."""
+    the lowest vertex of maximum degree each step; bounds the matching number.
+
+    Lazy greedy (Minoux 1978): degrees only fall as ``avail`` shrinks, so a
+    heap of stale degrees bounds them from above.  An entry is the int
+    v - degree * n, which sorts as (-degree, v).  The top is recounted; if
+    its degree fell it is re-sorted, and if not it sorts before every other
+    bound, so it is the lowest vertex of maximum degree.
+    """
+    if not avail:  # common in the scans, whose add moves often leave no edge to match
+        return 0
+    n = len(through)
+    heap = [v - (avail & star).bit_count() * n for v, star in enumerate(through)]
+    heapify(heap)
     size = 0
     while avail:
-        degrees = [(avail & star).bit_count() for star in through]
-        avail &= ~through[degrees.index(max(degrees))]
-        size += 1
+        stale = heap[0]
+        v = stale % n
+        fresh = v - (avail & through[v]).bit_count() * n
+        if fresh != stale:
+            heapreplace(heap, fresh)
+        else:
+            heappop(heap)
+            avail &= ~through[v]
+            size += 1
     return size
 
 

@@ -12,7 +12,8 @@ for the packing LP, pair-by-pair loops for the meet predicates and the
 Kneser tables, the edges through each vertex read off the columns of the
 edge masks written as binary rows, one ``|=`` into a growing int per
 edge for a family's colex bitset, per-edge degree counts, a
-branch-and-bound matching search on lists of vertex masks, the
+branch-and-bound matching search on lists of vertex masks, a greedy
+vertex cover that recounts every degree at every step, the
 degree-driven constructive matching that rebuilds and relabels each
 level, and the hand-derived
 sign-and-squaring comparators for the square-root inequalities of the
@@ -492,6 +493,18 @@ def per_edge_family_stats(edges: list[tuple[int, ...]], n: int) -> tuple[int, in
             deg[v - 1] += 1
         common &= _mask(e)
     return len(edges), min(deg), common
+
+
+def rescanning_greedy_cover(avail: int, through: tuple[int, ...]) -> int:
+    """Size of the greedy vertex cover of the edge-index bitset ``avail``:
+    each step recounts every vertex's degree and takes the lowest vertex of
+    maximum degree (the loop ``matching._greedy_cover_bound`` replaced)."""
+    size = 0
+    while avail:
+        degrees = [(avail & star).bit_count() for star in through]
+        avail &= ~through[degrees.index(max(degrees))]
+        size += 1
+    return size
 
 
 def mask_list_matching_number(

@@ -514,12 +514,12 @@ def test_one_edge_file_above_the_kset_limit_exits_3(tmp_path, monkeypatch, capsy
 
 def test_memory_error_exits_3(monkeypatch, capsys):
     # stage the allocation failure; real inputs that big now meet the gate
-    from ekrlab import cli
+    from ekrlab import search
 
     def boom(n, k):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "ekr_degree_scan", boom)
+    monkeypatch.setattr(search, "ekr_degree_scan", boom)
     assert dispatch(["scan", "ekr", "--n", "7", "--k", "3"]) == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
 
@@ -543,25 +543,25 @@ def test_spectral_self_check_is_a_contradiction(tmp_path, monkeypatch, capsys):
 
 def test_exit_code_1_on_contradiction(monkeypatch, capsys):
     # a falsification surfaces as exit 1; stage one since real inputs cannot
-    from ekrlab import cli
+    from ekrlab import search
     from ekrlab.errors import ContradictionError
 
     def boom(n, k):
         raise ContradictionError("staged")
 
-    monkeypatch.setattr(cli, "ekr_degree_scan", boom)
+    monkeypatch.setattr(search, "ekr_degree_scan", boom)
     assert dispatch(["scan", "ekr", "--n", "7", "--k", "3"]) == 1
     capsys.readouterr()
 
 
 def test_any_other_exception_exits_4_on_one_line(monkeypatch, capsys):
     # a bug surfaces as exit 4, never as 1 (a failed verdict) or a traceback
-    from ekrlab import cli
+    from ekrlab import search
 
     def boom(n, k):
         raise RuntimeError("staged")
 
-    monkeypatch.setattr(cli, "ekr_degree_scan", boom)
+    monkeypatch.setattr(search, "ekr_degree_scan", boom)
     assert dispatch(["scan", "ekr", "--n", "7", "--k", "3"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: staged\n"

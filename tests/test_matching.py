@@ -34,7 +34,12 @@ from conftest import (
     random_family_near_regular,
     small_families,
 )
-from oracles import brute_matching_number, mask_list_matching_number, tuple_matching_by_degree
+from oracles import (
+    brute_matching_number,
+    mask_list_matching_number,
+    rescanning_greedy_cover,
+    tuple_matching_by_degree,
+)
 
 
 def assert_valid_matching(fam, matching):
@@ -123,6 +128,35 @@ def test_the_root_greedy_cover_sets_the_goal_and_bounds_node_1(fam, calls, monke
     assert counted[0] == calls
 
 
+def test_300_singletons_pin_their_nodes_and_greedy_covers(monkeypatch):
+    # every vertex is its own edge, so each node's greedy cover has as many
+    # vertices as edges are left: 45,150 greedy steps in all, which took
+    # about a second when every step recounted all 300 degrees
+    fam = Family.from_edges(300, 1, [(v,) for v in range(1, 301)])
+    counted = [0]
+
+    def counting(*args):
+        counted[0] += 1
+        return _greedy_cover_bound(*args)
+
+    monkeypatch.setattr("ekrlab.matching._greedy_cover_bound", counting)
+    monkeypatch.setattr(limits, "MATCHING_NODE_LIMIT", 301)
+    nu, witness = matching_number(fam)
+    assert nu == len(witness) == 300
+    assert counted[0] == 300
+    monkeypatch.setattr(limits, "MATCHING_NODE_LIMIT", 300)
+    with pytest.raises(ResourceLimitError):
+        matching_number(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda k: small_families(k=k, max_edges=40)),
+       st.data())
+def test_lazy_greedy_cover_matches_the_rescanning_loop(fam, data):
+    avail = data.draw(st.integers(min_value=0, max_value=(1 << fam.edge_count) - 1))
+    assert _greedy_cover_bound(avail, fam.through) == rescanning_greedy_cover(avail, fam.through)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_families(), st.sampled_from([None, 1, 2, 3]))
 def test_matching_number_matches_mask_list_oracle(fam, at_least):
@@ -171,6 +205,14 @@ def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
             matching_number(fam, at_least=at_least)
         with pytest.raises(ResourceLimitError):
             _max_matching(bits, stars, ksets, k, at_least)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape_bitsets())
+def test_lazy_greedy_cover_matches_the_rescanning_loop_on_shape_tables(shape):
+    n, k, bits = shape
+    stars = search._kneser_tables(n, k)[0]
+    assert _greedy_cover_bound(bits, stars) == rescanning_greedy_cover(bits, stars)
 
 
 def test_matching_number_at_least_short_circuit():
