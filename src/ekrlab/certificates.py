@@ -191,11 +191,11 @@ def ekr_certificate(family: Family) -> EkrCertificate:
         raise DomainError(f"ekr_certificate needs k >= 2, got k={k}")
     if n < 2 * k + 1:
         raise DomainError(f"ekr_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    if not is_intersecting(family):
-        raise DomainError("ekr_certificate requires an intersecting family")
-
     e = family.edge_count
     deg = vertex_degrees(family)
+    if max(deg) != e and not is_intersecting(family):  # a star intersects
+        raise DomainError("ekr_certificate requires an intersecting family")
+
     delta1 = min(deg) if deg else 0
     f0, f1, residual = level_masses(family)
     nk = binomial(n, k)
@@ -262,6 +262,14 @@ class CrossCertificate:
     product_bound_holds: bool
 
 
+def _share_center(left: Family, right: Family) -> bool:
+    """True iff both families have one (n, k) and a vertex on all their edges."""
+    if (left.n, left.k) != (right.n, right.k):
+        return False
+    full = (left.edge_count, right.edge_count)
+    return any(pair == full for pair in zip(vertex_degrees(left), vertex_degrees(right)))
+
+
 def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     """Certify the cross-intersecting mass bound and the degree product bound.
 
@@ -274,7 +282,9 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
         raise DomainError(f"cross_certificate needs k >= 2, got k={k}")
     if n < 2 * k + 1:
         raise DomainError(f"cross_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    if not are_cross_intersecting(left, right):  # transposes left: the costly check last
+    # two stars with one center cross-intersect; else are_cross_intersecting
+    # transposes left, the costly check last, and refuses unequal shapes
+    if not (_share_center(left, right) or are_cross_intersecting(left, right)):
         raise DomainError("families are not cross-intersecting")
 
     _, b1, _ = level_masses(left)

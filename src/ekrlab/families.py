@@ -142,14 +142,29 @@ def _decode_blocks(bits: int, k: int, n: int, e: int) -> tuple[KSubset, ...]:
         elif b - a > 1:
             mid = (a + b) // 2
             cut = comb(mid - 1, i) - base
-            if high := x >> cut:
-                stack.append((high, i, mid, b, base + cut))
-            if low := x & ((1 << cut) - 1):
-                stack.append((low, i, a, mid, base))
+            if x.bit_length() > cut:  # else no mask as wide as the rank range
+                stack.append((x >> cut, i, mid, b, base + cut))
+                x &= (1 << cut) - 1
+            if x:
+                stack.append((x, i, a, mid, base))
         else:
             top[i - 1] = a
             stack.append((x, i - 1, i - 1, a, 0))
     return tuple(tuples)
+
+
+def _digit_rows(edges: Sequence[KSubset], base: int, width: int = 1) -> dict[int, int]:
+    """For each vertex on some edge, an int read in ``base`` with ``width``
+    digits per edge, edge 0 lowest: the last digit of edge i's group is 1 iff
+    edge i holds the vertex, every other digit 0.  Each edge, last first,
+    writes a "1" into the digit row of each of its vertices; one ``int``
+    per row, linear for a power-of-two base.
+    """
+    blank, rows = b"0" * (len(edges) * width), defaultdict(lambda: bytearray(blank))
+    for i, edge in zip(range(width - 1, len(blank), width), reversed(edges)):
+        for v in edge:
+            rows[v][i] = 49  # ord("1")
+    return {v: int(row, base) for v, row in rows.items()}
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
@@ -247,13 +262,10 @@ class Family:
     @cached_property
     def through(self) -> tuple[int, ...]:
         """Bit i of entry v-1 is set iff edge i contains v (the star of v in the
-        complete family): each edge, last first, writes a "1" into the binary
-        row of each of its vertices.  Cached in the instance dict."""
-        blank, rows = b"0" * self.edge_count, defaultdict(lambda: bytearray(blank))
-        for i, edge in enumerate(reversed(self.edge_tuples())):
-            for v in edge:
-                rows[v][i] = 49  # ord("1"); a vertex on no edge gets no row
-        return tuple(int(rows[v], 2) if v in rows else 0 for v in range(1, self.n + 1))
+        complete family), scattered as binary digit rows.  Cached in the
+        instance dict."""
+        rows = _digit_rows(self.edge_tuples(), 2)
+        return tuple(rows.get(v, 0) for v in range(1, self.n + 1))
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:

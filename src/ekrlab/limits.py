@@ -11,7 +11,9 @@ scan, and tests patch it the same way.
 FAMILY_KSET_LIMIT = 1 << 24
 
 # Largest e * 2^k for the eigenspace masses: it bounds the subsets of edges
-# that the subset-degree walk can visit.
+# that the subset-degree walk can visit.  It guards the packed pair counts
+# too, which the cost rule takes where they are cheaper, so the same
+# families are accepted and refused on either path.
 EIGEN_SUBSET_LIMIT = 1 << 20
 # Largest edge count accepted by the exact rational LP solver.
 LP_EDGE_LIMIT = 5000

@@ -21,11 +21,15 @@ substitution gives F_0..F_t from N_0..N_t:
 
 * :func:`level_masses` uses N_0 = e^2 and N_1 = sum_v deg(v)^2 for F_0
   and F_1;
-* :func:`eigen_mass_full` gets N_0..N_k from one depth-first walk over
-  the vertex subsets of nonzero degree, each degree the popcount of an AND
-  of rows of the family's cached transposition :attr:`Family.through`, and
-  returns every F_j; by inclusion-exclusion h^T A h = sum_t (-1)^t N_t
-  counts the ordered disjoint edge pairs.
+* :func:`eigen_mass_full` returns every F_j from N_0..N_k, which come by
+  one of two paths, picked by a closed-form cost rule
+  (:func:`_packed_is_cheaper`): a depth-first walk over the vertex subsets
+  of nonzero degree, each degree the popcount of an AND of rows of the
+  family's cached transposition :attr:`Family.through`; or the family's
+  inner distribution (Delsarte 1973), since N_t also counts the ordered
+  edge pairs (E, F) with weight C(|E & F|, t), read off bit-sliced sums of
+  packed per-vertex rows.  By inclusion-exclusion h^T A h =
+  sum_t (-1)^t N_t counts the ordered disjoint edge pairs.
 
 Floating point appears nowhere: the verdicts downstream hinge on exact
 sign comparisons at equality boundaries.
@@ -39,7 +43,7 @@ from math import comb
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, binomial, meet_rows, vertex_degrees
+from .families import Family, _digit_rows, binomial, meet_rows, vertex_degrees
 
 
 def _comb_nonneg(n: int, r: int) -> int:
@@ -175,14 +179,78 @@ def _subset_degree_sums(family: Family) -> list[int]:
     return sums
 
 
+def _packed_degree_sums(family: Family) -> list[int]:
+    """N_t = sum over ordered edge pairs (E, F) of C(|E & F|, t), t = 0..k.
+
+    Each E = F adds C(k, t); the pairs F != E meet in x <= k - 1 < 2^w
+    vertices, w = (k-1).bit_length().  Every vertex gets one packed row
+    with a field per edge (w bits, or hex digit groups past base 32, the
+    widest power-of-two base ``int`` reads) holding 1 iff the edge holds
+    the vertex.  The sum of E's k rows holds x in field F; masked to the
+    fields F < E, which no carry out of field E reaches, and split into w
+    bit-planes, the AND of the planes of m's set bits marks the F whose x
+    is a bit-superset of m.  A Moebius transform over the bits turns the
+    k - 1 totals into the pairs at each x.
+    """
+    k, e = family.k, family.edge_count
+    sums = [0] * (k + 1)
+    sums[0], sums[k] = e * e, e
+    if k < 2 or not e:
+        return sums
+    w = (k - 1).bit_length()
+    base, digits = (1 << w, 1) if w <= 5 else (16, -(-w // 4))
+    field = digits * (base.bit_length() - 1)  # bits per field, at least w
+    tuples = family.edge_tuples()
+    rows = _digit_rows(tuples, base, digits)
+    ones = int(("0" * (digits - 1) + "1") * e, base)  # bit 0 of every field
+    pairs = [e * (e - 1) // 2] + [0] * ((1 << w) - 1)  # pairs F < E, x a superset of m
+    for i, edge in enumerate(tuples):
+        low = ones >> field * (e - i)  # bit 0 of every field F < E
+        total = 0
+        for v in edge:
+            total += rows[v]
+        planes = [total >> b & low for b in range(w)]
+        ands = [low]
+        for m in range(1, k):
+            top = m.bit_length() - 1
+            ands.append(ands[m - (1 << top)] & planes[top])
+            pairs[m] += ands[m].bit_count()
+    for b in range(w):  # supersets to exact counts: pairs[x] is the pairs at x
+        for m in range(1 << w):
+            if not m >> b & 1:
+                pairs[m] -= pairs[m | 1 << b]
+    for t in range(1, k):
+        sums[t] = 2 * sum(comb(x, t) * pairs[x] for x in range(t, k)) + e * comb(k, t)
+    return sums
+
+
+# The walk visits at most sum_{t=1}^{k-1} min(C(n,t), e C(k,t)) subsets; the
+# packed pairs cost about e k big-int steps of e fields.  Take them when that
+# bound exceeds 2 e k.  Walk (with its transposition) against packed, ms, best
+# of 15 in process on a shared 2-CPU VM (CPython 3.11), and bound / (e k):
+#   (18,5,1500) 2.01 / 5.33, 0.5   (18,6,1500) 5.50 / 6.08, 1.4
+#   (13,5,445)  0.46 / 1.05, 0.5   (40,4,400)  1.50 / 0.74, 1.5
+#   (14,5,400)  0.58 / 0.85, 0.7   (16,6,300)  1.79 / 0.71, 2.4
+#   (18,5,800)  1.61 / 2.14, 1.0   (60,4,100)  0.50 / 0.20, 2.6
+#   (15,7,300)  2.77 / 0.79, 3.4   (20,6,250)  2.32 / 0.59, 4.4
+#   (30,8,400)  20.2 / 1.26, 21.5  (24,12,250) 154 / 0.97, 195
+_PACKED_RATIO = 2
+
+
+def _packed_is_cheaper(n: int, k: int, e: int) -> bool:
+    """The cost rule of the table above."""
+    return sum(min(comb(n, t), e * comb(k, t)) for t in range(1, k)) > _PACKED_RATIO * e * k
+
+
 def eigen_mass_full(family: Family) -> SpectralMass:
     """All eigenspace masses F_0..F_k of the family, exactly.
 
-    Uses the triangular recurrence of the module docstring on the subset
-    degrees of one walk over ``family.through``, which visits at most
-    e * 2^k subsets.  Needs n >= 2k so that the k+1 level
-    decomposition exists; raises ResourceLimitError when e * 2^k exceeds
-    EIGEN_SUBSET_LIMIT.
+    Uses the triangular recurrence of the module docstring on N_0..N_k:
+    from the walk over ``family.through``, which visits at most e * 2^k
+    subsets, or from the packed pair counts, which never transpose, when
+    the walk's bound on its subsets exceeds 2 e k.  Needs n >= 2k so that
+    the k+1 level decomposition exists; raises ResourceLimitError when
+    e * 2^k exceeds EIGEN_SUBSET_LIMIT, whichever path would run.
     """
     n, k = family.n, family.k
     if k < 1:
@@ -193,7 +261,8 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     if e << k > limits.EIGEN_SUBSET_LIMIT:
         raise ResourceLimitError(f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} "
                                  f"exceed EIGEN_SUBSET_LIMIT = {limits.EIGEN_SUBSET_LIMIT}")
-    sums = _subset_degree_sums(family)
+    cheaper = _packed_degree_sums if _packed_is_cheaper(n, k, e) else _subset_degree_sums
+    sums = cheaper(family)
     masses = _masses(n, k, sums)
     quad = sum((-1) ** t * n_t for t, n_t in enumerate(sums))
     lams = kneser_spectrum(n, k).eigenvalues()

@@ -4,7 +4,8 @@ Everything here is deliberately naive: Pascal recursion for binomials, a
 linear walk down the ground set and reversed lex order for colex
 unranking, exhaustive recursion for matchings, dense floating-point
 linear algebra for eigenspace masses, the 2^k submasks of every edge
-counted into a ``Counter`` for the squared subset degrees, a
+counted into a ``Counter`` for the squared subset degrees, the
+intersection of every ordered pair of edges for the inner distribution, a
 floating-point QR simplex frame for the simplex lemma, full powerset
 filtering for maximal families and maximal cliques, a ``Fraction``
 tableau simplex and the dense integer tableau (every edge column stored)
@@ -165,6 +166,18 @@ def subset_degree_sums_by_submasks(family: Family) -> list[int]:
     for subset, d in deg.items():
         sums[subset.bit_count()] += d * d
     return sums
+
+
+def inner_distribution_by_pairs(family: Family) -> list[int]:
+    """N_t = sum_j C(j, t) P_j, t = 0..k, where P_j counts the ordered edge
+    pairs (E, F), E = F included, whose tuples share j vertices (the
+    popcount of the AND of their vertex masks, built here from the tuples).
+    """
+    masks = [sum(1 << v for v in edge) for edge in family.edge_tuples()]
+    inner: Counter[int] = Counter()
+    for a in masks:
+        inner.update([(a & b).bit_count() for b in masks])
+    return [sum(comb(j, t) * p for j, p in inner.items()) for t in range(family.k + 1)]
 
 
 def star_span_mass(n: int, k: int, char_vectors: np.ndarray) -> np.ndarray:

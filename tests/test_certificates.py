@@ -329,6 +329,36 @@ def test_cross_certificate_checks_the_shape_before_transposing(monkeypatch, n, k
         cross_certificate(left, right)
     assert transposed == []
 
+def test_stars_skip_the_meet_checks(monkeypatch):
+    # a vertex on every edge makes a family intersecting, and a vertex on
+    # every edge of both families makes them cross-intersecting
+    rng = random.Random(28)
+    sub = Family.from_edges(14, 5, [e for e in star(14, 5) if rng.random() < 0.9])
+    left, right = (Family.from_edges(11, 4, [e for e in star(11, 4) if rng.random() < 0.7])
+                   for _ in range(2))
+    transposed = count_transpositions(monkeypatch)
+    assert ekr_certificate(sub).e == sub.edge_count
+    assert cross_certificate(left, right).size_b == left.edge_count
+    assert transposed == []
+    hm, hm_again = hilton_milner(11, 4), hilton_milner(11, 4)
+    ekr_certificate(hm)
+    assert transposed == [hm]
+    cross_certificate(hm_again, hm_again)
+    assert transposed == [hm, hm_again]
+
+
+def test_star_refusals_are_unchanged():
+    # stars at two centers do not cross-intersect, and a shared center does
+    # not pass two shapes
+    with pytest.raises(DomainError, match="^families are not cross-intersecting$"):
+        cross_certificate(star(7, 3, 1), star(7, 3, 2))
+    with pytest.raises(DomainError, match=r"got \(9, 3\) vs \(10, 3\)$"):
+        cross_certificate(star(9, 3), star(10, 3))
+    without = Family.from_edges(7, 3, [e for e in star(7, 3) if e != (1, 2, 3)] + [(4, 5, 6)])
+    with pytest.raises(DomainError, match="^ekr_certificate requires an intersecting family$"):
+        ekr_certificate(without)
+
+
 SIGN_TABLE = [
     # (a, b, c, sign of a + b sqrt(c)); c = 0 leaves the sign of a
     (-3, -2, 0, -1), (-3, 0, 0, -1), (-3, 2, 0, -1),

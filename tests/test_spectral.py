@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ekrlab import limits
+from ekrlab import limits, spectral
 from ekrlab.cli import dispatch
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import Family, binomial, is_intersecting
 from ekrlab.constructions import complete, remark_family, star
 from ekrlab.io import serialize_family
 from ekrlab.spectral import (
+    _packed_degree_sums,
     _subset_degree_sums,
     disjoint_pairs,
     eigen_mass_full,
@@ -27,6 +28,7 @@ from oracles import (
     char_vector,
     eigenspace_masses_dense,
     eigenspace_masses_incidence,
+    inner_distribution_by_pairs,
     kneser_adjacency,
     star_span_mass,
     subset_degree_sums_by_submasks,
@@ -269,6 +271,91 @@ def test_eigen_mass_full_transposes_and_decodes_once(monkeypatch):
     assert transposed[0] is fam and decoded[0] is fam
     assert eigen_mass_full(fam) == first
     assert len(transposed) == len(decoded) == 1
+
+
+# k = 2..17 across the field widths w = (k-1).bit_length() = 1..5; n = 2k at
+# (10,5), and few edges at k >= 16, where the walk's subsets grow as 2^|E & F|
+PACKED_SHAPES = [(4, 2), (9, 2), (6, 3), (12, 4), (10, 5), (14, 5), (16, 8), (18, 9),
+                 (30, 8), (20, 16), (20, 17)]
+
+
+@st.composite
+def packed_families(draw):
+    n, k = draw(st.sampled_from(PACKED_SHAPES))
+    total = binomial(n, k)
+    if total <= 252 and draw(st.booleans()):
+        bits = draw(st.integers(min_value=0, max_value=(1 << total) - 1))
+    else:
+        size = 4 if k >= 16 else 16
+        ranks = draw(st.sets(st.integers(min_value=0, max_value=total - 1), max_size=size))
+        bits = sum(1 << r for r in ranks)
+    return Family.from_ranks(n, k, bits)
+
+
+def _with_examples(test):
+    """At k = 2, 3, 4, 5, 8, 9, 16, 17 the field width w = (k-1).bit_length()
+    steps or x = k - 1 fills its field: e = 0, 1, 2 at ranks 0 and 1, whose
+    edges share k - 1 vertices; then n = 2k and two complete families."""
+    boundaries = [Family.from_ranks(20, k, bits) for k in (2, 3, 4, 5, 8, 9, 16, 17)
+                  for bits in (0, 1, 3)]
+    for fam in (*boundaries, complete(10, 5), complete(12, 5), complete(14, 7)):
+        test = example(fam)(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_families())
+@_with_examples
+def test_packed_pairs_match_pair_oracle_and_walk(fam):
+    sums = _packed_degree_sums(fam)
+    assert sums == inner_distribution_by_pairs(fam)
+    assert sums == _subset_degree_sums(fam)
+
+
+def test_packed_pairs_take_hex_fields_past_base_32(monkeypatch):
+    # k - 1 >= 32 needs w >= 6 bits per field, past int()'s digit bases;
+    # both gates raised, a sparse family at n = 2k decodes and gets its masses
+    monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 1 << 200)
+    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 1 << 200)
+    rng = random.Random(33)
+    for k in (31, 32, 33, 40, 65):
+        ranks = rng.sample(range(binomial(k + 3, k)), 9)  # edges inside [k + 3]
+        fam = Family.from_ranks(2 * k, k, sum(1 << r for r in ranks))
+        assert _packed_degree_sums(fam) == inner_distribution_by_pairs(fam)
+        check_mass_identities(fam, eigen_mass_full(fam))
+
+
+def _count_paths(monkeypatch) -> dict[str, int]:
+    calls = {"walk": 0, "packed": 0}
+    for name, key in (("_subset_degree_sums", "walk"), ("_packed_degree_sums", "packed")):
+        def counted(family, original=getattr(spectral, name), key=key):
+            calls[key] += 1
+            return original(family)
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+# The crossover table of spectral._PACKED_RATIO: bound / (e k) <= 2 walks
+@pytest.mark.parametrize("n, k, e, path", [
+    (18, 5, 1500, "walk"), (13, 5, 445, "walk"), (14, 5, 400, "walk"), (18, 5, 800, "walk"),
+    (18, 6, 1500, "walk"), (40, 4, 400, "walk"), (14, 5, 715, "walk"),
+    (16, 6, 300, "packed"), (60, 4, 100, "packed"), (15, 7, 300, "packed"),
+    (20, 6, 250, "packed"), (30, 8, 400, "packed"), (24, 12, 250, "packed"),
+])
+def test_cost_rule_picks_the_path(monkeypatch, n, k, e, path):
+    fam = random_family_edge_count(random.Random(n * k + e), n, k, e)
+    calls = _count_paths(monkeypatch)
+    eigen_mass_full(fam)
+    assert calls == {"walk": path == "walk", "packed": path == "packed"}
+
+
+def test_eigen_mass_full_packed_decodes_once_and_never_transposes(monkeypatch):
+    transposed, decoded = count_transpositions(monkeypatch), count_decodes(monkeypatch)
+    fam = random_family_edge_count(random.Random(16), 16, 6, 300)
+    first = eigen_mass_full(fam)
+    assert transposed == [] and decoded == [fam]
+    assert eigen_mass_full(fam) == first
+    assert transposed == [] and decoded == [fam]
 
 
 def test_masses_at_24_6():
