@@ -57,7 +57,9 @@ def iter_bits(x: int) -> Iterator[int]:
     Scans the int once, a byte at a time, so listing the b set bits of a
     W-bit int costs O(W/8 + b) rather than O(b * W/64) for clearing bits
     of the whole int once per bit.  Meant for family-wide bitsets: the
-    clique enumeration pops the bits of its at most 64-bit ones inline.
+    clique enumeration and the conjecture scan's rank draws pop the bits of
+    their at most 64-bit ones inline, and the exhaustive scans read whole
+    bytes of a family's bitset through per-shape lookup tables.
     """
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
     for index, byte in enumerate(data):

@@ -4,7 +4,10 @@ Maximal intersecting families are the maximal cliques of the meet graph on
 k-subsets (two k-sets adjacent iff they share a vertex), enumerated as rank
 bitsets by Bron-Kerbosch with pivoting; the exhaustive scans read those ints.
 Adding edges never decreases any degree, so scanning only maximal families
-suffices to bound minimum degrees over all intersecting families.
+suffices to bound minimum degrees over all intersecting families.  The scans
+read a family's vertex degrees and the OR of its disjointness rows through
+per-shape tables indexed by the bytes of its rank bitset (:class:`_RankBytes`),
+one lookup per byte instead of one pass per vertex or per rank.
 
 The conjecture scan is exploration tooling, not proof: a seeded
 simulated-annealing walk over families with matching number below s,
@@ -20,7 +23,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import getitem, or_
 
 from .errors import ContradictionError, DomainError
 from .families import Family, binomial, gated_kset_count, iter_bits, meet_rows
@@ -62,6 +66,62 @@ def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
     reach = tuple(meet_rows(stars, ksets))
     meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
     return stars, meet, tuple(full ^ m for m in reach), ksets
+
+
+class _RankBytes:
+    """Lookup tables over the bytes of the rank bitsets of shape (n, k).
+
+    For byte position i and byte value b, ``packed[i][b]`` is the packed
+    degree vector of the ranks 8i + j with bit j of b set (vertex v's count
+    in field v - 1, each field ``width`` bytes, wide enough for C(n-1,k-1),
+    so no field carries into the next) and ``forbid[i][b]`` is the OR of
+    their disjointness rows.  A family's degree vector is the sum of one
+    ``packed`` entry per byte of its bitset, and F^perp's complement the OR
+    of one ``forbid`` entry per byte.
+    """
+
+    __slots__ = ("n", "size", "width", "packed", "forbid")
+
+    def __init__(self, n: int, k: int) -> None:
+        _, _, disjoint, ksets = _kneser_tables(n, k)
+        self.n, self.size = n, (len(ksets) + 7) // 8
+        self.width = width = (binomial(n - 1, k - 1).bit_length() + 7) // 8
+        pad = [0] * (8 * self.size - len(ksets))  # the last byte's missing ranks
+        columns = [sum(1 << 8 * width * (v - 1) for v in edge) for edge in ksets] + pad
+        rows = [*disjoint, *pad]
+        packed, forbid = [], []
+        for start in range(0, len(columns), 8):
+            sums, ors = [0], [0]
+            for r in range(start, start + 8):  # entry b | 1 << j is entry b plus rank start + j
+                sums += [x + columns[r] for x in sums]
+                ors += [x | rows[r] for x in ors]
+            packed.append(tuple(sums))
+            forbid.append(tuple(ors))
+        self.packed, self.forbid = tuple(packed), tuple(forbid)
+
+    def vector(self, bits: int) -> int:
+        """The packed degree vector of the family with rank bitset ``bits``."""
+        return sum(map(getitem, self.packed, bits.to_bytes(self.size, "little")))
+
+    def column(self, r: int) -> int:
+        """The packed degree vector of the single rank r."""
+        return self.packed[r >> 3][1 << (r & 7)]
+
+    def degrees(self, vector: int) -> bytes | list[int]:
+        """The n vertex degrees of a packed vector (its bytes at width 1)."""
+        width = self.width
+        data = vector.to_bytes(self.n * width, "little")
+        if width == 1:
+            return data
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+    def forbidden(self, bits: int) -> int:
+        """The ranks disjoint from some rank of ``bits``: F^perp's complement."""
+        return reduce(or_, map(getitem, self.forbid, bits.to_bytes(self.size, "little")), 0)
+
+
+# built once per shape, like the Kneser tables it reads
+_rank_bytes = lru_cache(maxsize=None)(_RankBytes)
 
 
 def _check_enum_size(n: int, k: int) -> int:
@@ -117,20 +177,12 @@ def maximal_intersecting(n: int, k: int):
     return (Family.from_ranks(n, k, r) for r in _maximal_cliques(count, _kneser_tables(n, k)[1]))
 
 
-def _family_stats(bits: int, stars: tuple) -> tuple[int, int, int]:
-    """(edge count, delta_1, mask of the vertices in every edge) from the rank bitset."""
-    count = bits.bit_count()
-    degrees = [(bits & star).bit_count() for star in stars]
-    common = sum(1 << v for v, d in enumerate(degrees) if d == count)
-    return count, min(degrees), common
-
-
 def greedy_complete(family: Family) -> Family:
     """Extend an intersecting family to a maximal one, in rank order; refuse any other."""
     count = _check_enum_size(family.n, family.k)
     disjoint = _kneser_tables(family.n, family.k)[2]
     bits = family.edges
-    if any(bits & disjoint[r] for r in iter_bits(bits)):
+    if bits & _rank_bytes(family.n, family.k).forbidden(bits):
         raise DomainError("greedy completion needs an intersecting family")
     for r in iter_bits(((1 << count) - 1) & ~bits):
         if not bits & disjoint[r]:
@@ -148,7 +200,7 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     count = _check_enum_size(n, k)
-    stars, meet = _kneser_tables(n, k)[:2]
+    meet, tables = _kneser_tables(n, k)[1], _rank_bytes(n, k)
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
@@ -159,8 +211,9 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     violations = []
     records = []
     for examined, bits in enumerate(_maximal_cliques(count, meet)):
-        e, delta, common = _family_stats(bits, stars)
-        is_star = e == star_size and common != 0
+        e, degrees = bits.bit_count(), tables.degrees(tables.vector(bits))
+        delta = min(degrees)
+        is_star = e == star_size and e in degrees
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
         if is_star:
             stars_seen += 1
@@ -210,7 +263,7 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     count = _check_enum_size(n, k)
     full = (1 << count) - 1
-    stars, meet, disjoint, _ = _kneser_tables(n, k)
+    meet, tables = _kneser_tables(n, k)[1], _rank_bytes(n, k)
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
@@ -218,19 +271,15 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
     deltas: list[int] = []
     centers: list[int] = []  # common vertex of a full star, else 0
     for i, bits in enumerate(_maximal_cliques(count, meet)):
-        forb, rest = 0, bits
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            forb |= disjoint[low.bit_length() - 1]
-        if forb != full & ~bits:
+        if tables.forbidden(bits) != full & ~bits:
             raise ContradictionError(f"maximal family {i} is not self-dual: F^perp != F")
         if bits in seen:
             raise ContradictionError(f"maximal family {i} repeats an earlier one")
         seen.add(bits)
-        e, delta, common = _family_stats(bits, stars)
-        deltas.append(delta)
-        centers.append(common.bit_length() if (e == star_size and common) else 0)
+        e, degrees = bits.bit_count(), tables.degrees(tables.vector(bits))
+        deltas.append(min(degrees))
+        # a star's center: the highest vertex on every edge
+        centers.append(len(degrees) - degrees[::-1].index(e) if e == star_size and e in degrees else 0)
 
     m = len(deltas)
     max_product = max((d * d for d in deltas), default=-1)
@@ -281,14 +330,22 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         raise DomainError(f"need budget >= 0, got {budget}")
     full = (1 << _check_enum_size(n, k)) - 1
     stars, _, disjoint, ksets = _kneser_tables(n, k)
+    tables = _rank_bytes(n, k)
 
     threshold = _degree_threshold(n, k, s)
     assert_mode = n > k * s
     rng = random.Random(seed)
     base = erdos_extremal(n, k, s, 1).edges
 
-    def delta1(bits: int) -> int:
-        return _family_stats(bits, stars)[1]
+    def delta1(vector: int) -> int:
+        return min(tables.degrees(vector))
+
+    def draw_rank(bits: int) -> int:
+        # set bit j for one draw of j bounded by the popcount, as indexing the
+        # list of ranks was; the bitsets are narrow, so their bits pop inline
+        for _ in range(rng.randrange(bits.bit_count())):
+            bits &= bits - 1
+        return (bits & -bits).bit_length() - 1
 
     def perturb(bits: int) -> int:
         out = bits
@@ -298,7 +355,8 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         return out
 
     current = base
-    cur_delta = delta1(current)
+    cur_vector = tables.vector(current)
+    cur_delta = delta1(cur_vector)
     best_bits, best_delta = current, cur_delta
     violations = []
     over_bound: list[dict] = []
@@ -309,30 +367,27 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     for it in range(budget):
         if it and it % restart_every == 0:
             current = perturb(base)
-            cur_delta = delta1(current)
+            cur_vector = tables.vector(current)
+            cur_delta = delta1(cur_vector)
         temp = t0 * (t1 / t0) ** (it / max(1, budget))
         add_move = rng.random() < 0.5
         candidate = None
         if add_move:
-            absent = list(iter_bits(full ^ current))
-            if absent:
-                r = absent[rng.randrange(len(absent))]
+            if current != full:
+                r = draw_rank(full ^ current)
                 # an s-matching could only appear through r: with s - 1 edges
                 # of the family disjoint from it
                 if s > 1 and len(_max_matching(current & disjoint[r], stars, ksets, k, s - 1)) < s - 1:
-                    candidate = current | (1 << r)
-        else:
-            present = list(iter_bits(current))
-            if present:
-                r = present[rng.randrange(len(present))]
-                candidate = current & ~(1 << r)
+                    candidate, new_vector = current | (1 << r), cur_vector + tables.column(r)
+        elif current:
+            r = draw_rank(current)
+            candidate, new_vector = current & ~(1 << r), cur_vector - tables.column(r)
         if candidate is None:
             continue
-        new_delta = delta1(candidate)
+        new_delta = delta1(new_vector)
         gain = new_delta - cur_delta
         if gain >= 0 or rng.random() < math.exp(gain / temp):
-            current = candidate
-            cur_delta = new_delta
+            current, cur_vector, cur_delta = candidate, new_vector, new_delta
         if cur_delta > best_delta:
             best_bits, best_delta = current, cur_delta
         if cur_delta > threshold and current not in recorded:

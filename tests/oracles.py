@@ -12,7 +12,8 @@ tableau simplex and the dense integer tableau (every edge column stored)
 for the packing LP, pair-by-pair loops for the meet predicates and the
 Kneser tables, the edges through each vertex read off the columns of the
 edge masks written as binary rows, one ``|=`` into a growing int per
-edge for a family's colex bitset, per-edge degree counts, a
+edge for a family's colex bitset, per-edge degree counts, one ``|=``
+per rank for the OR of disjointness rows, a
 branch-and-bound matching search on lists of vertex masks, a greedy
 vertex cover that recounts every degree at every step, the
 degree-driven constructive matching that rebuilds and relabels each
@@ -497,15 +498,24 @@ def quadratic_kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple]:
     return stars, tuple(meet), disjoint
 
 
-def per_edge_family_stats(edges: list[tuple[int, ...]], n: int) -> tuple[int, int, int]:
-    """(edge count, delta_1, common-vertex mask) by counting edge by edge."""
+def per_edge_family_stats(edges: list[tuple[int, ...]], n: int) -> tuple[int, list[int], int]:
+    """(edge count, vertex degrees, common-vertex mask) by counting edge by edge."""
     deg = [0] * n
     common = (1 << n) - 1
     for e in edges:
         for v in e:
             deg[v - 1] += 1
         common &= _mask(e)
-    return len(edges), min(deg), common
+    return len(edges), deg, common
+
+
+def per_rank_forbidden(bits: int, disjoint: tuple) -> int:
+    """The OR of the disjointness rows of the ranks in ``bits``, rank by rank."""
+    out = 0
+    for r in range(bits.bit_length()):
+        if bits >> r & 1:
+            out |= disjoint[r]
+    return out
 
 
 def rescanning_greedy_cover(avail: int, through: tuple[int, ...]) -> int:

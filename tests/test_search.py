@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     brute_maximal_intersecting,
     colex_list,
     per_edge_family_stats,
+    per_rank_forbidden,
     quadratic_cross_pair_scan,
     quadratic_kneser_tables,
 )
@@ -132,6 +134,36 @@ def test_scan_json_output_is_pinned(scan, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("ekr --n 8 --k 3", "905c78b867fc63f438e3ad59f63c947ea740be027ebd9399b02886394a8360c5"),
+    ("cross --n 8 --k 3", "9cc606e2e9055b5bd19e14c8cea708ac71b143f2ba42ab9b55227a555be5cf7e"),
+    ("ekr --n 11 --k 2", "5ac415f05781923f212daffe40d28f6868942f892dc24927d2bb6d794cd5d0e3"),
+    ("cross --n 11 --k 2", "2626732286b74fa298aff761abe7b9c699d1e3cbbcb8d31647e2e5437b3411b5"),
+    # the conjecture scan's bytes also pin every draw of its seeded walk
+    ("conjecture --n 9 --k 2 --s 3 --budget 1000 --seed 0",
+     "072e71ceea4dbf7b952a81c59c16d565088c46658700fc7d1ec9c7541be675d4"),
+    ("conjecture --n 9 --k 2 --s 3 --budget 1000 --seed 5",
+     "8b937683c636a77f7f64fd8905c7eba334aa71d56e31bc73edaeb8b79f1d2ada"),
+    ("conjecture --n 10 --k 2 --s 3 --budget 1667 --seed 0",
+     "c7ec7fb76797572c49c47610a2e18d29554d76e1256a55d6c3e7a3584897efa8"),
+    ("conjecture --n 10 --k 2 --s 3 --budget 1667 --seed 5",
+     "71c9900633028e84fc4d10dfc32f47f574f134da770ed3453323a116adc208bb"),
+    ("conjecture --n 8 --k 3 --s 2 --budget 2333 --seed 0",
+     "c1068c9c63edc478e7d5e5349aa8b256f46c659329ae8edae8e02638a00e01cd"),
+    ("conjecture --n 8 --k 3 --s 2 --budget 2333 --seed 5",
+     "8f382c4d5be37bc8aa926039a3b705c5de7bccf5773bb14827a77a7cea6e8238"),
+    ("conjecture --n 11 --k 2 --s 4 --budget 3000 --seed 0",
+     "9e63b8d7c015eff2c6dc3de0f45b355601f2251bba0768c10c29b00dc0d7eece"),
+    ("conjecture --n 11 --k 2 --s 4 --budget 3000 --seed 5",
+     "4d70f1e008d3709cb1e17aef1f08085768c91da20255fdc7ee12ff78b5ab8fb3"),
+    ("conjecture --n 7 --k 3 --s 2 --budget 400 --seed 3",
+     "431315f033b7c72b0c54531d7485749a18070841aa5dbed44ba4dcc08c499f25"),
+])
+def test_scan_json_reports_are_pinned(argv, digest, capsys):
+    assert dispatch(["scan", *argv.split(), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
 def test_kneser_tables_match_quadratic_oracle(n, k):
     stars, meet, disjoint, ksets = search._kneser_tables(n, k)
@@ -139,15 +171,57 @@ def test_kneser_tables_match_quadratic_oracle(n, k):
     assert list(ksets) == colex_list(n, k)
 
 
+@cache
+def oracle_disjoint(n, k):
+    return quadratic_kneser_tables(n, k)[2]
+
+
+def check_rank_bytes(n, k, bits):
+    # degrees against the per-edge count and F^perp's complement against the
+    # per-rank OR, both over the pairwise-built tables
+    tables = search._rank_bytes(n, k)
+    ksets = colex_list(n, k)
+    edges = [ksets[r] for r in range(len(ksets)) if bits >> r & 1]
+    assert list(tables.degrees(tables.vector(bits))) == per_edge_family_stats(edges, n)[1]
+    assert tables.forbidden(bits) == per_rank_forbidden(bits, oracle_disjoint(n, k))
+
+
 def test_family_stats_match_per_edge_count():
-    # n popcounts against the per-edge degree loop, on every maximal family at (7,3)
-    stars = search._kneser_tables(7, 3)[0]
+    # the byte tables on every maximal family at (7,3), and on the empty one
     examined = 0
-    for fam in maximal_intersecting(7, 3):
-        assert search._family_stats(fam.edges, stars) == per_edge_family_stats(fam.edge_tuples(), 7)
+    for bits in search._maximal_cliques(35, search._kneser_tables(7, 3)[1]):
+        check_rank_bytes(7, 3, bits)
         examined += 1
     assert examined == 6127
-    assert search._family_stats(0, stars) == per_edge_family_stats([], 7) == (0, 0, 0b1111111)
+    check_rank_bytes(7, 3, 0)
+    assert per_edge_family_stats([], 7) == (0, [0] * 7, 0b1111111)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(5, 2), (8, 3), (11, 2)]).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.integers(0, (1 << binomial(*shape)) - 1))))
+def test_rank_bytes_match_oracles_on_random_bitsets(case):
+    (n, k), bits = case
+    check_rank_bytes(n, k, bits)
+    tables = search._rank_bytes(n, k)
+    if bits:  # one rank's column is its own packed vector
+        r = bits.bit_length() - 1
+        assert tables.column(r) == tables.vector(1 << r)
+
+
+def test_rank_bytes_wide_fields(monkeypatch):
+    # C(11,4) = 330 does not fit in a byte: the degree fields of (12,5) are two
+    # bytes wide, and the conjecture scan's base family, the star of vertex 1
+    # with its 330 edges, would carry into vertex 2's field at one byte
+    monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 792)
+    assert search._rank_bytes(12, 5).width == 2
+    rng = random.Random(125)
+    for bits in [0, (1 << 792) - 1, *(rng.getrandbits(792) for _ in range(4))]:
+        check_rank_bytes(12, 5, bits)
+    report = conjecture_scan(12, 5, 2, budget=300, seed=1)
+    best = Family.from_edges(12, 5, report.best["edges"])
+    check_rank_bytes(12, 5, best.edges)
+    assert report.best["delta1"] == min(per_edge_family_stats(report.best["edges"], 12)[1])
 
 
 def test_enumeration_limit(monkeypatch):
