@@ -6,8 +6,8 @@ bitsets by Bron-Kerbosch with pivoting; the exhaustive scans read those ints.
 Adding edges never decreases any degree, so scanning only maximal families
 suffices to bound minimum degrees over all intersecting families.  The scans
 read a family's vertex degrees and the OR of its disjointness rows through
-per-shape tables indexed by the bytes of its rank bitset (:class:`_RankBytes`),
-one lookup per byte instead of one pass per vertex or per rank.
+the byte tables of one gated, cached object per shape (:func:`_shape`), one
+lookup per byte instead of one pass per vertex or per rank.
 
 The conjecture scan is exploration tooling, not proof: a seeded
 simulated-annealing walk over families with matching number below s,
@@ -50,26 +50,13 @@ class ScanReport:
         return not self.violations
 
 
-@lru_cache(maxsize=None)
-def _kneser_tables(n: int, k: int) -> tuple[tuple, tuple, tuple, tuple]:
-    """(stars, meet-adjacency bitsets, disjointness bitsets, k-sets) over
-    the colex ranks of the k-subsets of [n].
+class _Shape:
+    """The scans' tables over the colex ranks of the k-subsets of [n].
 
     ``stars`` is the complete family's ``through`` (``stars[v-1]`` holds the
     ranks containing v) and ``ksets[r]`` its edge of rank r; :func:`meet_rows`
-    ORs the stars into the ranks meeting rank r, and ``meet[r]`` leaves r
-    itself out.
-    """
-    full = (1 << binomial(n, k)) - 1
-    complete = Family.from_ranks(n, k, full)
-    stars, ksets = complete.through, tuple(complete.edge_tuples())
-    reach = tuple(meet_rows(stars, ksets))
-    meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
-    return stars, meet, tuple(full ^ m for m in reach), ksets
-
-
-class _RankBytes:
-    """Lookup tables over the bytes of the rank bitsets of shape (n, k).
+    ORs the stars into the ranks meeting rank r, ``meet[r]`` leaves r itself
+    out and ``disjoint[r]`` holds the ranks disjoint from r.
 
     For byte position i and byte value b, ``packed[i][b]`` is the packed
     degree vector of the ranks 8i + j with bit j of b set (vertex v's count
@@ -80,11 +67,16 @@ class _RankBytes:
     of one ``forbid`` entry per byte.
     """
 
-    __slots__ = ("n", "size", "width", "packed", "forbid")
+    __slots__ = ("stars", "meet", "disjoint", "ksets", "size", "width", "packed", "forbid")
 
     def __init__(self, n: int, k: int) -> None:
-        _, _, disjoint, ksets = _kneser_tables(n, k)
-        self.n, self.size = n, (len(ksets) + 7) // 8
+        full = (1 << binomial(n, k)) - 1
+        complete = Family.from_ranks(n, k, full)
+        self.stars, self.ksets = stars, ksets = complete.through, tuple(complete.edge_tuples())
+        reach = tuple(meet_rows(stars, ksets))
+        self.meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
+        self.disjoint = disjoint = tuple(full ^ m for m in reach)
+        self.size = (len(ksets) + 7) // 8
         self.width = width = (binomial(n - 1, k - 1).bit_length() + 7) // 8
         pad = [0] * (8 * self.size - len(ksets))  # the last byte's missing ranks
         columns = [sum(1 << 8 * width * (v - 1) for v in edge) for edge in ksets] + pad
@@ -110,7 +102,7 @@ class _RankBytes:
     def degrees(self, vector: int) -> bytes | list[int]:
         """The n vertex degrees of a packed vector (its bytes at width 1)."""
         width = self.width
-        data = vector.to_bytes(self.n * width, "little")
+        data = vector.to_bytes(len(self.stars) * width, "little")
         if width == 1:
             return data
         return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
@@ -120,19 +112,22 @@ class _RankBytes:
         return reduce(or_, map(getitem, self.forbid, bits.to_bytes(self.size, "little")), 0)
 
 
-# built once per shape, like the Kneser tables it reads
-_rank_bytes = lru_cache(maxsize=None)(_RankBytes)
+_shapes = lru_cache(maxsize=None)(_Shape)  # read only through _shape, which gates every call
 
 
-def _check_enum_size(n: int, k: int) -> int:
+def _shape(n: int, k: int) -> _Shape:
+    """The tables of shape (n, k), built once; the gates run on every call,
+    before the cache is read, so a lowered limit refuses a cached shape."""
     if k < 1 or k > n:
         raise DomainError(f"enumeration needs 1 <= k <= n, got k={k}, n={n}")
-    return gated_kset_count(n, k, "ENUM_KSET_LIMIT")
+    gated_kset_count(n, k, "ENUM_KSET_LIMIT")
+    return _shapes(n, k)
 
 
-def _maximal_cliques(count: int, meet: tuple):
-    """Yield the maximal cliques of the graph on ranks 0..count-1, in which
-    ``meet[u]`` is the adjacency bitset of u (u left out), as rank bitsets.
+def _maximal_cliques(meet: tuple):
+    """Yield the maximal cliques of the graph on ranks 0..len(meet)-1, in which
+    ``meet[u]`` is the adjacency bitset of u (u left out), as rank bitsets:
+    on :func:`_shape`'s ``meet``, the maximal intersecting families.
 
     Bron-Kerbosch with pivoting on an explicit stack of [r, p, x, candidates]
     frames; the pivot maximizes the candidate coverage (lowest rank on ties)
@@ -141,7 +136,7 @@ def _maximal_cliques(count: int, meet: tuple):
     (``c & -c``): a generator per node costs more than the work it yields.
     """
     frames = []
-    r, p, x = 0, (1 << count) - 1, 0
+    r, p, x = 0, (1 << len(meet)) - 1, 0
     while True:
         if p:
             best, rest = -1, p | x
@@ -173,19 +168,17 @@ def maximal_intersecting(n: int, k: int):
     :func:`_maximal_cliques`, each as a :class:`Family`.  Size gating
     happens before the generator is returned.
     """
-    count = _check_enum_size(n, k)
-    return (Family.from_ranks(n, k, r) for r in _maximal_cliques(count, _kneser_tables(n, k)[1]))
+    return (Family.from_ranks(n, k, r) for r in _maximal_cliques(_shape(n, k).meet))
 
 
 def greedy_complete(family: Family) -> Family:
     """Extend an intersecting family to a maximal one, in rank order; refuse any other."""
-    count = _check_enum_size(family.n, family.k)
-    disjoint = _kneser_tables(family.n, family.k)[2]
+    shape = _shape(family.n, family.k)
     bits = family.edges
-    if bits & _rank_bytes(family.n, family.k).forbidden(bits):
+    if bits & shape.forbidden(bits):
         raise DomainError("greedy completion needs an intersecting family")
-    for r in iter_bits(((1 << count) - 1) & ~bits):
-        if not bits & disjoint[r]:
+    for r in iter_bits(((1 << len(shape.ksets)) - 1) & ~bits):
+        if not bits & shape.disjoint[r]:
             bits |= 1 << r
     return Family.from_ranks(family.n, family.k, bits)
 
@@ -199,8 +192,7 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"ekr scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    count = _check_enum_size(n, k)
-    meet, tables = _kneser_tables(n, k)[1], _rank_bytes(n, k)
+    shape = _shape(n, k)
     star_size = binomial(n - 1, k - 1)
     expected_max = binomial(n - 2, k - 2)
 
@@ -210,8 +202,8 @@ def ekr_degree_scan(n: int, k: int) -> ScanReport:
     nonstar_max = -1
     violations = []
     records = []
-    for examined, bits in enumerate(_maximal_cliques(count, meet)):
-        e, degrees = bits.bit_count(), tables.degrees(tables.vector(bits))
+    for examined, bits in enumerate(_maximal_cliques(shape.meet)):
+        e, degrees = bits.bit_count(), shape.degrees(shape.vector(bits))
         delta = min(degrees)
         is_star = e == star_size and e in degrees
         records.append({"edges": e, "delta1": delta, "is_star": is_star})
@@ -261,22 +253,21 @@ def cross_pair_scan(n: int, k: int) -> ScanReport:
     """
     if n < 2 * k + 1:
         raise DomainError(f"cross scan needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    count = _check_enum_size(n, k)
-    full = (1 << count) - 1
-    meet, tables = _kneser_tables(n, k)[1], _rank_bytes(n, k)
+    shape = _shape(n, k)
+    full = (1 << len(shape.ksets)) - 1
     star_size = binomial(n - 1, k - 1)
     bound = binomial(n - 2, k - 2) ** 2
 
     seen: set[int] = set()
     deltas: list[int] = []
     centers: list[int] = []  # common vertex of a full star, else 0
-    for i, bits in enumerate(_maximal_cliques(count, meet)):
-        if tables.forbidden(bits) != full & ~bits:
+    for i, bits in enumerate(_maximal_cliques(shape.meet)):
+        if shape.forbidden(bits) != full & ~bits:
             raise ContradictionError(f"maximal family {i} is not self-dual: F^perp != F")
         if bits in seen:
             raise ContradictionError(f"maximal family {i} repeats an earlier one")
         seen.add(bits)
-        e, degrees = bits.bit_count(), tables.degrees(tables.vector(bits))
+        e, degrees = bits.bit_count(), shape.degrees(shape.vector(bits))
         deltas.append(min(degrees))
         # a star's center: the highest vertex on every edge
         centers.append(len(degrees) - degrees[::-1].index(e) if e == star_size and e in degrees else 0)
@@ -328,9 +319,8 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         raise DomainError(f"need s <= n/k, got s={s}, n/k={n}/{k}")
     if budget < 0:
         raise DomainError(f"need budget >= 0, got {budget}")
-    full = (1 << _check_enum_size(n, k)) - 1
-    stars, _, disjoint, ksets = _kneser_tables(n, k)
-    tables = _rank_bytes(n, k)
+    shape = _shape(n, k)
+    full = (1 << len(shape.ksets)) - 1
 
     threshold = _degree_threshold(n, k, s)
     assert_mode = n > k * s
@@ -338,7 +328,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     base = erdos_extremal(n, k, s, 1).edges
 
     def delta1(vector: int) -> int:
-        return min(tables.degrees(vector))
+        return min(shape.degrees(vector))
 
     def draw_rank(bits: int) -> int:
         # set bit j for one draw of j bounded by the popcount, as indexing the
@@ -355,7 +345,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
         return out
 
     current = base
-    cur_vector = tables.vector(current)
+    cur_vector = shape.vector(current)
     cur_delta = delta1(cur_vector)
     best_bits, best_delta = current, cur_delta
     violations = []
@@ -367,7 +357,7 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
     for it in range(budget):
         if it and it % restart_every == 0:
             current = perturb(base)
-            cur_vector = tables.vector(current)
+            cur_vector = shape.vector(current)
             cur_delta = delta1(cur_vector)
         temp = t0 * (t1 / t0) ** (it / max(1, budget))
         add_move = rng.random() < 0.5
@@ -377,11 +367,12 @@ def conjecture_scan(n: int, k: int, s: int, budget: int, seed: int) -> ScanRepor
                 r = draw_rank(full ^ current)
                 # an s-matching could only appear through r: with s - 1 edges
                 # of the family disjoint from it
-                if s > 1 and len(_max_matching(current & disjoint[r], stars, ksets, k, s - 1)) < s - 1:
-                    candidate, new_vector = current | (1 << r), cur_vector + tables.column(r)
+                if s > 1 and len(_max_matching(current & shape.disjoint[r], shape.stars,
+                                               shape.ksets, k, s - 1)) < s - 1:
+                    candidate, new_vector = current | (1 << r), cur_vector + shape.column(r)
         elif current:
             r = draw_rank(current)
-            candidate, new_vector = current & ~(1 << r), cur_vector - tables.column(r)
+            candidate, new_vector = current & ~(1 << r), cur_vector - shape.column(r)
         if candidate is None:
             continue
         new_delta = delta1(new_vector)

@@ -10,7 +10,7 @@ floating-point QR simplex frame for the simplex lemma, full powerset
 filtering for maximal families and maximal cliques, a ``Fraction``
 tableau simplex and the dense integer tableau (every edge column stored)
 for the packing LP, pair-by-pair loops for the meet predicates and the
-Kneser tables, the edges through each vertex read off the columns of the
+scans' shape tables (``search._shape``), the edges through each vertex read off the columns of the
 edge masks written as binary rows, one ``|=`` into a growing int per
 edge for a family's colex bitset, per-edge degree counts, one ``|=``
 per rank for the OR of disjointness rows, a

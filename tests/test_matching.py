@@ -190,7 +190,8 @@ def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
     # the scans' question: the same search on a rank bitset with the complete
     # family's stars and k-sets, node for node
     n, k, bits = shape
-    stars, _, _, ksets = search._kneser_tables(n, k)
+    shape = search._shape(n, k)
+    stars, ksets = shape.stars, shape.ksets
     fam = Family.from_ranks(n, k, bits)
     nu, witness = matching_number(fam, at_least=at_least)
     ranks = _max_matching(bits, stars, ksets, k, at_least)
@@ -211,7 +212,7 @@ def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
 @given(shape_bitsets())
 def test_lazy_greedy_cover_matches_the_rescanning_loop_on_shape_tables(shape):
     n, k, bits = shape
-    stars = search._kneser_tables(n, k)[0]
+    stars = search._shape(n, k).stars
     assert _greedy_cover_bound(bits, stars) == rescanning_greedy_cover(bits, stars)
 
 

@@ -100,7 +100,7 @@ def test_maximal_cliques_match_brute_force(graph):
     for u, v in edges:
         meet[u] |= 1 << v
         meet[v] |= 1 << u
-    cliques = list(search._maximal_cliques(count, tuple(meet)))
+    cliques = list(search._maximal_cliques(tuple(meet)))
     assert len(set(cliques)) == len(cliques)
     assert sorted(cliques) == sorted(brute_maximal_cliques(count, edges))
 
@@ -109,7 +109,7 @@ def test_maximal_cliques_match_brute_force(graph):
 def test_exhaustive_scans_build_no_family(n, k, monkeypatch):
     # the scans read the enumeration's rank ints; a Family is built only for a
     # violation record, and there is none; the public generator builds one each
-    search._kneser_tables(n, k)
+    search._shape(n, k)
     built = []
     post_init = Family.__post_init__
 
@@ -165,10 +165,14 @@ def test_scan_json_reports_are_pinned(argv, digest, capsys):
 
 
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
-def test_kneser_tables_match_quadratic_oracle(n, k):
-    stars, meet, disjoint, ksets = search._kneser_tables(n, k)
-    assert (stars, meet, disjoint) == quadratic_kneser_tables(n, k)
-    assert list(ksets) == colex_list(n, k)
+def test_shape_tables_match_quadratic_oracle(n, k):
+    shape = search._shape(n, k)
+    assert (shape.stars, shape.meet, shape.disjoint) == quadratic_kneser_tables(n, k)
+    assert list(shape.ksets) == colex_list(n, k)
+    # the byte tables hold the same rows: one rank's entry is its own row and column
+    for r, row in enumerate(shape.disjoint):
+        assert shape.forbid[r >> 3][1 << (r & 7)] == row
+        assert shape.column(r) == shape.vector(1 << r)
 
 
 @cache
@@ -179,17 +183,17 @@ def oracle_disjoint(n, k):
 def check_rank_bytes(n, k, bits):
     # degrees against the per-edge count and F^perp's complement against the
     # per-rank OR, both over the pairwise-built tables
-    tables = search._rank_bytes(n, k)
+    shape = search._shape(n, k)
     ksets = colex_list(n, k)
     edges = [ksets[r] for r in range(len(ksets)) if bits >> r & 1]
-    assert list(tables.degrees(tables.vector(bits))) == per_edge_family_stats(edges, n)[1]
-    assert tables.forbidden(bits) == per_rank_forbidden(bits, oracle_disjoint(n, k))
+    assert list(shape.degrees(shape.vector(bits))) == per_edge_family_stats(edges, n)[1]
+    assert shape.forbidden(bits) == per_rank_forbidden(bits, oracle_disjoint(n, k))
 
 
 def test_family_stats_match_per_edge_count():
     # the byte tables on every maximal family at (7,3), and on the empty one
     examined = 0
-    for bits in search._maximal_cliques(35, search._kneser_tables(7, 3)[1]):
+    for bits in search._maximal_cliques(search._shape(7, 3).meet):
         check_rank_bytes(7, 3, bits)
         examined += 1
     assert examined == 6127
@@ -203,10 +207,6 @@ def test_family_stats_match_per_edge_count():
 def test_rank_bytes_match_oracles_on_random_bitsets(case):
     (n, k), bits = case
     check_rank_bytes(n, k, bits)
-    tables = search._rank_bytes(n, k)
-    if bits:  # one rank's column is its own packed vector
-        r = bits.bit_length() - 1
-        assert tables.column(r) == tables.vector(1 << r)
 
 
 def test_rank_bytes_wide_fields(monkeypatch):
@@ -214,7 +214,7 @@ def test_rank_bytes_wide_fields(monkeypatch):
     # bytes wide, and the conjecture scan's base family, the star of vertex 1
     # with its 330 edges, would carry into vertex 2's field at one byte
     monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 792)
-    assert search._rank_bytes(12, 5).width == 2
+    assert search._shape(12, 5).width == 2
     rng = random.Random(125)
     for bits in [0, (1 << 792) - 1, *(rng.getrandbits(792) for _ in range(4))]:
         check_rank_bytes(12, 5, bits)
@@ -241,10 +241,30 @@ def test_enumeration_limit(monkeypatch):
     assert is_intersecting(first)
 
 
-def test_env_limit_override(monkeypatch):
-    monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 10)
-    with pytest.raises(ResourceLimitError):
-        maximal_intersecting(6, 2)
+@pytest.mark.parametrize("call", [
+    lambda: maximal_intersecting(7, 3),
+    lambda: greedy_complete(Family.empty(7, 3)),
+    lambda: ekr_degree_scan(7, 3),
+    lambda: cross_pair_scan(7, 3),
+    lambda: conjecture_scan(7, 3, 2, budget=50, seed=0),
+], ids=["maximal_intersecting", "greedy_complete", "ekr", "cross", "conjecture"])
+def test_enumeration_limit_refuses_a_cached_shape(call, monkeypatch):
+    # the gate runs on every call, before the shape's cached tables are read
+    call()
+    monkeypatch.setattr(limits, "ENUM_KSET_LIMIT", 34)  # C(7,3) = 35
+    with pytest.raises(ResourceLimitError, match=" exceed ENUM_KSET_LIMIT = 34$"):
+        call()
+
+
+def test_each_shape_is_built_once():
+    # the completion and the three scans share one table object per shape
+    search._shapes.cache_clear()
+    greedy_complete(Family.empty(7, 2))
+    ekr_degree_scan(7, 2)
+    cross_pair_scan(7, 2)
+    conjecture_scan(7, 2, 3, budget=50, seed=0)
+    info = search._shapes.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_ekr_degree_scan_5_2():
@@ -301,8 +321,8 @@ def test_cross_pair_scan_matches_quadratic_oracle(n, k):
 def test_cross_pair_scan_checks_its_certificate(fault, message, monkeypatch, capsys):
     real = search._maximal_cliques
 
-    def faulty(count, meet):
-        cliques = list(real(count, meet))
+    def faulty(meet):
+        cliques = list(real(meet))
         if fault == "non-maximal":
             cliques[3] &= cliques[3] - 1  # drop its lowest rank
         else:
@@ -394,7 +414,7 @@ def test_conjecture_scan_transposes_only_to_reverify(shape, seed, monkeypatch):
     # only the over-bound families and the final one become Family objects,
     # each distinct one once, so without over-bound families Family.through
     # is computed once
-    search._kneser_tables(*shape[:2])
+    search._shape(*shape[:2])
     transposed = count_transpositions(monkeypatch)
     report = conjecture_scan(*shape, seed=seed)
     over = [entry["edges"] for entry in report.violations + report.notes["over_bound_examples"]]
