@@ -104,9 +104,15 @@ def gated_kset_count(n: int, k: int, limit: str = "FAMILY_KSET_LIMIT") -> int:
     return total
 
 
-# Scan every rank when C(n,k) <= 32 e: at C/e = 32 the walk takes 1.0-3.0 times
-# as long for k = 3..8 and wins past C/e ~ 48-128; at k = 2 the scan at best ties
-# (crossover table in ROADMAP item 1).
+# Scan every rank when C(n,k) <= 32 e.  Walk / scan time at C/e = 16, 32, 48, 64
+# and 128, one random family per (k, n), best of 25 in process, shared 2-CPU VM:
+#   k=3 n=24: 1.41 1.16 1.05 0.80 0.54   n=40: 1.24 1.02 0.92 0.72 0.56
+#   k=4 n=18: 1.66 1.48 1.25 1.05 0.69   n=24: 1.64 1.31 1.12 0.94 0.64
+#   k=5 n=16: 1.60 1.70 1.40 1.14 0.72   n=20: 1.86 1.53 1.36 1.16 0.71
+#   k=6 n=16: 2.27 1.74 1.38 1.27 0.82   n=18: 2.01 1.69 1.40 1.30 0.80
+#   k=7 n=16: 1.86 2.82 1.56 1.34 0.87   n=17: 2.41 1.83 1.51 1.27 0.88
+#   k=8 n=17: 2.51 1.97 1.53 1.41 0.92   n=18: 2.31 1.92 1.56 1.33 0.88
+# At k = 2 it is 0.39-0.82 at C/e = 32 (n = 8..100), so k = 2 stays on the walk.
 _DENSE_RATIO = 32
 _BITS_TO_BYTES = bytes.maketrans(b"01", b"\0\1")
 
@@ -333,8 +339,10 @@ def degree(family: Family, subset: Iterable[int]) -> int:
     s = validate_ksubset(subset, family.n)
     if len(s) >= family.k:
         raise DomainError(f"degree: |S| = {len(s)} must be smaller than k = {family.k}")
-    smask = sum(1 << (v - 1) for v in s)
-    return sum(1 for m in family.vertex_masks() if m & smask == smask)
+    common = (1 << family.edge_count) - 1
+    for v in s:
+        common &= family.through[v - 1]
+    return common.bit_count()
 
 
 @dataclass(frozen=True)

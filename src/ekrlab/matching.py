@@ -15,11 +15,12 @@ matching of size s is assembled by one of three moves per level:
 
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
-Edge sets are bitsets over edge indices and degrees are popcounts against
-``through`` bitsets (the edges through each vertex), the family's own or,
-in the scans, the complete family's over colex ranks.  The
-constructive algorithm decodes its family once, transposes it only from
-s >= 3, and deletes a vertex by clearing its bitset; no edge is relabelled.
+Edge sets are bitsets over edge indices and ``through[v-1]`` holds the edges
+through v, the family's own or, in the scans, the complete family's over
+colex ranks: degrees are popcounts, and the OR of an edge's rows, the edges
+that meet it, decides every disjointness test.  The constructive algorithm
+decodes and transposes its family once and deletes a vertex by clearing its
+bitset; no edge is relabelled.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ def _max_matching(
     best: list[int] = []
     current: list[int] = []
     frames: list[list] = []
-    degrees = [(avail & star).bit_count() for star in through]
-    cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
-    cover = _greedy_cover_bound(avail, through)
-    goal = min(cheap, cover, avail.bit_count() if at_least is None else at_least)
     for nodes in count(1):
         if nodes > cap:
             raise ResourceLimitError(f"{nodes} search nodes exceed MATCHING_NODE_LIMIT = {cap}")
@@ -133,15 +130,15 @@ def _max_matching(
             best = current.copy()
             if len(best) >= goal:
                 return best
-        if nodes > 1:  # node 1 is the root: its bounds are the goal's
-            degrees = [(avail & star).bit_count() for star in through]
-            cheap = (len(degrees) - degrees.count(0)) // k
-        if len(current) + cheap > len(best) and len(current) + (
-            cover if nodes == 1 else _greedy_cover_bound(avail, through)
-        ) > len(best):
-            # branch vertex: minimum positive degree, lowest id on ties
-            _, v = min((d, v) for v, d in enumerate(degrees) if d)
-            frames.append([avail, v, iter_bits(avail & through[v]), len(current)])
+        degrees = [(avail & star).bit_count() for star in through]
+        cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
+        if len(current) + cheap > len(best):
+            cover = _greedy_cover_bound(avail, through)
+            if nodes == 1:  # the root's bounds cap nu: reaching them ends the search
+                goal = min(cheap, cover, avail.bit_count() if at_least is None else at_least)
+            if len(current) + cover > len(best):
+                _, v = min((d, v) for v, d in enumerate(degrees) if d)  # lowest id on ties
+                frames.append([avail, v, iter_bits(avail & through[v]), len(current)])
         if not frames:
             return best
         avail, v, candidates, depth = frames[-1]
@@ -151,9 +148,16 @@ def _max_matching(
             frames.pop()
             avail &= ~through[v]
         else:
-            for u in edges[i]:
-                avail &= ~through[u - 1]
+            avail &= ~_meeting(edges[i], through)
             current.append(i)
+
+
+def _meeting(vertices: Iterable[int], through: Sequence[int]) -> int:
+    """Indices of the edges through any of ``vertices``: the OR of their rows."""
+    row = 0
+    for v in vertices:
+        row |= through[v - 1]
+    return row
 
 
 def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
@@ -163,8 +167,7 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
     those hypotheses a system of distinct representatives exists, and the
     search is complete, so exhaustion raises ContradictionError.
     """
-    n, k = family.n, family.k
-    vs = list(vertices)
+    n, k, vs = family.n, family.k, list(vertices)
     s = len(vs)
     if len(set(vs)) != s:
         raise DomainError("rainbow vertices must be distinct")
@@ -176,42 +179,36 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
     need = 2 * (s - 1) * binomial(n - 2, k - 2)
     for v in vs:
         if deg[v - 1] <= need:
-            raise DomainError(
-                f"vertex {v} has degree {deg[v - 1]} <= 2(s-1)C(n-2,k-2) = {need}"
-            )
-    masks = family.vertex_masks()
-    chosen = _rainbow(masks, family.through, (1 << len(masks)) - 1, vs)
+            raise DomainError(f"vertex {v} has degree {deg[v - 1]} <= 2(s-1)C(n-2,k-2) = {need}")
     edges = family.edge_tuples()
+    chosen = _rainbow(family.through, edges, (1 << len(edges)) - 1, vs)
     return Matching.from_family(family, [edges[i] for i in chosen])
 
 
-def _rainbow(
-    masks: Sequence[int], through: Sequence[int], avail: int, vertices: Sequence[int]
-) -> list[int]:
+def _rainbow(through: Sequence[int], edges: Sequence[KSubset], avail: int,
+             vertices: Sequence[int]) -> list[int]:
     """Indices of disjoint edges of ``avail``, the i-th through ``vertices[i]``
     and no other of them; exhaustion raises ContradictionError."""
     seen = shared = 0
     for v in vertices:
         shared |= seen & through[v - 1]
         seen |= through[v - 1]
-    candidates = [list(iter_bits(avail & through[v - 1] & ~shared)) for v in vertices]
+    candidates = [avail & through[v - 1] & ~shared for v in vertices]
     chosen: list[int] = []
 
-    def place(level: int, used: int) -> bool:
+    def place(level: int, free: int) -> bool:
         if level == len(candidates):
             return True
-        for i in candidates[level]:
-            if not masks[i] & used:
-                chosen.append(i)
-                if place(level + 1, used | masks[i]):
-                    return True
-                chosen.pop()
+        for i in iter_bits(candidates[level] & free):
+            chosen.append(i)
+            if place(level + 1, free & ~_meeting(edges[i], through)):
+                return True
+            chosen.pop()
         return False
 
-    if not place(0, 0):
-        raise ContradictionError(
-            "complete rainbow search exhausted although the degree hypothesis holds"
-        )
+    if not place(0, avail):
+        raise ContradictionError("complete rainbow search exhausted although the degree "
+                                 "hypothesis holds")
     return chosen
 
 
@@ -256,30 +253,27 @@ def find_matching_by_degree(
         return Matching.from_family(family, witness.edges[:s]), trace
 
     edges = family.edge_tuples()
-    chosen, trace = _construct(family, s)
+    chosen, trace = _construct(family, edges, s)
     return Matching.from_family(family, [edges[i] for i in chosen]), trace
 
 
-def _construct(family: Family, s: int) -> tuple[list[int], list[dict]]:
+def _construct(family: Family, edges: Sequence[KSubset], s: int) -> tuple[list[int], list[dict]]:
     """Edge indices of the matching and the trace, top level first.
 
     A level is an edge-index bitset ``avail`` on the sorted surviving
     vertices ``alive``; the trace names a vertex by its position in
     ``alive``, the order-preserving relabelling, which keeps colex order.
     """
-    masks = family.vertex_masks()
     if s <= 0:
         return [], [{"s": s, "branch": "empty"}]
     if s == 1:
-        if not masks:
+        if not edges:
             raise ContradictionError("positive minimum degree but no edges")
         return [0], [{"s": 1, "branch": "single-edge"}]
-    k, avail = family.k, (1 << len(masks)) - 1
+    k, avail, through = family.k, (1 << len(edges)) - 1, family.through
+    alive, deg = list(range(1, family.n + 1)), vertex_degrees(family)
     trace: list[dict] = []
     pending: list[int] = []  # candidate edges of each level that extends, top first
-    if s >= 3:
-        through = family.through
-        alive, deg = list(range(1, family.n + 1)), vertex_degrees(family)
     while s >= 3:
         n = len(alive)
         pair_bound = binomial(n - 2, k - 2)
@@ -300,7 +294,7 @@ def _construct(family: Family, s: int) -> tuple[list[int], list[dict]]:
         order = sorted(range(n), key=lambda i: (-deg[i], i))
         rainbow_bound = 2 * (s - 1) * pair_bound
         if deg[order[s - 1]] > rainbow_bound:
-            chosen = _rainbow(masks, through, avail, [alive[i] for i in order[:s]])
+            chosen = _rainbow(through, edges, avail, [alive[i] for i in order[:s]])
             trace.append({"s": s, "branch": "rainbow", "vertices": [i + 1 for i in order[:s]],
                           "threshold": rainbow_bound})
             break
@@ -308,19 +302,17 @@ def _construct(family: Family, s: int) -> tuple[list[int], list[dict]]:
         trace.append({"s": s, "branch": "greedy-extension", "threshold": rainbow_bound})
         s -= 1
     else:  # early exit: on a family this dense the first edges meet a partner
-        # (avail & -(2 << i) keeps the edges after edge i)
-        chosen = next(([i, j] for i in iter_bits(avail) for j in iter_bits(avail & -(2 << i))
-                       if not masks[i] & masks[j]), None)
+        # (avail & -(2 << i) keeps the edges after edge i; x & -x is x's lowest bit)
+        chosen = next(([i, (later & -later).bit_length() - 1] for i in iter_bits(avail)
+                       if (later := avail & -(2 << i) & ~_meeting(edges[i], through))), None)
         if chosen is None:
             raise ContradictionError("no two disjoint edges although the degree hypothesis holds")
         trace.append({"s": 2, "branch": "pair-scan"})
-    used = sum(masks[i] for i in chosen)  # disjoint masks: their sum is their union
     for candidates, entry in zip(reversed(pending), trace[-2::-1]):
-        i = next((i for i in iter_bits(candidates) if not masks[i] & used), None)
-        if i is None:
+        free = candidates & ~_meeting([v for i in chosen for v in edges[i]], through)
+        if not free:
             raise ContradictionError(f"{entry['branch']}: no edge avoids the partial matching")
-        chosen.append(i)
-        used |= masks[i]
+        chosen.append((free & -free).bit_length() - 1)
     return chosen, trace
 
 

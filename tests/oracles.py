@@ -17,7 +17,7 @@ per rank for the OR of disjointness rows, a
 branch-and-bound matching search on lists of vertex masks, a greedy
 vertex cover that recounts every degree at every step, the
 degree-driven constructive matching that rebuilds and relabels each
-level, and the hand-derived
+level, its rainbow placement on tuple sets, and the hand-derived
 sign-and-squaring comparators for the square-root inequalities of the
 certificates.
 None of it shares code with the library paths it checks.
@@ -607,6 +607,30 @@ def _extended_comb(n: int, r: int) -> int:
     return comb(n, r) if 0 <= r <= n else 0
 
 
+def tuple_rainbow(edges: list[tuple[int, ...]], vertices: list[int]) -> list[tuple[int, ...]]:
+    """Disjoint edges, the i-th through ``vertices[i]`` and no other of them,
+    by complete backtracking on tuple sets: each level tries its edges in the
+    order of ``edges`` and keeps the first that misses the edges placed so
+    far.  Exhaustion raises AssertionError."""
+    only = [[e for e in edges if v in e and not any(w in e for w in vertices if w != v)]
+            for v in vertices]
+    chosen: list[tuple[int, ...]] = []
+
+    def place(level: int, used: set[int]) -> bool:
+        if level == len(vertices):
+            return True
+        for e in only[level]:
+            if not used.intersection(e):
+                chosen.append(e)
+                if place(level + 1, used | set(e)):
+                    return True
+                chosen.pop()
+        return False
+
+    assert place(0, set()), "rainbow search exhausted"
+    return chosen
+
+
 def tuple_matching_by_degree(
     edges: list[tuple[int, ...]], n: int, k: int, s: int
 ) -> tuple[list[tuple[int, ...]], list[dict]]:
@@ -660,24 +684,8 @@ def tuple_matching_by_degree(
     top = [i + 1 for i in order[:s]]
     rainbow_bound = 2 * (s - 1) * pair_bound
     if deg[top[-1] - 1] > rainbow_bound:
-        only = [[e for e in edges if v in e and not any(w in e for w in top if w != v)]
-                for v in top]
-        chosen: list[tuple[int, ...]] = []
-
-        def place(level: int, used: set[int]) -> bool:
-            if level == s:
-                return True
-            for e in only[level]:
-                if not used.intersection(e):
-                    chosen.append(e)
-                    if place(level + 1, used | set(e)):
-                        return True
-                    chosen.pop()
-            return False
-
-        assert place(0, set()), "rainbow search exhausted"
         entry = {"s": s, "branch": "rainbow", "vertices": top, "threshold": rainbow_bound}
-        return chosen, [entry]
+        return tuple_rainbow(edges, top), [entry]
 
     sub_edges, sub_trace = tuple_matching_by_degree(edges, n, k, s - 1)
     used = {v for e in sub_edges for v in e}

@@ -179,6 +179,25 @@ def test_degree():
         degree(s, (1, 2, 3))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda k: small_families(k=k)), st.data())
+def test_degree_counts_the_edges_holding_the_subset(fam, data):
+    # S = (), a drawn S and, where there is one, a vertex on no edge; the
+    # calls share one transposition, which S = () alone does not need
+    edges = fam.edge_tuples()
+    drawn = data.draw(st.sets(st.integers(min_value=1, max_value=fam.n), max_size=fam.k - 1))
+    subsets = [(), tuple(sorted(drawn))]
+    idle = [v for v in range(1, fam.n + 1) if not any(v in e for e in edges)]
+    if idle and fam.k >= 2:
+        subsets.append((idle[0],))
+    with pytest.MonkeyPatch.context() as patch:
+        transposed = count_transpositions(patch)
+        for s in subsets:
+            assert degree(fam, s) == sum(1 for e in edges if set(s) <= set(e))
+            assert degree(fam, s) == degree(fam, s)
+    assert transposed == ([fam] if any(subsets) else [])
+
+
 def test_min_degree():
     assert min_degree(remark_family(), 1) == 5
     assert min_degree(star(7, 3, 1), 1) == 5

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ekrlab import limits, search
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
@@ -29,6 +29,7 @@ from ekrlab.matching import (
 
 from conftest import (
     count_transpositions,
+    random_family,
     random_family_edge_count,
     random_family_min_degree,
     random_family_near_regular,
@@ -39,6 +40,7 @@ from oracles import (
     mask_list_matching_number,
     rescanning_greedy_cover,
     tuple_matching_by_degree,
+    tuple_rainbow,
 )
 
 
@@ -283,11 +285,11 @@ def test_rainbow_precondition_errors():
 def test_rainbow_search_backtracks_and_exhausts():
     # {1,3}, taken first for vertex 1, blocks {2,3}: the search backs up to {1,4}
     fam = Family.from_edges(4, 2, [(1, 3), (2, 3), (1, 4)])
-    chosen = _rainbow(fam.vertex_masks(), fam.through, (1 << len(fam)) - 1, [1, 2])
+    chosen = _rainbow(fam.through, fam.edge_tuples(), (1 << len(fam)) - 1, [1, 2])
     assert [fam.edge_tuples()[i] for i in chosen] == [(1, 4), (2, 3)]
     fam = Family.from_edges(4, 2, [(1, 3), (2, 3)])
     with pytest.raises(ContradictionError, match="rainbow search exhausted"):
-        _rainbow(fam.vertex_masks(), fam.through, (1 << len(fam)) - 1, [1, 2])
+        _rainbow(fam.through, fam.edge_tuples(), (1 << len(fam)) - 1, [1, 2])
 
 
 def test_find_matching_complete_graph():
@@ -446,10 +448,55 @@ def test_construct_matches_tuple_oracle():
     assert trace[0]["vertex"] == 54 and max(trace[1]["vertices"]) >= 54
 
 
-def test_construct_transposes_once_and_only_from_s_3(monkeypatch):
+@st.composite
+def degree_hypothesis_families(draw):
+    """(family, s) with k, s in {2, 3}, n >= 3 k^2 s and delta_1 above
+    C(n-1,k-1) - C(n-s,k-1): a near-regular family whose degrees reach a
+    target between that threshold and k(s-1) C(n-2,k-2), the bound of the
+    high-degree branch, and maybe one vertex with extra edges, so every
+    branch of the construction fires."""
+    k, s = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=3 * k * k * s, max_value=3 * k * k * s + 4))
+    floor = binomial(n - 1, k - 1) - binomial(n - s, k - 1) + 1
+    target = draw(st.integers(min_value=floor, max_value=k * (s - 1) * binomial(n - 2, k - 2)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    edges = set(random_family_near_regular(rng, n, k, target).edge_tuples())
+    if draw(st.booleans()):
+        heavy = draw(st.integers(min_value=1, max_value=n))
+        pool = list(combinations([v for v in range(1, n + 1) if v != heavy], k - 1))
+        extra = rng.sample(pool, draw(st.integers(min_value=0, max_value=min(2 * target, len(pool)))))
+        edges.update(tuple(sorted((heavy,) + rest)) for rest in extra)
+    return Family.from_edges(n, k, edges), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree_hypothesis_families())
+def test_construct_matches_tuple_oracle_on_random_families(fam_s):
+    fam, s = fam_s
+    matching, trace = find_matching_by_degree(fam, s)
+    expected = tuple_matching_by_degree(fam.edge_tuples(), fam.n, fam.k, s)
+    assert repr((list(matching.edges), trace)) == repr(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3), st.data())
+def test_rainbow_extension_matches_tuple_placement(k, s, data):
+    n = data.draw(st.integers(min_value=k * s + 1, max_value=10))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    fam = random_family(rng, n, k, data.draw(st.floats(min_value=0.5, max_value=1.0)))
+    need = 2 * (s - 1) * binomial(n - 2, k - 2)
+    deg = vertex_degrees(fam)
+    eligible = [v for v in range(1, n + 1) if deg[v - 1] > need]
+    assume(len(eligible) >= s)
+    vertices = data.draw(st.permutations(eligible))[:s]
+    expected = tuple_rainbow(fam.edge_tuples(), vertices)
+    assert list(rainbow_extension(fam, vertices).edges) == expected
+
+
+def test_construct_transposes_once_from_s_2(monkeypatch):
     transposed = count_transpositions(monkeypatch)
-    for fam, s, transposes in [(complete(60, 2), 5, 1), (complete(24, 2), 2, 0),
-                               (complete(12, 2), 1, 0)]:
+    for fam, s, transposes in [(complete(60, 2), 5, 1), (complete(24, 2), 2, 1),
+                               (complete(12, 2), 1, 0), (complete(12, 2), 0, 0)]:
         transposed.clear()
         find_matching_by_degree(fam, s)
         assert len(transposed) == transposes
