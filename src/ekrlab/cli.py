@@ -135,18 +135,20 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _edge_list(edges) -> str:
+    """Edges as ``{a,b} {c,d}``, the text of a matching in a report."""
+    return " ".join("{" + ",".join(map(str, e)) + "}" for e in edges)
+
+
 def cmd_matching(args: argparse.Namespace) -> int:
     from .lp import fractional_cover, fractional_matching
     from .matching import find_matching_by_degree, matching_number
 
     family = _read_family(args.family)
+    fields = {"n": family.n, "k": family.k, "edges": family.edge_count}
     if args.fractional or args.cover:
         solution = fractional_cover(family) if args.cover else fractional_matching(family)
-        fields = {
-            "n": family.n, "k": family.k, "edges": family.edge_count,
-            "kind": solution.kind,
-            **rational_fields("objective", solution.objective),
-        }
+        fields.update(kind=solution.kind, **rational_fields("objective", solution.objective))
         key = "vertex" if solution.kind == "cover" else "edge_rank"
         rows = [
             {key: item, **rational_fields("weight", weight)}
@@ -162,21 +164,16 @@ def cmd_matching(args: argparse.Namespace) -> int:
         }
     elif args.construct_degree is not None:
         witness, trace = find_matching_by_degree(family, args.construct_degree, strict=False)
-        fields = {
-            "n": family.n, "k": family.k, "edges": family.edge_count,
-            "target_size": args.construct_degree,
-            "delta1": min(vertex_degrees(family), default=0),
-            "matching": " ".join("{" + ",".join(map(str, e)) + "}" for e in witness.edges),
-            "trace": " -> ".join(step["branch"] for step in trace),
-        }
+        fields.update(
+            target_size=args.construct_degree,
+            delta1=min(vertex_degrees(family), default=0),
+            matching=_edge_list(witness.edges),
+            trace=" -> ".join(step["branch"] for step in trace),
+        )
         report = {"kind": "degree-constructed-matching", "fields": fields}
     else:
         nu, witness = matching_number(family)
-        fields = {
-            "n": family.n, "k": family.k, "edges": family.edge_count,
-            "matching_number": nu,
-            "witness": " ".join("{" + ",".join(map(str, e)) + "}" for e in witness.edges),
-        }
+        fields.update(matching_number=nu, witness=_edge_list(witness.edges))
         report = {"kind": "matching", "fields": fields}
     _write(emit_report(report, args.fmt), args.out)
     return 0

@@ -120,8 +120,8 @@ def _check_certificate(family: Family, x: list[int], y: dict[int, int], d: int) 
     and every vertex load <= d; y (numerators by vertex of the support) is a
     feasible cover, 0 <= y_v <= d and every edge sum >= d; and sum x = sum y.
     Loads are counted on the support only, so nothing is kept per vertex of [n]."""
-    load = dict.fromkeys(y, 0)
-    for w, edge in zip(x, family.edge_tuples()):
+    edges, load = family.edge_tuples(), dict.fromkeys(y, 0)
+    for w, edge in zip(x, edges):
         if not 0 <= w <= d:
             raise ContradictionError(f"matching weight {Fraction(w, d)} outside [0, 1]")
         for v in edge:
@@ -131,7 +131,7 @@ def _check_certificate(family: Family, x: list[int], y: dict[int, int], d: int) 
     for v, w in y.items():
         if not 0 <= w <= d:
             raise ContradictionError(f"cover weight {Fraction(w, d)} at vertex {v} outside [0, 1]")
-    for edge in family.edge_tuples():
+    for edge in edges:
         if sum(y[v] for v in edge) < d:
             raise ContradictionError(f"edge {edge} is not covered")
     nu, tau = sum(x), sum(y.values())

@@ -59,31 +59,29 @@ class Matching:
         return cls(chosen)
 
 
-def _greedy_cover_bound(avail: int, through: Sequence[int]) -> int:
+def _greedy_cover_bound(avail: int, rows: Sequence[int], degrees: Sequence[int]) -> int:
     """Size of a greedy vertex cover of the edge-index bitset ``avail``, taking
     the lowest vertex of maximum degree each step; bounds the matching number.
 
     Lazy greedy (Minoux 1978): degrees only fall as ``avail`` shrinks, so a
-    heap of stale degrees bounds them from above.  An entry is the int
-    v - degree * n, which sorts as (-degree, v).  The top is recounted; if
-    its degree fell it is re-sorted, and if not it sorts before every other
-    bound, so it is the lowest vertex of maximum degree.
+    heap of stale degrees bounds them from above.  It holds i - degree * n,
+    which sorts as (-degree, i), for each positive entry of ``degrees``, the
+    node's one count on ``rows`` (the root's nonzero rows in vertex order).
+    The top is recounted; if its degree fell it is re-sorted, and if not it
+    sorts before every other bound: the lowest vertex of maximum degree.
     """
-    if not avail:  # common in the scans, whose add moves often leave no edge to match
-        return 0
-    n = len(through)
-    heap = [v - (avail & star).bit_count() * n for v, star in enumerate(through)]
+    n, size = len(rows), 0
+    heap = [i - d * n for i, d in enumerate(degrees) if d]
     heapify(heap)
-    size = 0
     while avail:
         stale = heap[0]
-        v = stale % n
-        fresh = v - (avail & through[v]).bit_count() * n
+        i = stale % n
+        fresh = i - (avail & rows[i]).bit_count() * n
         if fresh != stale:
             heapreplace(heap, fresh)
         else:
             heappop(heap)
-            avail &= ~through[v]
+            avail &= ~rows[i]
             size += 1
     return size
 
@@ -113,13 +111,15 @@ def _max_matching(
     one of its edges is matched, or none is and all of them are discarded.
     Pruned by support-size/k and by a greedy cover bound; stops once a
     matching reaches the lower of the two at the root, or ``at_least``.
+    Each node counts its degrees once, on the rows nonzero at the root
+    (``avail`` only shrinks); both bounds and the branch vertex read them.
 
-    Depth-first on an explicit stack of [avail, v, candidate iterator,
+    Depth-first on an explicit stack of [avail, row, candidate iterator,
     matched count] frames, one per branched node, so the depth is not
     bounded by Python's recursion limit: a frame yields its matched
     children in index order, then gives way to its discard child.
     """
-    cap = limits.MATCHING_NODE_LIMIT
+    cap, rows = limits.MATCHING_NODE_LIMIT, [row for row in through if row & avail]
     best: list[int] = []
     current: list[int] = []
     frames: list[list] = []
@@ -130,23 +130,23 @@ def _max_matching(
             best = current.copy()
             if len(best) >= goal:
                 return best
-        degrees = [(avail & star).bit_count() for star in through]
+        degrees = [(avail & row).bit_count() for row in rows]
         cheap = (len(degrees) - degrees.count(0)) // k  # support size / k
         if len(current) + cheap > len(best):
-            cover = _greedy_cover_bound(avail, through)
+            cover = _greedy_cover_bound(avail, rows, degrees)
             if nodes == 1:  # the root's bounds cap nu: reaching them ends the search
                 goal = min(cheap, cover, avail.bit_count() if at_least is None else at_least)
             if len(current) + cover > len(best):
-                _, v = min((d, v) for v, d in enumerate(degrees) if d)  # lowest id on ties
-                frames.append([avail, v, iter_bits(avail & through[v]), len(current)])
+                _, i = min((d, i) for i, d in enumerate(degrees) if d)  # lowest id on ties
+                frames.append([avail, rows[i], iter_bits(avail & rows[i]), len(current)])
         if not frames:
             return best
-        avail, v, candidates, depth = frames[-1]
+        avail, row, candidates, depth = frames[-1]
         del current[depth:]
         i = next(candidates, None)
-        if i is None:  # every edge through v tried: discard them all
+        if i is None:  # every edge through the branch vertex tried: discard them
             frames.pop()
-            avail &= ~through[v]
+            avail &= ~row
         else:
             avail &= ~_meeting(edges[i], through)
             current.append(i)

@@ -156,7 +156,49 @@ def test_300_singletons_pin_their_nodes_and_greedy_covers(monkeypatch):
        st.data())
 def test_lazy_greedy_cover_matches_the_rescanning_loop(fam, data):
     avail = data.draw(st.integers(min_value=0, max_value=(1 << fam.edge_count) - 1))
-    assert _greedy_cover_bound(avail, fam.through) == rescanning_greedy_cover(avail, fam.through)
+    rows, degrees = _root_rows_and_degrees(avail, fam.through)
+    assert _greedy_cover_bound(avail, rows, degrees) == rescanning_greedy_cover(avail, fam.through)
+
+
+def _root_rows_and_degrees(avail, through):
+    # what a search node hands the greedy cover: the rows nonzero at the
+    # root, in vertex order, and their degrees, counted once
+    rows = [row for row in through if row & avail]
+    return rows, [(avail & row).bit_count() for row in rows]
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts the calls of ``__iter__`` on it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _family_search(fam):
+    edges = fam.edge_tuples()
+    return (1 << len(edges)) - 1, fam.through, edges, fam.k
+
+
+def _shape_search(n, k, seed):
+    shape = search._shape(n, k)
+    return random.Random(seed).getrandbits(len(shape.ksets)), shape.stars, shape.ksets, k
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: _family_search(erdos_extremal(20, 3, 5, 1)),
+    lambda: _shape_search(11, 2, 0),
+], ids=["erdos(20,3,5,1)", "shape(11,2)"])
+def test_max_matching_iterates_through_once_per_call(instance):
+    # the root keeps the rows that can be nonzero, and every node reads
+    # only those: no node walks all n rows of ``through`` again
+    avail, through, edges, k = instance()
+    counted = _CountingTuple(through)
+    expected = _max_matching(avail, through, edges, k, None)
+    assert _max_matching(avail, counted, edges, k, None) == expected
+    assert counted.iterations == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,7 +257,8 @@ def test_max_matching_on_shape_tables_matches_matching_number(shape, at_least):
 def test_lazy_greedy_cover_matches_the_rescanning_loop_on_shape_tables(shape):
     n, k, bits = shape
     stars = search._shape(n, k).stars
-    assert _greedy_cover_bound(bits, stars) == rescanning_greedy_cover(bits, stars)
+    rows, degrees = _root_rows_and_degrees(bits, stars)
+    assert _greedy_cover_bound(bits, rows, degrees) == rescanning_greedy_cover(bits, stars)
 
 
 def test_matching_number_at_least_short_circuit():
