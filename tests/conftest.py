@@ -74,22 +74,26 @@ def random_family_near_regular(rng: random.Random, n: int, k: int, target: int) 
     """Random family in which every vertex degree reaches ``target`` and few pass it.
 
     Each new edge takes a random vertex below ``target`` and k - 1 more from
-    the other vertices below it; once fewer than 2k are below, from all
-    other vertices, so the last deficits can always be filled.
+    the other vertices below it; once fewer than 2k are below, or every k-set
+    of them is already chosen, from all other vertices, so the last deficits
+    can always be filled.
     """
     chosen: set[tuple[int, ...]] = set()
     deg = [0] * (n + 1)
+    wide = False
     while True:
         low = [v for v in range(1, n + 1) if deg[v] < target]
         if not low:
             break
         v = rng.choice(low)
-        pool = low if len(low) >= 2 * k else range(1, n + 1)
+        pool = low if len(low) >= 2 * k and not wide else range(1, n + 1)
         edge = tuple(sorted([v] + rng.sample([u for u in pool if u != v], k - 1)))
         if edge not in chosen:
             chosen.add(edge)
             for u in edge:
                 deg[u] += 1
+        elif pool is low and all(e in chosen for e in combinations(low, k)):
+            wide = True  # no draw inside low can add an edge: it would loop forever
     return Family.from_edges(n, k, sorted(chosen))
 
 
