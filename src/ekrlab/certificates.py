@@ -33,6 +33,7 @@ from typing import Sequence
 from .errors import ContradictionError, DomainError
 from .families import (
     Family,
+    _delta1,
     are_cross_intersecting,
     binomial,
     is_intersecting,
@@ -192,11 +193,11 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     if n < 2 * k + 1:
         raise DomainError(f"ekr_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     e = family.edge_count
-    deg = vertex_degrees(family)
-    if max(deg) != e and not is_intersecting(family):  # a star intersects
+    top = max(family._degrees.values(), default=0)
+    if top != e and not is_intersecting(family):  # a star intersects
         raise DomainError("ekr_certificate requires an intersecting family")
 
-    delta1 = min(deg) if deg else 0
+    delta1 = _delta1(family)
     f0, f1, residual = level_masses(family)
     nk = binomial(n, k)
     threshold = Fraction(n, k) * binomial(n - 2, k - 2)
@@ -221,7 +222,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     else:
         dichotomy = Dichotomy.INCONCLUSIVE
 
-    is_star = e == star_count and e > 0 and max(deg) == e
+    is_star = e == star_count and e > 0 and top == e
 
     return EkrCertificate(
         n=n, k=k, e=e, delta1=delta1, f0=f0, f1=f1, residual=residual,
@@ -267,7 +268,9 @@ def _share_center(left: Family, right: Family) -> bool:
     if (left.n, left.k) != (right.n, right.k):
         return False
     full = (left.edge_count, right.edge_count)
-    return any(pair == full for pair in zip(vertex_degrees(left), vertex_degrees(right)))
+    # a center lies on the support of a nonempty side; with no edges every vertex is one
+    on = left._degrees or right._degrees or range(1, left.n + 1)
+    return any((left._degrees[v], right._degrees[v]) == full for v in on)
 
 
 def cross_certificate(left: Family, right: Family) -> CrossCertificate:
@@ -289,8 +292,7 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
 
     _, b1, _ = level_masses(left)
     _, c1, _ = level_masses(right)
-    db = min(vertex_degrees(left), default=0)
-    dc = min(vertex_degrees(right), default=0)
+    db, dc = _delta1(left), _delta1(right)
     p = left.edge_count * right.edge_count
     alpha = Fraction(n - 1, binomial(n, k))
     t = Fraction(n, k) * binomial(n - 2, k - 2)

@@ -16,7 +16,7 @@ import sys
 
 from .constructions import KINDS, build_construction
 from .errors import ContradictionError, DomainError, FormatError, ResourceLimitError
-from .families import Family, vertex_degrees
+from .families import Family, _delta1
 from .io import emit_report, parse_family, rational_fields, serialize_family
 
 
@@ -166,7 +166,7 @@ def cmd_matching(args: argparse.Namespace) -> int:
         witness, trace = find_matching_by_degree(family, args.construct_degree, strict=False)
         fields.update(
             target_size=args.construct_degree,
-            delta1=min(vertex_degrees(family), default=0),
+            delta1=_delta1(family),
             matching=_edge_list(witness.edges),
             trace=" -> ".join(step["branch"] for step in trace),
         )

@@ -2,19 +2,21 @@
 
 A family is stored as a bitset over the colexicographic ranks of its edges,
 so membership tests and set algebra on whole families are single big-int
-operations; :attr:`Family.through`, transposed once, holds the edges through
-each vertex, and :func:`meet_rows` streams meets as its ORs, edge by edge.
-Vertices are 1-based, edges are increasing vertex tuples, counting is exact.
+operations; :attr:`Family.through`, transposed once, maps each vertex on some
+edge to the edges through it, and :func:`meet_rows` streams meets as its ORs,
+edge by edge.  Per-vertex state is keyed by that support alone: a vertex on
+no edge has degree 0 and an empty row.  Vertices are 1-based, edges are
+increasing vertex tuples, counting is exact.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import limits
 from .errors import DomainError, ResourceLimitError
@@ -268,21 +270,18 @@ class Family:
         return _decode_blocks(self.edges, self.k, self.n, self.edge_count)
 
     @cached_property
-    def through(self) -> tuple[int, ...]:
-        """Bit i of entry v-1 is set iff edge i contains v (the star of v in the
-        complete family), scattered as binary digit rows.  Cached in the
-        instance dict."""
+    def through(self) -> dict[int, int]:
+        """Each vertex on some edge, ascending, to its row: bit i is set iff
+        edge i contains the vertex (its star in the complete family), scattered
+        as binary digit rows.  Cached in the instance dict."""
         rows = _digit_rows(self.edge_tuples(), 2)
-        return tuple(rows.get(v, 0) for v in range(1, self.n + 1))
+        return {v: rows[v] for v in sorted(rows)}
 
     @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        """Degree of every vertex 1..n, counted once from the decoded edges."""
-        deg = [0] * self.n
-        for e in self._decoded:
-            for v in e:
-                deg[v - 1] += 1
-        return tuple(deg)
+    def _degrees(self) -> Counter[int]:
+        """Degree of each vertex on some edge, counted once from the decoded
+        edges; a vertex on no edge reads 0."""
+        return Counter(chain.from_iterable(self._decoded))
 
     def edge_tuples(self) -> list[KSubset]:
         """Edges as vertex tuples, in colex-rank order (a fresh list)."""
@@ -308,14 +307,19 @@ class Family:
         return Family.from_ranks(self.n, self.k, self.edges & ~(1 << rank))
 
 
-def meet_rows(through: Sequence[int], edges: Iterable[KSubset]) -> Iterator[int]:
+def _meeting(through: Mapping[int, int], vertices: Iterable[int]) -> int:
+    """The edges through any of ``vertices``: the OR of their rows in
+    ``through``, where a vertex off the support has none."""
+    row = 0
+    for v in vertices:
+        row |= through.get(v, 0)
+    return row
+
+
+def meet_rows(through: Mapping[int, int], edges: Iterable[KSubset]) -> Iterator[int]:
     """For each edge, the OR of its vertices' bitsets in ``through``: the
     edges of the transposed family that meet it, one row at a time."""
-    for edge in edges:
-        row = 0
-        for v in edge:
-            row |= through[v - 1]
-        yield row
+    return (_meeting(through, edge) for edge in edges)
 
 
 def is_intersecting(family: Family) -> bool:
@@ -341,7 +345,7 @@ def degree(family: Family, subset: Iterable[int]) -> int:
         raise DomainError(f"degree: |S| = {len(s)} must be smaller than k = {family.k}")
     common = (1 << family.edge_count) - 1
     for v in s:
-        common &= family.through[v - 1]
+        common &= family.through.get(v, 0)
     return common.bit_count()
 
 
@@ -375,7 +379,14 @@ def degree_profile(family: Family, d: int) -> DegreeProfile:
 
 def vertex_degrees(family: Family) -> list[int]:
     """Degree of every vertex 1..n, as a fresh list indexed by v-1."""
-    return list(family._degrees)
+    deg = family._degrees
+    return [deg.get(v, 0) for v in range(1, family.n + 1)]
+
+
+def _delta1(family: Family) -> int:
+    """Minimum vertex degree over [n], 0 unless every vertex is on an edge."""
+    deg = family._degrees
+    return min(deg.values()) if family.n and len(deg) == family.n else 0
 
 
 def min_degree(family: Family, d: int) -> int:
@@ -385,7 +396,7 @@ def min_degree(family: Family, d: int) -> int:
     if d == 0:
         return family.edge_count
     if d == 1:
-        return min(vertex_degrees(family), default=0)
+        return _delta1(family)
     return degree_profile(family, d).minimum()
 
 

@@ -15,12 +15,12 @@ matching of size s is assembled by one of three moves per level:
 
 Exhaustion of any complete sub-search would falsify the counting argument
 behind it; it raises ContradictionError and tests treat it as failure.
-Edge sets are bitsets over edge indices and ``through[v-1]`` holds the edges
-through v, the family's own or, in the scans, the complete family's over
-colex ranks: degrees are popcounts, and the OR of an edge's rows, the edges
-that meet it, decides every disjointness test.  The constructive algorithm
-decodes and transposes its family once and deletes a vertex by clearing its
-bitset; no edge is relabelled.
+Edge sets are bitsets over edge indices and ``through[v]`` holds the edges
+through v, for each vertex v on some edge: the family's own or, in the scans,
+the complete family's over colex ranks.  Degrees are popcounts, and the OR of
+an edge's rows, the edges that meet it, decides every disjointness test.
+The constructive algorithm decodes and transposes its family once and
+deletes a vertex by clearing its bitset; no edge is relabelled.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heapreplace
 from itertools import combinations, count
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, KSubset, binomial, iter_bits, vertex_degrees
+from .families import Family, KSubset, _delta1, _meeting, binomial, iter_bits, vertex_degrees
 from .lp import FractionalSolution, fractional_matching
 
 
@@ -101,11 +101,11 @@ def matching_number(family: Family, at_least: int | None = None) -> tuple[int, M
 
 
 def _max_matching(
-    avail: int, through: Sequence[int], edges: Sequence[KSubset], k: int, at_least: int | None
+    avail: int, through: Mapping[int, int], edges: Sequence[KSubset], k: int, at_least: int | None
 ) -> list[int]:
     """Indices of a maximum matching among the edge indices in ``avail``.
 
-    ``edges[i]`` is the k-set of index i and ``through[v-1]`` the indices
+    ``edges[i]`` is the k-set of index i and ``through[v]`` the indices
     through v, for a family or for all k-sets of a shape (then indices are
     colex ranks).  Branches on the minimum-positive-degree vertex: either
     one of its edges is matched, or none is and all of them are discarded.
@@ -119,7 +119,7 @@ def _max_matching(
     bounded by Python's recursion limit: a frame yields its matched
     children in index order, then gives way to its discard child.
     """
-    cap, rows = limits.MATCHING_NODE_LIMIT, [row for row in through if row & avail]
+    cap, rows = limits.MATCHING_NODE_LIMIT, [row for row in through.values() if row & avail]
     best: list[int] = []
     current: list[int] = []
     frames: list[list] = []
@@ -148,16 +148,8 @@ def _max_matching(
             frames.pop()
             avail &= ~row
         else:
-            avail &= ~_meeting(edges[i], through)
+            avail &= ~_meeting(through, edges[i])
             current.append(i)
-
-
-def _meeting(vertices: Iterable[int], through: Sequence[int]) -> int:
-    """Indices of the edges through any of ``vertices``: the OR of their rows."""
-    row = 0
-    for v in vertices:
-        row |= through[v - 1]
-    return row
 
 
 def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
@@ -175,25 +167,25 @@ def rainbow_extension(family: Family, vertices: Sequence[int]) -> Matching:
         raise DomainError(f"rainbow vertices must lie in [1, {n}]")
     if k * s >= n:
         raise DomainError(f"rainbow step needs ks < n, got ks={k * s}, n={n}")
-    deg = vertex_degrees(family)
+    deg = family._degrees
     need = 2 * (s - 1) * binomial(n - 2, k - 2)
     for v in vs:
-        if deg[v - 1] <= need:
-            raise DomainError(f"vertex {v} has degree {deg[v - 1]} <= 2(s-1)C(n-2,k-2) = {need}")
+        if deg[v] <= need:
+            raise DomainError(f"vertex {v} has degree {deg[v]} <= 2(s-1)C(n-2,k-2) = {need}")
     edges = family.edge_tuples()
     chosen = _rainbow(family.through, edges, (1 << len(edges)) - 1, vs)
     return Matching.from_family(family, [edges[i] for i in chosen])
 
 
-def _rainbow(through: Sequence[int], edges: Sequence[KSubset], avail: int,
+def _rainbow(through: Mapping[int, int], edges: Sequence[KSubset], avail: int,
              vertices: Sequence[int]) -> list[int]:
     """Indices of disjoint edges of ``avail``, the i-th through ``vertices[i]``
     and no other of them; exhaustion raises ContradictionError."""
     seen = shared = 0
     for v in vertices:
-        shared |= seen & through[v - 1]
-        seen |= through[v - 1]
-    candidates = [avail & through[v - 1] & ~shared for v in vertices]
+        shared |= seen & through[v]
+        seen |= through[v]
+    candidates = [avail & through[v] & ~shared for v in vertices]
     chosen: list[int] = []
 
     def place(level: int, free: int) -> bool:
@@ -201,7 +193,7 @@ def _rainbow(through: Sequence[int], edges: Sequence[KSubset], avail: int,
             return True
         for i in iter_bits(candidates[level] & free):
             chosen.append(i)
-            if place(level + 1, free & ~_meeting(edges[i], through)):
+            if place(level + 1, free & ~_meeting(through, edges[i])):
                 return True
             chosen.pop()
         return False
@@ -239,7 +231,7 @@ def find_matching_by_degree(
         why = f"ks = {k * s} > n" if k else "a 0-uniform family has at most one edge"
         raise DomainError(f"no {s} disjoint {k}-sets fit on n = {n} vertices: {why}")
     threshold = _degree_threshold(n, k, s)
-    inside = n >= 3 * k * k * s and min(vertex_degrees(family), default=0) > threshold
+    inside = n >= 3 * k * k * s and _delta1(family) > threshold
     if not inside:
         if strict:
             raise DomainError(
@@ -280,13 +272,13 @@ def _construct(family: Family, edges: Sequence[KSubset], s: int) -> tuple[list[i
         high = k * (s - 1) * pair_bound
         p = deg.index(max(deg))
         if deg[p] > high:
-            star = through[alive[p] - 1]
+            star = through[alive[p]]
             pending.append(avail & star)
             trace.append({"s": s, "branch": "high-degree-vertex", "vertex": p + 1,
                           "degree": deg[p], "threshold": high})
             avail &= ~star
             del alive[p]
-            deg = [(avail & through[u - 1]).bit_count() for u in alive]
+            deg = [(avail & through[u]).bit_count() for u in alive]
             s -= 1
             if min(deg, default=0) <= _degree_threshold(n - 1, k, s):
                 raise ContradictionError("vertex deletion lost the degree hypothesis")
@@ -304,12 +296,12 @@ def _construct(family: Family, edges: Sequence[KSubset], s: int) -> tuple[list[i
     else:  # early exit: on a family this dense the first edges meet a partner
         # (avail & -(2 << i) keeps the edges after edge i; x & -x is x's lowest bit)
         chosen = next(([i, (later & -later).bit_length() - 1] for i in iter_bits(avail)
-                       if (later := avail & -(2 << i) & ~_meeting(edges[i], through))), None)
+                       if (later := avail & -(2 << i) & ~_meeting(through, edges[i]))), None)
         if chosen is None:
             raise ContradictionError("no two disjoint edges although the degree hypothesis holds")
         trace.append({"s": 2, "branch": "pair-scan"})
     for candidates, entry in zip(reversed(pending), trace[-2::-1]):
-        free = candidates & ~_meeting([v for i in chosen for v in edges[i]], through)
+        free = candidates & ~_meeting(through, [v for i in chosen for v in edges[i]])
         if not free:
             raise ContradictionError(f"{entry['branch']}: no edge avoids the partial matching")
         chosen.append((free & -free).bit_length() - 1)
@@ -375,7 +367,7 @@ def threshold_report(family: Family, s: int) -> ThresholdReport:
     n, k = family.n, family.k
     _check_matching_size("threshold_report", s, n)
     threshold = _degree_threshold(n, k, s)
-    delta = min(vertex_degrees(family), default=0)
+    delta = _delta1(family)
     nu_star = fractional_matching(family).objective
     return ThresholdReport(
         n=n, k=k, d=1, s=s, threshold=threshold, delta=delta,

@@ -53,10 +53,11 @@ class ScanReport:
 class _Shape:
     """The scans' tables over the colex ranks of the k-subsets of [n].
 
-    ``stars`` is the complete family's ``through`` (``stars[v-1]`` holds the
-    ranks containing v) and ``ksets[r]`` its edge of rank r; :func:`meet_rows`
-    ORs the stars into the ranks meeting rank r, ``meet[r]`` leaves r itself
-    out and ``disjoint[r]`` holds the ranks disjoint from r.
+    ``stars`` is the complete family's ``through``, whose support is [n]
+    (``stars[v]`` holds the ranks containing v), and ``ksets[r]`` its edge of
+    rank r; :func:`meet_rows` ORs the stars into the ranks meeting rank r,
+    ``meet[r]`` leaves r itself out and ``disjoint[r]`` holds the ranks
+    disjoint from r.
 
     For byte position i and byte value b, ``packed[i][b]`` is the packed
     degree vector of the ranks 8i + j with bit j of b set (vertex v's count

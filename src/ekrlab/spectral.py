@@ -43,14 +43,7 @@ from math import comb
 
 from . import limits
 from .errors import ContradictionError, DomainError, ResourceLimitError
-from .families import Family, _digit_rows, binomial, meet_rows, vertex_degrees
-
-
-def _comb_nonneg(n: int, r: int) -> int:
-    """Binomial that treats a negative upper index as an empty count."""
-    if n < 0:
-        return 0
-    return binomial(n, r)
+from .families import Family, _digit_rows, binomial, meet_rows
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def kneser_spectrum(n: int, k: int) -> KneserSpectrum:
         raise DomainError(f"kneser_spectrum needs 0 <= k <= n, got k={k}, n={n}")
     levels = []
     for j in range(k + 1):
-        lam = (-1) ** j * _comb_nonneg(n - k - j, k - j)
+        lam = (-1) ** j * (binomial(n - k - j, k - j) if n - k - j >= 0 else 0)
         mult = binomial(n, j) - (binomial(n, j - 1) if j >= 1 else 0)
         levels.append((j, lam, mult))
     return KneserSpectrum(n, k, tuple(levels))
@@ -120,7 +113,7 @@ def level_masses(family: Family) -> tuple[Fraction, Fraction, Fraction]:
     if n == k:
         raise DomainError(f"level_masses needs n > k: E_1 is empty at n = k = {n}")
     e = family.edge_count
-    f0, f1 = _masses(n, k, [e * e, sum(d * d for d in vertex_degrees(family))])
+    f0, f1 = _masses(n, k, [e * e, sum(d * d for d in family._degrees.values())])
     residual = e - f0 - f1
     return f0, f1, residual
 
@@ -148,30 +141,31 @@ def _subset_degree_sums(family: Family) -> list[int]:
     N_0 = e^2, and N_k = e since every k-set has degree 0 or 1.  Sizes
     1..k-1 come from a depth-first walk over the vertex subsets U of
     nonzero degree, in increasing vertex order: the edges through U are
-    the AND of U's rows of ``family.through``, a child adds one vertex
-    above U's last, and a zero AND ends the branch.  A U of degree 1 lies
-    in one edge E; its extensions by j of the m vertices of E above its
-    last add C(m, j) to N_{|U|+j}, so the walk stops there.
+    the AND of U's rows of ``family.through``, a child adds one vertex of
+    the support above U's last, and a zero AND ends the branch.  A U of
+    degree 1 lies in one edge E; its extensions by j of the m vertices of
+    E above its last add C(m, j) to N_{|U|+j}, so the walk stops there.
     """
     k, e = family.k, family.edge_count
     sums = [0] * (k + 1)
     sums[0], sums[k] = e * e, e
     if k < 2 or not e:
         return sums
-    n, rows, tuples, top = family.n, family.through, family.edge_tuples(), k - 1
+    support, rows = list(family.through), list(family.through.values())
+    tuples, top = family.edge_tuples(), k - 1
     pascal = [[comb(m, j) for j in range(m + 1)] for m in range(k)]
 
     def walk(size: int, edges: int, start: int) -> None:
-        for v in range(start, n):
-            below = edges & rows[v]
+        for p in range(start, len(rows)):
+            below = edges & rows[p]
             if not below:
                 continue
             if below & (below - 1):
                 sums[size] += below.bit_count() ** 2
                 if size < top:
-                    walk(size + 1, below, v + 1)
+                    walk(size + 1, below, p + 1)
             else:
-                m = top - tuples[below.bit_length() - 1].index(v + 1)  # its vertices above v + 1
+                m = top - tuples[below.bit_length() - 1].index(support[p])  # its vertices above
                 for j, c in enumerate(pascal[m][: top - size + 1]):
                     sums[size + j] += c
 

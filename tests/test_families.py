@@ -277,13 +277,13 @@ def test_intersecting_iff_no_disjoint_pairs():
 
 def test_incidence_and_meets_of_a_small_family():
     fam = Family.from_edges(5, 2, [(1, 2), (2, 3), (4, 5)])  # colex: 12, 23, 45
-    assert fam.through == (0b001, 0b011, 0b010, 0b100, 0b100)
+    assert list(fam.through.items()) == [(1, 0b001), (2, 0b011), (3, 0b010), (4, 0b100), (5, 0b100)]
     assert list(meet_rows(fam.through, fam.edge_tuples())) == [0b011, 0b011, 0b100]
     # the complete family's incidence bitsets are the stars
     full = complete(6, 3)
-    assert full.through == tuple(star(6, 3, v).edges for v in range(1, 7))
-    assert Family.empty(3, 3).through == (0, 0, 0)
-    assert list(meet_rows((0, 0, 0), [])) == []
+    assert list(full.through.items()) == [(v, star(6, 3, v).edges) for v in range(1, 7)]
+    assert Family.empty(3, 3).through == {}
+    assert list(meet_rows({}, [])) == []
 
 
 @st.composite
@@ -305,7 +305,62 @@ def small_rank_sets(draw):
 def test_through_matches_the_transposed_masks(nkr):
     n, k, ranks = nkr
     fam = Family.from_ranks(n, k, sum(1 << r for r in ranks))
-    assert fam.through == transposed_masks(fam.edge_tuples(), n)
+    masks = transposed_masks(fam.edge_tuples(), n)
+    assert list(fam.through.items()) == [(v, row) for v, row in enumerate(masks, 1) if row]
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two families of one (n, k), drawn independently, so their supports
+    usually differ; isolated vertices, empty families, n = 0 and k = 1 included."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    n = draw(st.integers(min_value=k, max_value=10))
+    return draw(small_families(n=n, k=k)), draw(small_families(n=n, k=k))
+
+
+def _check_support_keyed_state(fam: Family) -> None:
+    edges, n = fam.edge_tuples(), fam.n
+    counts = [sum(v in e for e in edges) for v in range(1, n + 1)]
+    masks = transposed_masks(edges, n)
+    support = [v for v in range(1, n + 1) if counts[v - 1]]
+    assert list(fam.through) == support == sorted(fam._degrees)
+    assert list(fam.through.values()) == [masks[v - 1] for v in support]
+    assert vertex_degrees(fam) == counts
+    assert ekrlab.families._delta1(fam) == min(counts, default=0)
+    if fam.k >= 2:
+        assert min_degree(fam, 1) == min(counts, default=0)
+        assert [degree(fam, (v,)) for v in range(1, n + 1)] == counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_shape_pairs())
+@example((Family.empty(0, 0), Family.from_ranks(0, 0, 1)))
+@example((Family.from_edges(6, 1, [(1,), (4,)]), Family.from_edges(6, 1, [(2,)])))
+@example((Family.from_edges(5, 2, [(1, 2)]), Family.from_edges(5, 2, [(1, 3), (1, 4)])))
+@example((Family.from_edges(5, 2, [(1, 3), (1, 4)]), Family.from_edges(5, 2, [(1, 2)])))
+@example((Family.empty(7, 3), Family.from_edges(7, 3, [(2, 3, 4)])))
+@example((Family.from_edges(7, 3, [(1, 2, 3)]), Family.from_edges(7, 3, [(4, 5, 6)])))
+def test_per_vertex_state_is_keyed_by_the_support(pair):
+    # rows and degrees are kept for the vertices on some edge only; every
+    # reader treats a vertex off the support as degree 0 with an empty row
+    left, right = pair
+    _check_support_keyed_state(left)
+    _check_support_keyed_state(right)
+    cross = pairwise_are_cross_intersecting(left.edge_tuples(), right.edge_tuples())
+    assert are_cross_intersecting(left, right) == cross
+    if left.k >= 2 and left.n >= 2 * left.k + 1:
+        if not cross:
+            with pytest.raises(DomainError, match="not cross-intersecting"):
+                cross_certificate(left, right)
+        else:
+            cert = cross_certificate(left, right)
+            assert (cert.delta1_b, cert.delta1_c) == (min_degree(left, 1), min_degree(right, 1))
+
+
+def test_per_vertex_state_of_a_wide_ground_set_has_one_entry_per_edge_vertex():
+    # five singletons on n = 1.6 * 10^7: no row or degree for the other vertices
+    fam = Family.from_edges(16_000_000, 1, [(1,), (5,), (777,), (12345,), (16_000_000,)])
+    assert len(fam.through) == len(fam._degrees) == 5
 
 
 def test_cross_intersecting_transposes_the_left_family_only(monkeypatch):

@@ -656,17 +656,19 @@ def test_packing_lp_on_a_wide_ground_set_fits_in_512_mib(tmp_path, mode, n):
     assert json.loads(result.stdout)["fields"]["objective"] == "5"
 
 
-@pytest.mark.parametrize("extra, fields", [
-    ([], {"matching_number": 5, "witness": "{1} {5} {777} {12345} {16000000}"}),
-    (["--construct-degree", "2"], {"matching": "{1} {5}", "trace": "outside-guarantee"}),
-], ids=["exact", "--construct-degree-2"])
-def test_exact_matching_on_a_wide_ground_set_fits_in_512_mib(tmp_path, extra, fields):
+@pytest.mark.parametrize("command, extra, fields", [
+    ("matching", [], {"matching_number": 5, "witness": "{1} {5} {777} {12345} {16000000}"}),
+    ("matching", ["--construct-degree", "2"], {"matching": "{1} {5}", "trace": "outside-guarantee"}),
+    ("spectrum", [], {"edges": 5, "quadratic_form": 20, "residual": "0"}),
+], ids=["exact", "--construct-degree-2", "spectrum"])
+def test_exact_matching_on_a_wide_ground_set_fits_in_512_mib(tmp_path, command, extra, fields):
     # each search node counts degrees on the rows nonzero at its root, not
-    # on all n rows: n-entry degree lists and heaps at every node did not fit
+    # on all n rows: n-entry degree lists and heaps at every node did not fit;
+    # degrees and rows are kept per vertex on some edge, not per vertex of [n]
     path = tmp_path / "k1-wider.json"
     path.write_text('{"n": 16000000, "k": 1, "edges": [[1], [5], [777], [12345], [16000000]]}')
     result = subprocess.run(
-        [sys.executable, "-m", "ekrlab", "matching", str(path), *extra, "--json"],
+        [sys.executable, "-m", "ekrlab", command, str(path), *extra, "--json"],
         capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space_512,
     )
     assert (result.returncode, result.stderr) == (0, "")

@@ -157,24 +157,25 @@ def test_300_singletons_pin_their_nodes_and_greedy_covers(monkeypatch):
 def test_lazy_greedy_cover_matches_the_rescanning_loop(fam, data):
     avail = data.draw(st.integers(min_value=0, max_value=(1 << fam.edge_count) - 1))
     rows, degrees = _root_rows_and_degrees(avail, fam.through)
-    assert _greedy_cover_bound(avail, rows, degrees) == rescanning_greedy_cover(avail, fam.through)
+    through = list(fam.through.values())
+    assert _greedy_cover_bound(avail, rows, degrees) == rescanning_greedy_cover(avail, through)
 
 
 def _root_rows_and_degrees(avail, through):
     # what a search node hands the greedy cover: the rows nonzero at the
     # root, in vertex order, and their degrees, counted once
-    rows = [row for row in through if row & avail]
+    rows = [row for row in through.values() if row & avail]
     return rows, [(avail & row).bit_count() for row in rows]
 
 
-class _CountingTuple(tuple):
-    """A tuple that counts the calls of ``__iter__`` on it."""
+class _CountingDict(dict):
+    """A dict that counts the calls of ``values`` on it."""
 
     iterations = 0
 
-    def __iter__(self):
+    def values(self):
         self.iterations += 1
-        return super().__iter__()
+        return super().values()
 
 
 def _family_search(fam):
@@ -195,7 +196,7 @@ def test_max_matching_iterates_through_once_per_call(instance):
     # the root keeps the rows that can be nonzero, and every node reads
     # only those: no node walks all n rows of ``through`` again
     avail, through, edges, k = instance()
-    counted = _CountingTuple(through)
+    counted = _CountingDict(through)
     expected = _max_matching(avail, through, edges, k, None)
     assert _max_matching(avail, counted, edges, k, None) == expected
     assert counted.iterations == 1
@@ -258,7 +259,7 @@ def test_lazy_greedy_cover_matches_the_rescanning_loop_on_shape_tables(shape):
     n, k, bits = shape
     stars = search._shape(n, k).stars
     rows, degrees = _root_rows_and_degrees(bits, stars)
-    assert _greedy_cover_bound(bits, rows, degrees) == rescanning_greedy_cover(bits, stars)
+    assert _greedy_cover_bound(bits, rows, degrees) == rescanning_greedy_cover(bits, list(stars.values()))
 
 
 def test_matching_number_at_least_short_circuit():

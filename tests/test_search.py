@@ -167,7 +167,8 @@ def test_scan_json_reports_are_pinned(argv, digest, capsys):
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (8, 3)])
 def test_shape_tables_match_quadratic_oracle(n, k):
     shape = search._shape(n, k)
-    assert (shape.stars, shape.meet, shape.disjoint) == quadratic_kneser_tables(n, k)
+    assert list(shape.stars) == list(range(1, n + 1))
+    assert (tuple(shape.stars.values()), shape.meet, shape.disjoint) == quadratic_kneser_tables(n, k)
     assert list(shape.ksets) == colex_list(n, k)
     # the byte tables hold the same rows: one rank's entry is its own row and column
     for r, row in enumerate(shape.disjoint):
