@@ -193,8 +193,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     if n < 2 * k + 1:
         raise DomainError(f"ekr_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
     e = family.edge_count
-    top = max(family._degrees.values(), default=0)
-    if top != e and not is_intersecting(family):  # a star intersects
+    if not is_intersecting(family):
         raise DomainError("ekr_certificate requires an intersecting family")
 
     delta1 = _delta1(family)
@@ -222,7 +221,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     else:
         dichotomy = Dichotomy.INCONCLUSIVE
 
-    is_star = e == star_count and e > 0 and top == e
+    is_star = e == star_count and e > 0 and max(family._degrees.values()) == e
 
     return EkrCertificate(
         n=n, k=k, e=e, delta1=delta1, f0=f0, f1=f1, residual=residual,
@@ -263,16 +262,6 @@ class CrossCertificate:
     product_bound_holds: bool
 
 
-def _share_center(left: Family, right: Family) -> bool:
-    """True iff both families have one (n, k) and a vertex on all their edges."""
-    if (left.n, left.k) != (right.n, right.k):
-        return False
-    full = (left.edge_count, right.edge_count)
-    # a center lies on the support of a nonempty side; with no edges every vertex is one
-    on = left._degrees or right._degrees or range(1, left.n + 1)
-    return any((left._degrees[v], right._degrees[v]) == full for v in on)
-
-
 def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     """Certify the cross-intersecting mass bound and the degree product bound.
 
@@ -285,9 +274,7 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
         raise DomainError(f"cross_certificate needs k >= 2, got k={k}")
     if n < 2 * k + 1:
         raise DomainError(f"cross_certificate needs n >= 2k+1 = {2 * k + 1}, got n={n}")
-    # two stars with one center cross-intersect; else are_cross_intersecting
-    # transposes left, the costly check last, and refuses unequal shapes
-    if not (_share_center(left, right) or are_cross_intersecting(left, right)):
+    if not are_cross_intersecting(left, right):  # refuses unequal shapes too
         raise DomainError("families are not cross-intersecting")
 
     _, b1, _ = level_masses(left)

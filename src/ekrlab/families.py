@@ -163,18 +163,17 @@ def _decode_blocks(bits: int, k: int, n: int, e: int) -> tuple[KSubset, ...]:
     return tuple(tuples)
 
 
-def _digit_rows(edges: Sequence[KSubset], base: int, width: int = 1) -> dict[int, int]:
-    """For each vertex on some edge, an int read in ``base`` with ``width``
-    digits per edge, edge 0 lowest: the last digit of edge i's group is 1 iff
-    edge i holds the vertex, every other digit 0.  Each edge, last first,
-    writes a "1" into the digit row of each of its vertices; one ``int``
-    per row, linear for a power-of-two base.
+def _digit_rows(edges: Sequence[KSubset], width: int) -> dict[int, int]:
+    """For each vertex on some edge, a binary row with a field of ``width``
+    bits per edge, edge 0 lowest: edge i's field holds 1 iff edge i holds the
+    vertex, else 0.  Each edge, last first, writes a "1" into the low bit of
+    its field in the row of each of its vertices; one ``int`` per row.
     """
     blank, rows = b"0" * (len(edges) * width), defaultdict(lambda: bytearray(blank))
     for i, edge in zip(range(width - 1, len(blank), width), reversed(edges)):
         for v in edge:
             rows[v][i] = 49  # ord("1")
-    return {v: int(row, base) for v, row in rows.items()}
+    return {v: int(row, 2) for v, row in rows.items()}
 
 
 def unrank_colex(r: int, k: int, n: int) -> KSubset:
@@ -273,8 +272,8 @@ class Family:
     def through(self) -> dict[int, int]:
         """Each vertex on some edge, ascending, to its row: bit i is set iff
         edge i contains the vertex (its star in the complete family), scattered
-        as binary digit rows.  Cached in the instance dict."""
-        rows = _digit_rows(self.edge_tuples(), 2)
+        as one-bit fields.  Cached in the instance dict."""
+        rows = _digit_rows(self.edge_tuples(), 1)
         return {v: rows[v] for v in sorted(rows)}
 
     @cached_property
@@ -328,12 +327,17 @@ def is_intersecting(family: Family) -> bool:
 
 
 def are_cross_intersecting(left: Family, right: Family) -> bool:
-    """True iff every edge of ``left`` meets every edge of ``right``."""
+    """True iff every edge of ``left`` meets every edge of ``right``: at once
+    from the cached degrees if a vertex of either support is on every edge of
+    both, else by transposing ``left`` (with no support, the meet rows decide)."""
     if (left.n, left.k) != (right.n, right.k):
         raise DomainError(
             f"cross-intersecting requires matching (n, k); "
             f"got ({left.n}, {left.k}) vs ({right.n}, {right.k})"
         )
+    sizes, ldeg, rdeg = (left.edge_count, right.edge_count), left._degrees, right._degrees
+    if any((ldeg[v], rdeg[v]) == sizes for v in ldeg or rdeg):
+        return True
     full = (1 << left.edge_count) - 1
     return all(row == full for row in meet_rows(left.through, right.edge_tuples()))
 
@@ -370,10 +374,7 @@ def degree_profile(family: Family, d: int) -> DegreeProfile:
     """Degrees of all d-subsets, computed by expanding each edge once."""
     if d < 0 or d >= family.k:
         raise DomainError(f"degree profile needs 0 <= d < k, got d={d}, k={family.k}")
-    counts: dict[KSubset, int] = {}
-    for e in family.edge_tuples():
-        for s in combinations(e, d):
-            counts[s] = counts.get(s, 0) + 1
+    counts = Counter(chain.from_iterable(combinations(e, d) for e in family._decoded))
     return DegreeProfile(family.n, d, counts)
 
 

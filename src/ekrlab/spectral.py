@@ -178,8 +178,7 @@ def _packed_degree_sums(family: Family) -> list[int]:
 
     Each E = F adds C(k, t); the pairs F != E meet in x <= k - 1 < 2^w
     vertices, w = (k-1).bit_length().  Every vertex gets one packed row
-    with a field per edge (w bits, or hex digit groups past base 32, the
-    widest power-of-two base ``int`` reads) holding 1 iff the edge holds
+    with a w-bit field per edge holding 1 iff the edge holds
     the vertex.  The sum of E's k rows holds x in field F; masked to the
     fields F < E, which no carry out of field E reaches, and split into w
     bit-planes, the AND of the planes of m's set bits marks the F whose x
@@ -192,14 +191,12 @@ def _packed_degree_sums(family: Family) -> list[int]:
     if k < 2 or not e:
         return sums
     w = (k - 1).bit_length()
-    base, digits = (1 << w, 1) if w <= 5 else (16, -(-w // 4))
-    field = digits * (base.bit_length() - 1)  # bits per field, at least w
     tuples = family.edge_tuples()
-    rows = _digit_rows(tuples, base, digits)
-    ones = int(("0" * (digits - 1) + "1") * e, base)  # bit 0 of every field
+    rows = _digit_rows(tuples, w)
+    ones = int(("0" * (w - 1) + "1") * e, 2)  # bit 0 of every field
     pairs = [e * (e - 1) // 2] + [0] * ((1 << w) - 1)  # pairs F < E, x a superset of m
     for i, edge in enumerate(tuples):
-        low = ones >> field * (e - i)  # bit 0 of every field F < E
+        low = ones >> w * (e - i)  # bit 0 of every field F < E
         total = 0
         for v in edge:
             total += rows[v]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import subprocess
+import sys
 from itertools import combinations, compress
 
 import pytest
@@ -14,6 +16,7 @@ from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import (
     _DENSE_RATIO as DENSE_RATIO,
     Family,
+    _digit_rows,
     are_cross_intersecting,
     binomial,
     degree,
@@ -309,6 +312,21 @@ def test_through_matches_the_transposed_masks(nkr):
     assert list(fam.through.items()) == [(v, row) for v, row in enumerate(masks, 1) if row]
 
 
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("edges", [
+    [], [()], [(3,)], [(1, 2), (2, 5), (1, 5), (3, 4)],
+    random_family_edge_count(random.Random(9), 9, 3, 20).edge_tuples(),
+], ids=["none", "k0", "k1", "k2", "random93"])
+def test_digit_rows_match_a_per_bit_oracle(edges, width):
+    # bit b of edge i's field is set iff b = 0 and edge i holds the vertex
+    rows = _digit_rows(edges, width)
+    assert sorted(rows) == sorted({v for e in edges for v in e})
+    for v, row in rows.items():
+        bits = [row >> b & 1 for b in range(width * len(edges) + width)]
+        assert bits == [int(b % width == 0 and b < width * len(edges) and v in edges[b // width])
+                        for b in range(width * len(edges) + width)]
+
+
 @st.composite
 def same_shape_pairs(draw):
     """Two families of one (n, k), drawn independently, so their supports
@@ -370,6 +388,63 @@ def test_cross_intersecting_transposes_the_left_family_only(monkeypatch):
     assert len(transposed) == 1 and transposed[0] is left  # left == right: test identity
 
 
+def _star_sub(n: int, k: int, center: int, keep: float, seed: int) -> Family:
+    rng = random.Random(seed)
+    return Family.from_edges(n, k, [e for e in star(n, k, center) if rng.random() < keep])
+
+
+def test_is_intersecting_decides_a_star_from_its_degrees(monkeypatch):
+    transposed = count_transpositions(monkeypatch)
+    assert is_intersecting(_star_sub(14, 5, 1, 0.9, 14))
+    assert transposed == []
+
+
+def test_same_center_pairs_are_decided_from_the_degrees(monkeypatch):
+    # a vertex on every edge of both sides, also when one side has no edges
+    left, right = _star_sub(14, 5, 3, 0.7, 1), _star_sub(14, 5, 3, 0.7, 2)
+    empty = Family.empty(14, 5)
+    transposed = count_transpositions(monkeypatch)
+    for pair in ((left, right), (right, left), (left, empty), (empty, right)):
+        assert are_cross_intersecting(*pair)
+    assert transposed == []
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (_star_sub(11, 4, 1, 0.7, 3), _star_sub(11, 4, 2, 0.7, 4)),
+    lambda: (star(11, 4, 1), star(11, 4, 2)),
+], ids=["star-subfamilies", "stars"])
+def test_stars_at_two_centers_transpose_the_left_family(monkeypatch, pair):
+    # Hilton-Milner pairs: test_cross_intersecting_transposes_the_left_family_only
+    left, right = pair()
+    transposed = count_transpositions(monkeypatch)
+    assert not are_cross_intersecting(left, right)
+    assert transposed == [left]
+
+
+def test_unequal_shapes_raise_before_transposing(monkeypatch):
+    transposed = count_transpositions(monkeypatch)
+    # one center on every edge of both sides does not pass two shapes
+    for left, right in ((star(9, 3), star(10, 3)), (star(10, 4), star(10, 3)),
+                        (star(9, 3), Family.empty(10, 3))):
+        with pytest.raises(DomainError, match="requires matching"):
+            are_cross_intersecting(left, right)
+    assert transposed == []
+
+
+@pytest.mark.parametrize("n", [0, 10**12])
+def test_k0_pairs_read_no_ground_set(n):
+    # one empty edge meets nothing; an empty side passes vacuously; no walk over [n]
+    code = (
+        "from ekrlab import Family, are_cross_intersecting as x, is_intersecting as i; "
+        f"one, none = Family.from_ranks({n}, 0, 1), Family.empty({n}, 0); "
+        "print(x(one, one), x(one, none), x(none, one), x(none, none), i(one), i(none))"
+    )
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=20)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "False True True True True True\n"
+
+
 def test_meet_questions_on_one_family_transpose_once(monkeypatch):
     transposed = count_transpositions(monkeypatch)
     fam = random_family_edge_count(random.Random(14), 9, 3, 30)
@@ -388,11 +463,15 @@ def _check_meet_predicates(fam: Family, other: Family) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_meet_predicates_match_pairwise_oracles(data):
-    # meet rows against the pairwise loops they replaced
-    fam = data.draw(small_families())
-    _check_meet_predicates(fam, data.draw(small_families(n=fam.n, k=fam.k)))
+@given(same_shape_pairs())
+@example((star(6, 3, 2), Family.from_edges(6, 3, [(1, 2, 3), (2, 4, 5)])))
+@example((star(6, 3, 1), star(6, 3, 2)))
+@example((Family.empty(6, 3), star(6, 3, 4)))
+@example((Family.from_edges(6, 3, [(1, 2, 3), (4, 5, 6)]), Family.empty(6, 3)))
+def test_meet_predicates_match_pairwise_oracles(pair):
+    # meet rows and the common-vertex shortcut against the pairwise loops:
+    # same-center, different-center and empty-side pairs pinned
+    _check_meet_predicates(*pair)
 
 
 @pytest.mark.parametrize("n, k", [(0, 0), (3, 0), (4, 1), (6, 3)])

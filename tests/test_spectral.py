@@ -312,9 +312,9 @@ def test_packed_pairs_match_pair_oracle_and_walk(fam):
     assert sums == _subset_degree_sums(fam)
 
 
-def test_packed_pairs_take_hex_fields_past_base_32(monkeypatch):
-    # k - 1 >= 32 needs w >= 6 bits per field, past int()'s digit bases;
-    # both gates raised, a sparse family at n = 2k decodes and gets its masses
+def test_packed_pairs_take_fields_of_five_to_seven_bits(monkeypatch):
+    # k = 31..65 needs w = 5..7 bits per field, w = 6 and 7 past int()'s digit
+    # bases; both gates raised, a sparse family at n = 2k gets its masses
     monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 1 << 200)
     monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 1 << 200)
     rng = random.Random(33)
