@@ -221,7 +221,7 @@ def ekr_certificate(family: Family) -> EkrCertificate:
     else:
         dichotomy = Dichotomy.INCONCLUSIVE
 
-    is_star = e == star_count and e > 0 and max(family._degrees.values()) == e
+    is_star = e == star_count and max(family._degrees.values()) == e
 
     return EkrCertificate(
         n=n, k=k, e=e, delta1=delta1, f0=f0, f1=f1, residual=residual,

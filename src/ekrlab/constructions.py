@@ -9,18 +9,28 @@ Isomorphic variants are obtained by relabeling.
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
-from .families import Family, binomial, gated_kset_count
+from .families import Family, gated_kset_count
 
 
-def _subsets(pool: Iterable[int], r: int) -> Iterator[tuple[int, ...]]:
-    """``combinations(pool, r)``, except that r = 0 gives () without reading
-    the pool: combinations copies its whole pool first, all of [n] at k = 1,
-    where the C(n,k) gate still lets n reach 2^24."""
-    return combinations(pool, r) if r else iter([()])
+def _junta(
+    n: int, k: int, core: Sequence[int], keep: Callable[[tuple[int, ...]], bool]
+) -> Iterator[tuple[int, ...]]:
+    """Every k-set of [n] whose trace A on ``core`` passes ``keep``: each kept
+    A joined to every (k - |A|)-set of the vertices outside the core.
+
+    A generator function, so nothing runs before ``Family.from_edges`` has
+    gated C(n,k).  A trace of size k reads no outside vertex: combinations
+    copies its whole pool, all of [n] at k = 1, where the gate lets n reach 2^24.
+    """
+    for j in range(max(0, k - n + len(core)), min(k, len(core)) + 1):
+        for a in filter(keep, combinations(core, j)):
+            outside = (v for v in range(1, n + 1) if v not in core) if j < k else ()
+            for b in combinations(outside, k - j):
+                yield a + b
 
 
 def star(n: int, k: int, center: int = 1) -> Family:
@@ -29,10 +39,7 @@ def star(n: int, k: int, center: int = 1) -> Family:
         raise DomainError(f"star needs 1 <= k <= n, got k={k}, n={n}")
     if center < 1 or center > n:
         raise DomainError(f"star center {center} outside [1, {n}]")
-    gated_kset_count(n, k)  # before any O(n) vertex list is built
-    rest = (v for v in range(1, n + 1) if v != center)
-    edges = (tuple(sorted((center,) + c)) for c in _subsets(rest, k - 1))
-    return Family.from_edges(n, k, edges)
+    return Family.from_edges(n, k, _junta(n, k, (center,), bool))
 
 
 def erdos_extremal(n: int, k: int, s: int, i: int) -> Family:
@@ -49,28 +56,23 @@ def erdos_extremal(n: int, k: int, s: int, i: int) -> Family:
         raise DomainError(f"need s*i - 1 <= n, got s*i-1={s * i - 1}, n={n}")
     if k > n:
         raise DomainError(f"need k <= n, got k={k}, n={n}")
-    gated_kset_count(n, k)
-    inside, outside = range(1, s * i), range(s * i, n + 1)
-    edges = (
-        a + b for j in range(i, k + 1) for a in combinations(inside, j) for b in _subsets(outside, k - j)
-    )
-    return Family.from_edges(n, k, edges)
+    return Family.from_edges(n, k, _junta(n, k, range(1, s * i), lambda a: len(a) >= i))
 
 
 def hilton_milner(n: int, k: int) -> Family:
     """The blocker k-set S = {2,...,k+1} plus all k-sets through 1 meeting S.
 
     Intersecting with empty common intersection; the extremal non-star
-    intersecting family.
+    intersecting family.  On the core {1,...,k+1} the kept traces are S
+    itself (the k-set missing 1) and every trace holding 1 and a vertex of S.
     """
     if n <= k:
         raise DomainError(f"need n >= k + 1, got n={n}, k={k}")
     if k < 1:
         raise DomainError(f"hilton-milner needs k >= 1, got k={k}")
-    gated_kset_count(n, k)
-    blocker = set(range(2, k + 2))
-    through_1 = ((1,) + c for c in _subsets(range(2, n + 1), k - 1) if blocker.intersection(c))
-    return Family.from_edges(n, k, chain([tuple(sorted(blocker))], through_1))
+    return Family.from_edges(
+        n, k, _junta(n, k, range(1, k + 2), lambda a: len(a) > 1 if 1 in a else len(a) == k)
+    )
 
 
 REMARK_EDGES = (
@@ -130,7 +132,18 @@ def fano() -> Family:
     return Family.from_edges(7, 3, FANO_EDGES)
 
 
-KINDS = ("star", "erdos-extremal", "hilton-milner", "remark", "random-halved", "complete", "fano")
+# kind -> (builder, required parameters, parameters passed through), in the
+# builder's argument order
+_BUILDERS = {
+    "star": (star, ("n", "k"), ("center",)),
+    "erdos-extremal": (erdos_extremal, ("n", "k", "s", "i"), ()),
+    "hilton-milner": (hilton_milner, ("n", "k"), ()),
+    "remark": (remark_family, (), ()),
+    "random-halved": (random_halved, ("k",), ("seed",)),
+    "complete": (complete, ("n", "k"), ()),
+    "fano": (fano, (), ()),
+}
+KINDS = tuple(_BUILDERS)
 
 
 def build_construction(
@@ -143,31 +156,13 @@ def build_construction(
     seed: int = 0,
 ) -> Family:
     """Dispatch a construction by kind name, validating required parameters."""
-
-    def need(**params: int | None) -> None:
-        missing = [name for name, value in params.items() if value is None]
-        if missing:
-            raise DomainError(f"construction '{kind}' requires --{', --'.join(missing)}")
-
-    if kind == "star":
-        need(n=n, k=k)
-        return star(n, k, center)
-    if kind == "erdos-extremal":
-        need(n=n, k=k, s=s, i=i)
-        return erdos_extremal(n, k, s, i)
-    if kind == "hilton-milner":
-        need(n=n, k=k)
-        return hilton_milner(n, k)
-    if kind == "remark":
-        return remark_family()
-    if kind == "random-halved":
-        need(k=k)
-        if n is not None and n != 2 * k:
-            raise DomainError(f"random-halved lives on [2k], got n={n} for k={k}")
-        return random_halved(k, seed)
-    if kind == "complete":
-        need(n=n, k=k)
-        return complete(n, k)
-    if kind == "fano":
-        return fano()
-    raise DomainError(f"unknown construction kind '{kind}' (choose from {', '.join(KINDS)})")
+    if kind not in _BUILDERS:
+        raise DomainError(f"unknown construction kind '{kind}' (choose from {', '.join(KINDS)})")
+    build, required, passed = _BUILDERS[kind]
+    params = {"n": n, "k": k, "s": s, "i": i, "center": center, "seed": seed}
+    missing = [name for name in required if params[name] is None]
+    if missing:
+        raise DomainError(f"construction '{kind}' requires --{', --'.join(missing)}")
+    if kind == "random-halved" and n is not None and n != 2 * k:
+        raise DomainError(f"random-halved lives on [2k], got n={n} for k={k}")
+    return build(*(params[name] for name in required + passed))

@@ -7,7 +7,7 @@ import pytest
 
 from ekrlab import constructions, limits
 from ekrlab.errors import DomainError, ResourceLimitError
-from ekrlab.families import binomial, is_intersecting, min_degree, vertex_degrees
+from ekrlab.families import Family, binomial, is_intersecting, min_degree, vertex_degrees
 from ekrlab.constructions import (
     build_construction,
     complete,
@@ -177,8 +177,33 @@ def test_oversized_construction_draws_no_kset(kind, monkeypatch):
     (lambda: erdos_extremal(8, 3, 0, 1), "need s >= 1, got s=0"),
     (lambda: erdos_extremal(4, 3, 3, 2), "need s*i - 1 <= n, got s*i-1=5, n=4"),
     (lambda: erdos_extremal(4, 5, 2, 1), "need k <= n, got k=5, n=4"),
-], ids=["star-k0", "star-k-above-n", "erdos-s0", "erdos-s-i", "erdos-k-above-n"])
+    (lambda: erdos_extremal(8, 3, 2, 0), "need 1 <= i <= k, got i=0, k=3"),
+    (lambda: hilton_milner(3, 0), "hilton-milner needs k >= 1, got k=0"),
+    (lambda: random_halved(1, 0), "need k >= 2, got k=1"),
+], ids=["star-k0", "star-k-above-n", "erdos-s0", "erdos-s-i", "erdos-k-above-n",
+        "erdos-i0", "hm-k0", "halved-k1"])
 def test_construction_refusals_name_their_bound(build, message):
     with pytest.raises(DomainError) as raised:
         build()
     assert str(raised.value) == message
+
+
+def _by_definition(n, k, holds):
+    return Family.from_edges(n, k, (e for e in itertools.combinations(range(1, n + 1), k) if holds(set(e))))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_constructions_match_their_definitions(n):
+    # each family against the filter of all k-sets of [n] that defines it
+    for k in range(1, n + 1):
+        for c in range(1, n + 1):
+            assert star(n, k, c) == _by_definition(n, k, lambda e: c in e)
+        if k < n:
+            blocker = set(range(2, k + 2))
+            assert hilton_milner(n, k) == _by_definition(
+                n, k, lambda e: e == blocker or (1 in e and bool(e & blocker))
+            )
+        for i in range(1, k + 1):
+            for s in range(1, (n + 1) // i + 1):
+                core = set(range(1, s * i))
+                assert erdos_extremal(n, k, s, i) == _by_definition(n, k, lambda e: len(e & core) >= i)

@@ -158,6 +158,9 @@ def test_scan_json_output_is_pinned(scan, digest, capsys):
      "4d70f1e008d3709cb1e17aef1f08085768c91da20255fdc7ee12ff78b5ab8fb3"),
     ("conjecture --n 7 --k 3 --s 2 --budget 400 --seed 3",
      "431315f033b7c72b0c54531d7485749a18070841aa5dbed44ba4dcc08c499f25"),
+    # at n = ks the scan reports over-bound families as rows without failing
+    ("conjecture --n 6 --k 3 --s 2 --budget 1000 --seed 4",
+     "7c7e03bd3249ee50a38b2463b41018fa11ceabe06c7f4263791528410855281d"),
 ])
 def test_scan_json_reports_are_pinned(argv, digest, capsys):
     assert dispatch(["scan", *argv.split(), "--json"]) == 0
