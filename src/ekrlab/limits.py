@@ -1,5 +1,7 @@
 """Resource limits for the exact solvers and enumerators, one constant each.
 
+The eigenspace masses have no limit of their own: they read a family's
+edges, which FAMILY_KSET_LIMIT bounds.
 A limit is its constant here and nothing else.  The gates read it as
 ``limits.NAME`` when they run, so a Python caller moves one limit by
 assigning it, e.g. ``ekrlab.limits.ENUM_KSET_LIMIT = 200`` before a (9,3)
@@ -10,11 +12,6 @@ scan, and tests patch it the same way.
 # 2^24 k-sets is a 2 MB bitset, where one edge at (40,20) would need 17 GB.
 FAMILY_KSET_LIMIT = 1 << 24
 
-# Largest e * 2^k for the eigenspace masses: it bounds the subsets of edges
-# that the subset-degree walk can visit.  It guards the packed pair counts
-# too, which the cost rule takes where they are cheaper, so the same
-# families are accepted and refused on either path.
-EIGEN_SUBSET_LIMIT = 1 << 20
 # Largest edge count accepted by the exact rational LP solver.
 LP_EDGE_LIMIT = 5000
 # Largest number of k-sets (Kneser vertices) for exhaustive enumeration.

@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import limits
-from .errors import ContradictionError, DomainError, ResourceLimitError
+from .errors import ContradictionError, DomainError
 from .families import Family, _digit_rows, binomial, meet_rows
 
 
@@ -240,8 +239,9 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     from the walk over ``family.through``, which visits at most e * 2^k
     subsets, or from the packed pair counts, which never transpose, when
     the walk's bound on its subsets exceeds 2 e k.  Needs n >= 2k so that
-    the k+1 level decomposition exists; raises ResourceLimitError when
-    e * 2^k exceeds EIGEN_SUBSET_LIMIT, whichever path would run.
+    the k+1 level decomposition exists.  Neither path has a gate of its
+    own: both read the decoded edges, which FAMILY_KSET_LIMIT gates, and
+    at its default C(2k,k) <= 2^24 holds only for k <= 13.
     """
     n, k = family.n, family.k
     if k < 1:
@@ -249,9 +249,6 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     if n < 2 * k:
         raise DomainError(f"eigen_mass_full needs n >= 2k, got n={n}, k={k}")
     e = family.edge_count
-    if e << k > limits.EIGEN_SUBSET_LIMIT:
-        raise ResourceLimitError(f"subset-degree updates e * 2^k = {e} * 2^{k} = {e << k} "
-                                 f"exceed EIGEN_SUBSET_LIMIT = {limits.EIGEN_SUBSET_LIMIT}")
     cheaper = _packed_degree_sums if _packed_is_cheaper(n, k, e) else _subset_degree_sums
     sums = cheaper(family)
     masses = _masses(n, k, sums)

@@ -180,8 +180,10 @@ def test_oversized_construction_draws_no_kset(kind, monkeypatch):
     (lambda: erdos_extremal(8, 3, 2, 0), "need 1 <= i <= k, got i=0, k=3"),
     (lambda: hilton_milner(3, 0), "hilton-milner needs k >= 1, got k=0"),
     (lambda: random_halved(1, 0), "need k >= 2, got k=1"),
+    (lambda: complete(5, 6), "complete needs 0 <= k <= n, got k=6, n=5"),
+    (lambda: complete(5, -1), "complete needs 0 <= k <= n, got k=-1, n=5"),
 ], ids=["star-k0", "star-k-above-n", "erdos-s0", "erdos-s-i", "erdos-k-above-n",
-        "erdos-i0", "hm-k0", "halved-k1"])
+        "erdos-i0", "hm-k0", "halved-k1", "complete-k-above-n", "complete-k-negative"])
 def test_construction_refusals_name_their_bound(build, message):
     with pytest.raises(DomainError) as raised:
         build()

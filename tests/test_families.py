@@ -35,7 +35,7 @@ from ekrlab.constructions import complete, hilton_milner, remark_family, star
 from ekrlab.lp import fractional_cover
 from ekrlab.matching import matching_number
 from ekrlab.search import maximal_intersecting
-from ekrlab.spectral import disjoint_pairs, eigen_mass_full
+from ekrlab.spectral import disjoint_pairs
 
 from conftest import (
     count_decodes, count_transpositions, random_family, random_family_edge_count, small_families,
@@ -142,11 +142,10 @@ def test_a_lowered_family_limit_gates_decodes_of_a_cached_shape(monkeypatch):
 
 @pytest.mark.parametrize("name, value, call", [
     ("FAMILY_KSET_LIMIT", 100, lambda: Family.from_edges(12, 4, [])),
-    ("EIGEN_SUBSET_LIMIT", 10, lambda: eigen_mass_full(star(9, 4, 1))),
     ("LP_EDGE_LIMIT", 10, lambda: fractional_cover(complete(8, 3))),
     ("ENUM_KSET_LIMIT", 10, lambda: maximal_intersecting(6, 2)),
     ("MATCHING_NODE_LIMIT", 1, lambda: matching_number(complete(7, 3))),
-], ids=["FAMILY", "EIGEN", "LP", "ENUM", "MATCHING"])
+], ids=["FAMILY", "LP", "ENUM", "MATCHING"])
 def test_every_limit_refusal_names_its_constant(name, value, call, monkeypatch):
     call()  # passes at the default
     monkeypatch.setattr(limits, name, value)
@@ -267,8 +266,11 @@ def test_subset_degree_bound():
             profile = degree_profile(fam, d)
             cap = binomial(7 - d, 3 - d)
             assert all(0 <= c <= cap for c in profile.degrees.values())
+            assert profile.maximum() <= cap
     full = complete(7, 3)
     assert all(c == binomial(5, 1) for c in degree_profile(full, 2).degrees.values())
+    assert degree_profile(full, 2).maximum() == binomial(5, 1)
+    assert degree_profile(Family.empty(7, 3), 1).maximum() == 0
 
 
 def test_intersecting_iff_no_disjoint_pairs():

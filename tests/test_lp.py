@@ -134,18 +134,25 @@ def test_lp_pair_property(fam):
     assert abs(float(nu.objective) - fractional_matching_value(fam.n, fam.edge_tuples())) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "delta, message", [(1, "duality gap"), (-1, "is not covered")], ids=["gap", "uncovered"]
-)
-def test_failed_certificate_is_a_contradiction(delta, message, tmp_path, monkeypatch, capsys):
-    # one more on a cover numerator leaves a duality gap; one less uncovers an edge
+@pytest.mark.parametrize("perturb, message", [
+    (lambda x, y, d: (x, {**y, 1: y[1] + 1}), "duality gap"),
+    (lambda x, y, d: (x, {**y, 1: y[1] - 1}), "is not covered"),
+    (lambda x, y, d: ([d + 1, *x[1:]], y), r"^matching weight 25/24 outside \[0, 1\]$"),
+    (lambda x, y, d: ([x[0] + 1, *x[1:]], y), "^fractional matching overloads a vertex$"),
+    (lambda x, y, d: (x, {**y, 1: d + 1}), r"^cover weight 25/24 at vertex 1 outside \[0, 1\]$"),
+], ids=["gap", "uncovered", "matching-weight", "overload", "cover-weight"])
+def test_failed_certificate_is_a_contradiction(perturb, message, tmp_path, monkeypatch, capsys):
+    # on Fano every numerator is 8 over d = 24, and every vertex load is d:
+    # one more on a cover numerator leaves a duality gap, one less uncovers an
+    # edge; one more on a matching numerator overloads its vertices, and a
+    # numerator of d + 1 is a weight above 1
     # a failed solve is not kept: each call on the same family solves again
     solve, calls = lp._solve_packing, [0]
 
     def perturbed(edges):
         calls[0] += 1
         x, y, d = solve(edges)
-        return x, {**y, 1: y[1] + delta}, d
+        return (*perturb(x, y, d), d)
 
     monkeypatch.setattr(lp, "_solve_packing", perturbed)
     fam = fano()

@@ -278,7 +278,7 @@ def test_ekr_degree_scan_5_2():
     assert report.best["num_at_max"] == 5
     assert report.best["all_at_max_are_stars"]
     assert report.best["nonstar_max_delta1"] == 0
-    assert not report.violations
+    assert not report.violations and report.passed
 
 
 def test_ekr_degree_scan_records_each_violation(monkeypatch, capsys):
@@ -287,6 +287,7 @@ def test_ekr_degree_scan_records_each_violation(monkeypatch, capsys):
     real = search.binomial
     monkeypatch.setattr(search, "binomial", lambda n, r: real(n, r) - ((n, r) == (3, 0)))
     report = ekr_degree_scan(5, 2)
+    assert not report.passed
     cliques = [family.edge_tuples() for family in maximal_intersecting(5, 2)]
     assert [v["edges"] for v in report.violations] == [e for e in cliques if len(e) == 3]
     assert sorted(v["edges"] for v in report.violations) == sorted(

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from ekrlab import limits, spectral
 from ekrlab.cli import dispatch
-from ekrlab.errors import DomainError, ResourceLimitError
+from ekrlab.errors import ContradictionError, DomainError
 from ekrlab.families import Family, binomial, is_intersecting
 from ekrlab.constructions import complete, remark_family, star
 from ekrlab.io import serialize_family
 from ekrlab.spectral import (
+    SpectralMass,
     _packed_degree_sums,
     _subset_degree_sums,
     disjoint_pairs,
@@ -173,12 +174,6 @@ def test_eigenvalue_lower_bound_grid():
                     assert lam >= floor
 
 
-def test_resource_limit(monkeypatch):
-    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 10)
-    with pytest.raises(ResourceLimitError):
-        eigen_mass_full(star(9, 4, 1))
-
-
 def test_rejects_n_below_2k():
     with pytest.raises(DomainError):
         eigen_mass_full(Family.from_edges(5, 3, [(1, 2, 3)]))
@@ -314,9 +309,8 @@ def test_packed_pairs_match_pair_oracle_and_walk(fam):
 
 def test_packed_pairs_take_fields_of_five_to_seven_bits(monkeypatch):
     # k = 31..65 needs w = 5..7 bits per field, w = 6 and 7 past int()'s digit
-    # bases; both gates raised, a sparse family at n = 2k gets its masses
+    # bases; the family gate raised, a sparse family at n = 2k gets its masses
     monkeypatch.setattr(limits, "FAMILY_KSET_LIMIT", 1 << 200)
-    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 1 << 200)
     rng = random.Random(33)
     for k in (31, 32, 33, 40, 65):
         ranks = rng.sample(range(binomial(k + 3, k)), 9)  # edges inside [k + 3]
@@ -364,16 +358,43 @@ def test_masses_at_24_6():
     check_mass_identities(fam, eigen_mass_full(fam))
 
 
-def test_subset_update_limit(tmp_path, monkeypatch, capsys):
-    fam = star(7, 3, 1)  # 15 edges: 15 * 2^3 = 120 subset-degree updates
-    assert eigen_mass_full(fam).masses == (Fraction(45, 7), Fraction(60, 7), 0, 0)
-    path = tmp_path / "star.json"
+# e * 2^k of 8.2M and 2.5M: the masses need no gate beyond the family's own
+@pytest.mark.parametrize("n, k, e", [(24, 12, 2000), (26, 13, 300)])
+def test_masses_of_large_k_families(n, k, e):
+    fam = random_family_edge_count(random.Random(n * k + e), n, k, e)
+    check_mass_identities(fam, eigen_mass_full(fam))
+    if k == 13:
+        assert _packed_degree_sums(fam) == inner_distribution_by_pairs(fam)
+
+
+def test_masses_of_complete_100_3():
+    assert eigen_mass_full(complete(100, 3)).masses == (161700, 0, 0, 0)
+
+
+def test_spectrum_full_at_26_13(tmp_path, capsys):
+    fam = random_family_edge_count(random.Random(26 * 13 + 300), 26, 13, 300)
+    path = tmp_path / "r2613.json"
     path.write_bytes(serialize_family(fam))
-    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 119)
-    assert dispatch(["spectrum", str(path), "--full"]) == 3
-    monkeypatch.setattr(limits, "EIGEN_SUBSET_LIMIT", 120)
     assert dispatch(["spectrum", str(path), "--full"]) == 0
-    capsys.readouterr()
+    assert "rows: 14 " in capsys.readouterr().out  # F_0..F_13
+
+
+def test_masses_off_the_edge_count_are_a_contradiction():
+    with pytest.raises(ContradictionError, match="^eigenspace masses do not sum to the edge count$"):
+        SpectralMass(7, 3, (Fraction(45, 7), Fraction(60, 7), 0, 1), 0, Fraction(15))
+
+
+def test_masses_off_the_quadratic_form_are_a_contradiction(monkeypatch):
+    # one unit moved from F_1 to F_2 on star(7, 3) keeps the sum and breaks sum lambda_j F_j
+    masses = spectral._masses
+
+    def moved(n, k, sums):
+        out = masses(n, k, sums)
+        return [out[0], out[1] - 1, out[2] + 1, *out[3:]]
+
+    monkeypatch.setattr(spectral, "_masses", moved)
+    with pytest.raises(ContradictionError, match="^eigenspace masses violate the quadratic-form identity$"):
+        eigen_mass_full(star(7, 3, 1))
 
 
 @pytest.mark.parametrize("call, message", [
