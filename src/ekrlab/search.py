@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from operator import getitem, or_
 
 from .errors import ContradictionError, DomainError
-from .families import Family, binomial, gated_kset_count, iter_bits, meet_rows
+from .families import Family, _stars, binomial, gated_kset_count, iter_bits, meet_rows
 from .matching import _degree_threshold, _max_matching, matching_number
 
 from .constructions import erdos_extremal
@@ -53,11 +53,10 @@ class ScanReport:
 class _Shape:
     """The scans' tables over the colex ranks of the k-subsets of [n].
 
-    ``stars`` is the complete family's ``through``, whose support is [n]
-    (``stars[v]`` holds the ranks containing v), and ``ksets[r]`` its edge of
-    rank r; :func:`meet_rows` ORs the stars into the ranks meeting rank r,
-    ``meet[r]`` leaves r itself out and ``disjoint[r]`` holds the ranks
-    disjoint from r.
+    ``stars`` is the shape's :func:`families._stars` (``stars[v]`` holds the
+    ranks containing v, for v in [n]) and ``ksets[r]`` the k-set of rank r;
+    :func:`meet_rows` ORs the stars into the ranks meeting rank r, ``meet[r]``
+    leaves r itself out and ``disjoint[r]`` holds the ranks disjoint from r.
 
     For byte position i and byte value b, ``packed[i][b]`` is the packed
     degree vector of the ranks 8i + j with bit j of b set (vertex v's count
@@ -72,8 +71,8 @@ class _Shape:
 
     def __init__(self, n: int, k: int) -> None:
         full = (1 << binomial(n, k)) - 1
-        complete = Family.from_ranks(n, k, full)
-        self.stars, self.ksets = stars, ksets = complete.through, tuple(complete.edge_tuples())
+        self.stars = stars = _stars(n, k)
+        self.ksets = ksets = tuple(Family.from_ranks(n, k, full).edge_tuples())
         reach = tuple(meet_rows(stars, ksets))
         self.meet = tuple(m & ~(1 << r) for r, m in enumerate(reach))
         self.disjoint = disjoint = tuple(full ^ m for m in reach)

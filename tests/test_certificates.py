@@ -340,11 +340,17 @@ def test_stars_skip_the_meet_checks(monkeypatch):
     assert ekr_certificate(sub).e == sub.edge_count
     assert cross_certificate(left, right).size_b == left.edge_count
     assert transposed == []
+    # Hilton-Milner families: within the star rule (11,4) their one edge off
+    # the hub is checked against the stars, past it (30,4) each is transposed
     hm, hm_again = hilton_milner(11, 4), hilton_milner(11, 4)
     ekr_certificate(hm)
-    assert transposed == [hm]
     cross_certificate(hm_again, hm_again)
-    assert transposed == [hm, hm_again]
+    assert transposed == []
+    wide, wide_again = hilton_milner(30, 4), hilton_milner(30, 4)
+    ekr_certificate(wide)
+    assert transposed == [wide]
+    cross_certificate(wide_again, wide_again)
+    assert transposed == [wide, wide_again]
 
 
 def test_star_refusals_are_unchanged():

@@ -4,7 +4,8 @@ import dataclasses
 import random
 import subprocess
 import sys
-from itertools import combinations, compress
+from collections import Counter
+from itertools import chain, combinations, compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,8 +16,11 @@ from ekrlab import limits
 from ekrlab.errors import DomainError, ResourceLimitError
 from ekrlab.families import (
     _DENSE_RATIO as DENSE_RATIO,
+    _STAR_RATIO as STAR_RATIO,
     Family,
     _digit_rows,
+    _star_table,
+    _stars,
     are_cross_intersecting,
     binomial,
     degree,
@@ -384,10 +388,17 @@ def test_per_vertex_state_of_a_wide_ground_set_has_one_entry_per_edge_vertex():
 
 
 def test_cross_intersecting_transposes_the_left_family_only(monkeypatch):
-    transposed = count_transpositions(monkeypatch)
+    # within the star rule (11,4) neither side is decoded or transposed: the
+    # one edge off the hub is checked against the stars; past it (30,4) the
+    # left family is transposed and no other
     left, right = hilton_milner(11, 4), hilton_milner(11, 4)
+    wide_left, wide_right = hilton_milner(30, 4), hilton_milner(30, 4)
+    assert _star_table(left) is not None and _star_table(wide_left) is None
+    transposed, decodes = count_transpositions(monkeypatch), count_decodes(monkeypatch)
     assert are_cross_intersecting(left, right)
-    assert len(transposed) == 1 and transposed[0] is left  # left == right: test identity
+    assert transposed == decodes == []
+    assert are_cross_intersecting(wide_left, wide_right)
+    assert len(transposed) == 1 and transposed[0] is wide_left  # equal families: test identity
 
 
 def _star_sub(n: int, k: int, center: int, keep: float, seed: int) -> Family:
@@ -402,25 +413,37 @@ def test_is_intersecting_decides_a_star_from_its_degrees(monkeypatch):
 
 
 def test_same_center_pairs_are_decided_from_the_degrees(monkeypatch):
-    # a vertex on every edge of both sides, also when one side has no edges
+    # a vertex on every edge of both sides, also when one side has no edges:
+    # within the star rule (14,5) the degrees are popcounts and no edge is off
+    # the hub, so nothing is decoded; past it (40,4) each side is decoded once
+    # for its degrees; neither transposes
     left, right = _star_sub(14, 5, 3, 0.7, 1), _star_sub(14, 5, 3, 0.7, 2)
+    wide_left, wide_right = _star_sub(40, 4, 3, 0.7, 1), _star_sub(40, 4, 3, 0.7, 2)
+    assert _star_table(left) is not None and _star_table(wide_left) is None
     empty = Family.empty(14, 5)
-    transposed = count_transpositions(monkeypatch)
+    transposed, decodes = count_transpositions(monkeypatch), count_decodes(monkeypatch)
     for pair in ((left, right), (right, left), (left, empty), (empty, right)):
         assert are_cross_intersecting(*pair)
-    assert transposed == []
+    assert transposed == decodes == []
+    assert are_cross_intersecting(wide_left, wide_right)
+    assert transposed == [] and decodes == [wide_left, wide_right]
 
 
 @pytest.mark.parametrize("pair", [
-    lambda: (_star_sub(11, 4, 1, 0.7, 3), _star_sub(11, 4, 2, 0.7, 4)),
-    lambda: (star(11, 4, 1), star(11, 4, 2)),
+    lambda n: (_star_sub(n, 4, 1, 0.7, 3), _star_sub(n, 4, 2, 0.7, 4)),
+    lambda n: (star(n, 4, 1), star(n, 4, 2)),
 ], ids=["star-subfamilies", "stars"])
 def test_stars_at_two_centers_transpose_the_left_family(monkeypatch, pair):
-    # Hilton-Milner pairs: test_cross_intersecting_transposes_the_left_family_only
-    left, right = pair()
+    # Hilton-Milner pairs: test_cross_intersecting_transposes_the_left_family_only;
+    # within the star rule (11,4) the edges off the hub are checked against
+    # the stars and nothing is transposed; past it (40,4) the left family is
+    (left, right), (wide_left, wide_right) = pair(11), pair(40)
+    assert _star_table(left) is not None and _star_table(wide_left) is None
     transposed = count_transpositions(monkeypatch)
     assert not are_cross_intersecting(left, right)
-    assert transposed == [left]
+    assert transposed == []
+    assert not are_cross_intersecting(wide_left, wide_right)
+    assert transposed == [wide_left]
 
 
 def test_unequal_shapes_raise_before_transposing(monkeypatch):
@@ -474,6 +497,84 @@ def test_meet_predicates_match_pairwise_oracles(pair):
     # meet rows and the common-vertex shortcut against the pairwise loops:
     # same-center, different-center and empty-side pairs pinned
     _check_meet_predicates(*pair)
+
+
+def test_stars_are_the_rows_of_the_complete_family():
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            assert _stars(n, k) == Family.from_ranks(n, k, (1 << binomial(n, k)) - 1).through
+
+
+def _threshold(n: int, k: int) -> int:
+    """The fewest edges inside the star rule n C(n,k) <= STAR_RATIO k e."""
+    return -(-n * binomial(n, k) // (STAR_RATIO * k))
+
+
+@st.composite
+def star_rule_pairs(draw):
+    """Two families of one shape, k = 1..5: each a subfamily of a star plus up
+    to three k-sets off its center, sized near the star rule's threshold, or
+    empty, or with every k-set.  Centers often coincide, so hubs hold most
+    edges of both sides and sometimes tie."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=k, max_value=12))
+    ksets = list(combinations(range(1, n + 1), k))
+    edge = _threshold(n, k)
+    rng = draw(st.randoms(use_true_random=False))
+    sides = []
+    for _ in range(2):
+        center = draw(st.integers(min_value=1, max_value=min(n, 3)))
+        size = draw(st.sampled_from([edge, max(edge - 1, 1), edge + 1, 2 * edge, len(ksets), 0]))
+        off = [s for s in ksets if center not in s]
+        extra = rng.sample(off, min(draw(st.integers(min_value=0, max_value=3)), len(off), size))
+        through = [s for s in ksets if center in s]
+        edges = extra + rng.sample(through, min(max(size - len(extra), 0), len(through)))
+        sides.append(Family.from_edges(n, k, edges))
+    return tuple(sides)
+
+
+@settings(max_examples=400, deadline=None)
+@given(star_rule_pairs())
+@example((Family.from_edges(7, 3, [(1, 2, 3), (1, 4, 5)]),  # hub tie at 1 and 2
+          Family.from_edges(7, 3, [(2, 4, 6), (1, 2, 7)])))
+@example((Family.from_edges(7, 3, [(1, 2, 3), (1, 4, 5)]),  # an off-hub edge misses
+          Family.from_edges(7, 3, [(2, 4, 6), (1, 6, 7)])))
+def test_star_rule_matches_the_count_and_the_pair_oracle(pair):
+    # degrees against a Counter over the decoded edges, and both pair
+    # predicates, in both argument orders, against the pairwise loops, on
+    # both sides of the star rule
+    left, right = pair
+    oracle = [Counter(chain.from_iterable(fam.edge_tuples())) for fam in pair]
+    edges = [fam.edge_tuples() for fam in pair]
+    assert [Family.from_ranks(f.n, f.k, f.edges)._degrees for f in pair] == oracle
+    assert is_intersecting(left) == pairwise_is_intersecting(edges[0])
+    assert are_cross_intersecting(left, right) == pairwise_are_cross_intersecting(*edges)
+    assert are_cross_intersecting(right, left) == pairwise_are_cross_intersecting(*edges[::-1])
+
+
+@pytest.mark.parametrize("n, k", [(7, 3), (11, 4), (13, 5), (12, 2), (16, 2), (9, 1)])
+def test_star_rule_holds_from_its_threshold(n, k):
+    # one edge short of the rule and at it, where (16,2) meets it with
+    # equality: an edge off the hub, which meets every other edge or misses
+    # the first, and edges through vertex 1
+    edge = _threshold(n, k)
+    through = [s for s in combinations(range(1, n + 1), k) if 1 in s]
+    for off in (tuple(range(2, k + 2)), tuple(range(n - k + 1, n + 1))):
+        ordered = sorted(through, key=lambda s: not set(s) & set(off))  # meeting ones first
+        for size, inside in ((edge - 1, False), (edge, True)):
+            fam = Family.from_edges(n, k, [off] + ordered[:size - 1])
+            assert fam.edge_count == size and (_star_table(fam) is not None) == inside
+            assert fam._degrees == Counter(chain.from_iterable(fam.edge_tuples()))
+            assert is_intersecting(fam) == pairwise_is_intersecting(fam.edge_tuples())
+
+
+@pytest.mark.parametrize("n", [11, 30])
+def test_an_empty_side_needs_no_check(monkeypatch, n):
+    # on both sides of the star rule, nothing of the other side is read
+    fam, empty = hilton_milner(n, 4), Family.empty(n, 4)
+    transposed, decodes = count_transpositions(monkeypatch), count_decodes(monkeypatch)
+    assert are_cross_intersecting(fam, empty) and are_cross_intersecting(empty, fam)
+    assert transposed == decodes == [] and "_degrees" not in vars(fam)
 
 
 @pytest.mark.parametrize("n, k", [(0, 0), (3, 0), (4, 1), (6, 3)])
@@ -708,15 +809,21 @@ def test_decode_cache_leaves_equality_and_hash_alone():
 
 
 def test_ekr_certificate_decodes_each_edge_once(monkeypatch):
+    # within the star rule nothing is decoded: the degrees are popcounts and a
+    # star has no edge off its hub; past it (41 edges) the family is decoded
+    # once, by one scan
     rng = random.Random(1305)
     whole = star(13, 5, 1).edge_tuples()
-    edges = rng.sample(whole, len(whole) * 9 // 10)
-    fam = Family.from_edges(13, 5, edges)
+    fam = Family.from_edges(13, 5, rng.sample(whole, len(whole) * 9 // 10))
+    sparse = Family.from_edges(13, 5, rng.sample(whole, 41))
+    assert _star_table(fam) is not None and _star_table(sparse) is None
     decodes, scans = count_decodes(monkeypatch), count_scans(monkeypatch)
     ekr_certificate(fam)
-    assert decodes == [fam]
-    assert len(scans) == 1  # 2.9 ranks per edge: one scan
-    assert fam.edge_count == 445
+    assert decodes == scans == []
+    ekr_certificate(sparse)
+    assert decodes == [sparse]
+    assert len(scans) == 1  # 31.4 ranks per edge: one scan
+    assert (fam.edge_count, sparse.edge_count) == (445, 41)
 
 
 def test_fractional_cover_decodes_each_edge_once(monkeypatch):

@@ -701,6 +701,21 @@ def test_meet_questions_on_85320_edges_fit_in_512_mib(complete_81_3, command, co
         assert fields["quadratic_form"] == binomial(81, 3) * binomial(78, 3) == 6490804320
 
 
+@pytest.mark.parametrize("command", [
+    ["certify", "ekr", "{0}"], ["certify", "cross", "{0}", "{0}"], ["spectrum", "{0}"],
+], ids=["certify-ekr", "certify-cross", "spectrum"])
+def test_two_edges_on_12497500_ranks_fit_in_512_mib(tmp_path, command):
+    # n C(n,k) is far past 64 k e: the degrees and the meet check decode the
+    # two edges, where a star table of (5000,2) would take 7.8 GB
+    path = tmp_path / "two-edges.json"
+    path.write_text('{"n": 5000, "k": 2, "edges": [[1, 2], [1, 5000]]}')
+    result = subprocess.run(
+        [sys.executable, "-m", "ekrlab", *(arg.format(path) for arg in command)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space_512,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_import_does_not_load_numpy():
     result = subprocess.run(
         [sys.executable, "-c",

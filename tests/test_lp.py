@@ -1,21 +1,23 @@
 """Exact LP solver: optima, duality, feasibility validation."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from ekrlab import limits, lp
 from ekrlab.cli import dispatch
 from ekrlab.errors import ContradictionError, DomainError, ResourceLimitError
-from ekrlab.families import Family, binomial
+from ekrlab.families import Family, _star_table, binomial, degree, is_intersecting
 from ekrlab.constructions import complete, erdos_extremal, fano, star
 from ekrlab.io import serialize_family
 from ekrlab.lp import fractional_cover, fractional_matching, fractional_pair, verify_duality
 from ekrlab.matching import threshold_report
+from ekrlab.search import maximal_intersecting
 
 from conftest import random_family_edge_count
 from oracles import dense_packing, fraction_packing, fractional_matching_value
@@ -350,3 +352,45 @@ def test_vertices_on_no_edge_change_no_pivot(monkeypatch):
         fam = Family.from_edges(n, k, rng.sample(pool, min(len(pool), rng.randrange(31))))
         assert_same_triple_as_dense_tableau(fam)
         assert pivots["lp"] == pivots["dense"]
+
+
+def test_maximal_intersecting_families_at_7_3_meet_furedis_bound():
+    # Furedi (Combinatorica 1981): an intersecting k-family has
+    # nu* <= k - 1 + 1/k, with equality only on projective planes; at (7,3)
+    # exactly the 30 labelled Fano planes reach 7/3
+    counts, planes = Counter(), []
+    for fam in maximal_intersecting(7, 3):
+        value = fractional_matching(fam).objective
+        counts[value] += 1
+        if value == Fraction(7, 3):
+            planes.append(fam)
+    assert counts == {1: 7, Fraction(3, 2): 35, Fraction(5, 3): 161, Fraction(7, 4): 210,
+                      Fraction(9, 5): 630, 2: 5054, Fraction(7, 3): 30}
+    assert all(fam.edge_count == 7 and all(degree(fam, pair) == 1
+                                           for pair in combinations(range(1, 8), 2))
+               for fam in planes)
+
+
+@st.composite
+def intersecting_families(draw):
+    """Greedy intersecting families, k = 2..4, n <= 10: the k-sets in a drawn
+    order, each kept if it meets every kept one, up to a drawn size."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=k + 1, max_value=10))
+    order = draw(st.permutations(list(combinations(range(1, n + 1), k))))
+    size, kept = draw(st.integers(min_value=2, max_value=len(order))), []
+    for edge in order:
+        if len(kept) < size and all(set(edge) & set(other) for other in kept):
+            kept.append(edge)
+    return Family.from_edges(n, k, kept)
+
+
+@settings(max_examples=80, deadline=None)
+@given(intersecting_families())
+def test_random_intersecting_families_meet_furedis_bound(fam):
+    # within the star rule the intersecting check reads the hub's stars and
+    # transposes nothing
+    assume(_star_table(fam) is not None)
+    assert is_intersecting(fam) and "through" not in vars(fam)
+    k = fam.k
+    assert fractional_matching(fam).objective <= k - 1 + Fraction(1, k)
