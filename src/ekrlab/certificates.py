@@ -20,7 +20,10 @@ form a + b sqrt(c) against 0 and decided by one exact sign test (:func:`_sign`),
 never by floating point: the extremal families sit exactly on the boundary.
 That includes the one geometric step of the witness inequality, the simplex
 lemma, which is decided in the sum-zero hyperplane of Q^n
-(:func:`simplex_min_index`).
+(:func:`simplex_min_index`).  Every denominator is known in advance (k C(n,k)
+and k(n-k) C(n,k) for the mass bounds, n for deg - ke/n), so every decision
+is an integer comparison over them, and a ``Fraction`` is built only for a
+reported value.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import ContradictionError, DomainError
@@ -59,28 +63,23 @@ def star_frame_checks(n: int, k: int) -> StarFrameReport:
 
     u_i is the component of the star-at-i characteristic vector orthogonal
     to the all-ones direction; both closed forms are checked against the
-    raw Gram entries in exact rationals.
+    raw Gram entries, in integers times C(n,k).
     """
     if n < 2 or k < 0 or k > n:
         raise DomainError(f"star_frame_checks needs n >= 2 and 0 <= k <= n, got k={k}, n={n}")
     nk = binomial(n, k)
-    s_norm = binomial(n - 1, k - 1)
-    norm_sq = s_norm - Fraction(s_norm * s_norm, nk)
-    cross = binomial(n - 2, k - 2) - Fraction(s_norm * s_norm, nk)
-    closed_norm = Fraction((n - k) * k, n * n) * nk
-    closed_cross = -Fraction(k * (n - k), n * n * (n - 1)) * nk
+    s = binomial(n - 1, k - 1)
+    norm, cross = s * nk - s * s, binomial(n - 2, k - 2) * nk - s * s
+    closed = k * (n - k) * nk * nk  # the closed forms times n^2 C(n,k) and n^2 (n-1) C(n,k)
     return StarFrameReport(
-        n=n,
-        k=k,
-        norm_sq=norm_sq,
-        cross=cross,
-        formulas_match=(norm_sq == closed_norm and cross == closed_cross),
-        simplex_identity_holds=(cross == -norm_sq / (n - 1)),
+        n=n, k=k, norm_sq=Fraction(norm, nk), cross=Fraction(cross, nk),
+        formulas_match=norm * n * n == closed and cross * n * n * (n - 1) == -closed,
+        simplex_identity_holds=cross * (n - 1) == -norm,
     )
 
 
-def _sign(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """Sign of a + b sqrt(c) for rationals a, b and c >= 0, decided exactly.
+def _sign(a: int | Fraction, b: int | Fraction, c: int | Fraction) -> int:
+    """Sign of a + b sqrt(c) for integers or rationals a, b and c >= 0, exactly.
 
     When a and b sqrt(c) have opposite signs the term of larger magnitude
     wins, so the sign is sign(a) sign(a^2 - b^2 c); otherwise it is the
@@ -120,13 +119,19 @@ def simplex_min_index(v: Sequence[Fraction | int]) -> WitnessReport:
     n = len(v)
     if n < 2:
         raise DomainError(f"simplex lemma needs n >= 2, got n={n}")
-    if sum(v) != 0:
+    scale = lcm(*(x.denominator for x in v))
+    return _witness([x.numerator * (scale // x.denominator) for x in v], scale)
+
+
+def _witness(w: list[int], scale: int) -> WitnessReport:
+    """The lemma on v = w / scale, in integers: with m = n(n-1), times scale m > 0
+    the sign of min v + sqrt(|v|^2 / m) is that of min(w) m + sqrt(m |w|^2)."""
+    if sum(w):
         raise DomainError("simplex lemma needs a vector with coordinate sum 0")
-    lhs = min(v)
-    rhs_sq = sum(x * x for x in v) / (n * (n - 1))
-    g = _sign(lhs, 1, rhs_sq)
-    return WitnessReport(vertex=1 + v.index(lhs), lhs=lhs, rhs_squared=rhs_sq,
-                         holds=g <= 0, equality=g == 0)
+    m, low, sq = len(w) * (len(w) - 1), min(w), sum(x * x for x in w)
+    g = _sign(low * m, 1, sq * m)
+    return WitnessReport(vertex=1 + w.index(low), lhs=Fraction(low, scale),
+                         rhs_squared=Fraction(sq, scale * scale * m), holds=g <= 0, equality=g == 0)
 
 
 def simplex_witness(family: Family) -> WitnessReport:
@@ -146,10 +151,10 @@ def simplex_witness(family: Family) -> WitnessReport:
 
 def _degree_witness(family: Family, f1: Fraction) -> WitnessReport:
     """The simplex lemma on deg - ke/n, checked against F_1 of the family."""
-    n, k = family.n, family.k
-    shift = Fraction(k * family.edge_count, n)
-    report = simplex_min_index([d - shift for d in vertex_degrees(family)])
-    if report.rhs_squared * (n * (n - 1)) ** 2 != binomial(n, k) * k * (n - k) * f1:
+    n, k, ke = family.n, family.k, family.k * family.edge_count
+    report = _witness([n * d - ke for d in vertex_degrees(family)], n)
+    r, m, c = report.rhs_squared, n * (n - 1), binomial(n, k) * k * (n - k)
+    if r.numerator * m * m * f1.denominator != c * f1.numerator * r.denominator:  # r m^2 = c F_1
         raise ContradictionError("degree deviation norm disagrees with the mass F_1")
     return report
 
@@ -198,23 +203,25 @@ def ekr_certificate(family: Family) -> EkrCertificate:
 
     delta1 = _delta1(family)
     f0, f1, residual = level_masses(family)
-    nk = binomial(n, k)
-    threshold = Fraction(n, k) * binomial(n - 2, k - 2)
-    star_count = binomial(n - 1, k - 1)
+    nk, low, star_count = binomial(n, k), binomial(n - 2, k - 2), binomial(n - 1, k - 1)
+    gap = k * e - n * low  # k (e - (n/k) C(n-2,k-2))
+    a, b = f1.numerator, f1.denominator
 
-    lower_rhs = Fraction(n - 1, nk) * e * (e - threshold)
-    eq4_holds = f1 >= lower_rhs
+    lower = (n - 1) * e * gap  # the lower bound times k C(n,k)
+    lower_rhs = Fraction(lower, k * nk)
+    eq4_holds = a * k * nk >= lower * b
 
     witness = _degree_witness(family, f1)
 
-    if delta1 >= binomial(n - 2, k - 2):
-        upper_rhs: Fraction | None = (e - threshold) ** 2 * Fraction((n - 1) ** 2 * k, (n - k) * nk)
-        eq6_holds: bool | None = f1 <= upper_rhs
+    if delta1 >= low:
+        upper, den = (gap * (n - 1)) ** 2, k * (n - k) * nk  # the upper bound is upper / den
+        upper_rhs: Fraction | None = Fraction(upper, den)
+        eq6_holds: bool | None = a * den <= upper * b
     else:
         upper_rhs = None
         eq6_holds = None
 
-    if e <= threshold:
+    if gap <= 0:
         dichotomy = Dichotomy.AT_MOST_THRESHOLD
     elif e >= star_count:
         dichotomy = Dichotomy.AT_LEAST_STAR_COUNT
@@ -239,9 +246,11 @@ def sqrt_product_inequality_check(
     so squaring once reduces the claim to x1 y2 + y1 x2 - 2 sqrt(x1 y2 y1 x2)
     >= 0, decided by the exact sign test.
     """
-    x1, y1, x2, y2 = Fraction(x1), Fraction(y1), Fraction(x2), Fraction(y2)
+    x1, y1, x2, y2 = v = [Fraction(x) for x in (x1, y1, x2, y2)]
     if not (x1 >= y1 >= 0 and x2 >= y2 >= 0):
         raise DomainError("need x1 >= y1 >= 0 and x2 >= y2 >= 0")
+    d = lcm(*(x.denominator for x in v))  # both sides scale by d: decide in integers
+    x1, y1, x2, y2 = (x.numerator * (d // x.denominator) for x in v)
     return _sign(x1 * y2 + y1 * x2, -2, x1 * y2 * y1 * x2) >= 0
 
 
@@ -281,20 +290,22 @@ def cross_certificate(left: Family, right: Family) -> CrossCertificate:
     _, c1, _ = level_masses(right)
     db, dc = _delta1(left), _delta1(right)
     p = left.edge_count * right.edge_count
-    alpha = Fraction(n - 1, binomial(n, k))
-    t = Fraction(n, k) * binomial(n - 2, k - 2)
-    if b1 * c1 < 0:
+    nk, low = binomial(n, k), binomial(n - 2, k - 2)
+    bc = b1.numerator * c1.numerator  # B_1 C_1 times its positive denominator
+    if bc < 0:
         raise DomainError("sqrt-gap comparison needs nonnegative inputs")
-    g = _sign(alpha * p, -alpha * t, p)  # the right side, alpha p - alpha t sqrt(p)
+    # alpha = (n-1)/C(n,k), t = (n/k) C(n-2,k-2): alpha p - alpha t sqrt(p), times k C(n,k)/(n-1)
+    g = _sign(k * p, -n * low, p)
     if g <= 0:
-        holds, equality = True, g == 0 and b1 * c1 == 0
+        holds, equality = True, g == 0 and bc == 0
     else:  # square both positive sides once; sqrt(p) survives linearly
-        h = _sign(b1 * c1 - alpha * alpha * p * (p + t * t), 2 * alpha * alpha * p * t, p)
+        # B_1 C_1 - alpha^2 p (p + t^2) + 2 alpha^2 p t sqrt(p), times b1.den c1.den (k C(n,k))^2
+        s = b1.denominator * c1.denominator * (n - 1) ** 2 * p
+        h = _sign(bc * (k * nk) ** 2 - s * (k * k * p + (n * low) ** 2), 2 * s * k * n * low, p)
         holds, equality = h >= 0, h == 0
-    bound = binomial(n - 2, k - 2) ** 2
     return CrossCertificate(
         n=n, k=k, size_b=left.edge_count, size_c=right.edge_count,
         delta1_b=db, delta1_c=dc, b1=b1, c1=c1,
         ineq10_holds=holds, ineq10_equality=equality,
-        product_bound_holds=db * dc <= bound,
+        product_bound_holds=db * dc <= low * low,
     )

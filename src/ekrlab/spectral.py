@@ -5,8 +5,8 @@ The disjointness graph on the k-subsets of [n] has adjacency eigenvalues
 The j-th eigenspace E_j is the orthogonal complement of E_0 + ... + E_{j-1}
 inside the span of the incidence vectors of all j-subsets (the vector of a
 j-set S marks the k-sets containing S).  For a family with characteristic
-vector h, the mass F_j = ||P_{E_j} h||^2 is computed here in exact
-rational arithmetic from the squared subset degrees
+vector h, the mass F_j = ||P_{E_j} h||^2 is computed here exactly from
+the squared subset degrees
 
   N_t = sum_{|U|=t} deg(U)^2 = ||W_t h||^2,
 
@@ -17,7 +17,8 @@ C(k-j, t-j) C(n-t-j, k-t) for j <= t and as 0 for j > t, so
   N_t = sum_{j<=t} C(k-j, t-j) C(n-t-j, k-t) F_j
 
 is lower triangular in F with diagonal C(n-2t, k-t), and forward
-substitution gives F_0..F_t from N_0..N_t:
+substitution gives F_0..F_t from N_0..N_t, in integers over the running
+product of the diagonals, with one ``Fraction`` per reported mass:
 
 * :func:`level_masses` uses N_0 = e^2 and N_1 = sum_v deg(v)^2 for F_0
   and F_1;
@@ -29,7 +30,8 @@ substitution gives F_0..F_t from N_0..N_t:
   inner distribution (Delsarte 1973), since N_t also counts the ordered
   edge pairs (E, F) with weight C(|E & F|, t), read off bit-sliced sums of
   packed per-vertex rows.  By inclusion-exclusion h^T A h =
-  sum_t (-1)^t N_t counts the ordered disjoint edge pairs.
+  sum_t (-1)^t N_t counts the ordered disjoint edge pairs, checked
+  against sum_t lambda_t F_t in integers.
 
 Floating point appears nowhere: the verdicts downstream hinge on exact
 sign comparisons at equality boundaries.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import ContradictionError, DomainError
 from .families import Family, _digit_rows, binomial, meet_rows
@@ -86,18 +88,22 @@ def quadratic_form(family: Family) -> int:
     return 2 * disjoint_pairs(family)
 
 
-def _masses(n: int, k: int, sums: list[int]) -> list[Fraction]:
-    """F_0..F_t from the squared subset degrees N_0..N_t, by forward substitution.
-
-    The diagonal C(n-2t, k-t) is positive whenever n >= k + t.
-    """
-    masses: list[Fraction] = []
+def _mass_numerators(n: int, k: int, sums: list[int]) -> tuple[list[int], int]:
+    """Numerators of F_0..F_t over D_t, the product of the diagonals C(n-2s, k-s),
+    s <= t (positive whenever n >= k + t), by forward substitution."""
+    nums: list[int] = []
+    den = 1
     for t, n_t in enumerate(sums):
-        below = sum(
-            binomial(k - j, t - j) * binomial(n - t - j, k - t) * f for j, f in enumerate(masses)
-        )
-        masses.append(Fraction(n_t - below, binomial(n - 2 * t, k - t)))
-    return masses
+        below = (comb(k - j, t - j) * comb(n - t - j, k - t) * g for j, g in enumerate(nums))
+        d = comb(n - 2 * t, k - t)
+        nums, den = [g * d for g in nums] + [n_t * den - sum(below)], den * d
+    return nums, den
+
+
+def _masses(n: int, k: int, sums: list[int]) -> list[Fraction]:
+    """F_0..F_t from the squared subset degrees N_0..N_t, one Fraction each."""
+    nums, den = _mass_numerators(n, k, sums)
+    return [Fraction(g, den) for g in nums]
 
 
 def level_masses(family: Family) -> tuple[Fraction, Fraction, Fraction]:
@@ -112,9 +118,8 @@ def level_masses(family: Family) -> tuple[Fraction, Fraction, Fraction]:
     if n == k:
         raise DomainError(f"level_masses needs n > k: E_1 is empty at n = k = {n}")
     e = family.edge_count
-    f0, f1 = _masses(n, k, [e * e, sum(d * d for d in family._degrees.values())])
-    residual = e - f0 - f1
-    return f0, f1, residual
+    (g0, g1), den = _mass_numerators(n, k, [e * e, sum(d * d for d in family._degrees.values())])
+    return Fraction(g0, den), Fraction(g1, den), Fraction(e * den - g0 - g1, den)
 
 
 @dataclass(frozen=True)
@@ -255,6 +260,7 @@ def eigen_mass_full(family: Family) -> SpectralMass:
     quad = sum((-1) ** t * n_t for t, n_t in enumerate(sums))
     lams = kneser_spectrum(n, k).eigenvalues()
     result = SpectralMass(n, k, tuple(masses), quad, Fraction(e))
-    if sum(l * f for l, f in zip(lams, result.masses)) != quad:
+    den = lcm(*(f.denominator for f in masses))  # a divisor of D_k
+    if sum(l * f.numerator * (den // f.denominator) for l, f in zip(lams, masses)) != quad * den:
         raise ContradictionError("eigenspace masses violate the quadratic-form identity")
     return result

@@ -19,7 +19,8 @@ vertex cover that recounts every degree at every step, the
 degree-driven constructive matching that rebuilds and relabels each
 level, its rainbow placement on tuple sets, and the hand-derived
 sign-and-squaring comparators for the square-root inequalities of the
-certificates.
+certificates, and the certificate chain and mass recurrence evaluated one
+``Fraction`` operation at a time on degrees counted from edge tuples.
 None of it shares code with the library paths it checks.
 """
 
@@ -744,3 +745,148 @@ def squared_sqrt_product_check(
     a = x1 * y2
     b = y1 * x2
     return (a + b) ** 2 >= 4 * a * b
+
+
+# The certificate chain and the mass recurrence one ``Fraction`` operation
+# at a time, as the library computed them before it decided in integers
+# over known denominators.  Degrees are read from the edge tuples and
+# binomials come from ``math.comb``, so none of it calls the library; each
+# chain returns the fields of the library's report as a dict, the
+# dichotomy by its value.
+
+
+def edge_degrees(n: int, edges: list[tuple[int, ...]]) -> list[int]:
+    """Degree of every vertex 1..n, one count per edge vertex."""
+    deg = [0] * n
+    for edge in edges:
+        for v in edge:
+            deg[v - 1] += 1
+    return deg
+
+
+def fraction_masses(n: int, k: int, sums: list[int]) -> list[Fraction]:
+    """F_0..F_t from the squared subset degrees N_0..N_t, by forward substitution.
+
+    The diagonal C(n-2t, k-t) is positive whenever n >= k + t.
+    """
+    masses: list[Fraction] = []
+    for t, n_t in enumerate(sums):
+        below = sum(
+            _extended_comb(k - j, t - j) * _extended_comb(n - t - j, k - t) * f
+            for j, f in enumerate(masses)
+        )
+        masses.append(Fraction(n_t - below, _extended_comb(n - 2 * t, k - t)))
+    return masses
+
+
+def fraction_level_masses(n: int, k: int, edges: list[tuple[int, ...]]) -> tuple[Fraction, ...]:
+    """(F_0, F_1, residual) from N_0 = e^2 and N_1 = sum_v deg(v)^2."""
+    e = len(edges)
+    f0, f1 = fraction_masses(n, k, [e * e, sum(d * d for d in edge_degrees(n, edges))])
+    residual = e - f0 - f1
+    return f0, f1, residual
+
+
+def fraction_sign(a: Fraction, b: Fraction, c: Fraction) -> int:
+    """Sign of a + b sqrt(c) for rationals a, b and c >= 0, decided exactly.
+
+    When a and b sqrt(c) have opposite signs the term of larger magnitude
+    wins, so the sign is sign(a) sign(a^2 - b^2 c); otherwise it is the
+    sign of whichever term is nonzero.
+    """
+    if c < 0:
+        raise DomainError("comparison needs a nonnegative radicand")
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) * (c > 0)
+    if sa * sb >= 0:
+        return sa or sb
+    d = a * a - b * b * c
+    return sa * ((d > 0) - (d < 0))
+
+
+def fraction_simplex_min_index(v) -> dict:
+    """The simplex lemma min_i v_i <= -||v|| / sqrt(n(n-1)) on Fractions."""
+    v = [Fraction(x) for x in v]
+    n = len(v)
+    if n < 2:
+        raise DomainError(f"simplex lemma needs n >= 2, got n={n}")
+    if sum(v) != 0:
+        raise DomainError("simplex lemma needs a vector with coordinate sum 0")
+    lhs = min(v)
+    rhs_sq = sum(x * x for x in v) / (n * (n - 1))
+    g = fraction_sign(lhs, 1, rhs_sq)
+    return dict(vertex=1 + v.index(lhs), lhs=lhs, rhs_squared=rhs_sq,
+                holds=g <= 0, equality=g == 0)
+
+
+def fraction_degree_witness(n: int, k: int, edges: list[tuple[int, ...]], f1: Fraction) -> dict:
+    """The simplex lemma on deg - ke/n, checked against F_1 of the family."""
+    shift = Fraction(k * len(edges), n)
+    report = fraction_simplex_min_index([d - shift for d in edge_degrees(n, edges)])
+    if report["rhs_squared"] * (n * (n - 1)) ** 2 != _extended_comb(n, k) * k * (n - k) * f1:
+        raise ContradictionError("degree deviation norm disagrees with the mass F_1")
+    return report
+
+
+def fraction_ekr_certificate(n: int, k: int, edges: list[tuple[int, ...]]) -> dict:
+    """The two-sided mass chain and the dichotomy of an intersecting family."""
+    e = len(edges)
+    deg = edge_degrees(n, edges)
+    delta1 = min(deg)
+    f0, f1, residual = fraction_level_masses(n, k, edges)
+    nk = _extended_comb(n, k)
+    threshold = Fraction(n, k) * _extended_comb(n - 2, k - 2)
+    star_count = _extended_comb(n - 1, k - 1)
+
+    lower_rhs = Fraction(n - 1, nk) * e * (e - threshold)
+    eq4_holds = f1 >= lower_rhs
+
+    witness = fraction_degree_witness(n, k, edges, f1)
+
+    if delta1 >= _extended_comb(n - 2, k - 2):
+        upper_rhs = (e - threshold) ** 2 * Fraction((n - 1) ** 2 * k, (n - k) * nk)
+        eq6_holds = f1 <= upper_rhs
+    else:
+        upper_rhs = None
+        eq6_holds = None
+
+    if e <= threshold:
+        dichotomy = "AtMostThreshold"
+    elif e >= star_count:
+        dichotomy = "AtLeastStarCount"
+    else:
+        dichotomy = "Inconclusive"
+
+    is_star = e == star_count and max(deg) == e
+
+    return dict(
+        n=n, k=k, e=e, delta1=delta1, f0=f0, f1=f1, residual=residual,
+        lower_bound_rhs=lower_rhs, upper_bound_rhs=upper_rhs, witness=witness,
+        eq4_holds=eq4_holds, eq6_holds=eq6_holds, dichotomy=dichotomy, is_star=is_star,
+    )
+
+
+def fraction_cross_certificate(
+    n: int, k: int, left: list[tuple[int, ...]], right: list[tuple[int, ...]]
+) -> dict:
+    """The mass and degree-product bounds of a cross-intersecting pair."""
+    _, b1, _ = fraction_level_masses(n, k, left)
+    _, c1, _ = fraction_level_masses(n, k, right)
+    db, dc = min(edge_degrees(n, left)), min(edge_degrees(n, right))
+    p = len(left) * len(right)
+    alpha = Fraction(n - 1, _extended_comb(n, k))
+    t = Fraction(n, k) * _extended_comb(n - 2, k - 2)
+    if b1 * c1 < 0:
+        raise DomainError("sqrt-gap comparison needs nonnegative inputs")
+    g = fraction_sign(alpha * p, -alpha * t, p)  # the right side, alpha p - alpha t sqrt(p)
+    if g <= 0:
+        holds, equality = True, g == 0 and b1 * c1 == 0
+    else:  # square both positive sides once; sqrt(p) survives linearly
+        h = fraction_sign(b1 * c1 - alpha * alpha * p * (p + t * t), 2 * alpha * alpha * p * t, p)
+        holds, equality = h >= 0, h == 0
+    bound = _extended_comb(n - 2, k - 2) ** 2
+    return dict(
+        n=n, k=k, size_b=len(left), size_c=len(right),
+        delta1_b=db, delta1_c=dc, b1=b1, c1=c1,
+        ineq10_holds=holds, ineq10_equality=equality,
+        product_bound_holds=db * dc <= bound,
+    )
